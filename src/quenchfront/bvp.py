@@ -143,10 +143,11 @@ def default_grid(c: float, h: float = DEFAULT_H) -> Grid:
 
 @lru_cache(maxsize=32)
 def _drift_diffusion_band(g: Grid, c: float) -> BandedMatrix:
-    """D2 + c*D1 with upwinding set by sign(c); boundary rows zero."""
+    """D2 + c*D1 upwinded by sign(c), boundary rows zero; read-only (copy it)."""
     band = d2_band(g).copy()
     if c != 0.0:
         band.data += c * d1_band(g, int(np.sign(c))).data
+    band.data.flags.writeable = False
     return band
 
 

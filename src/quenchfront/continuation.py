@@ -170,7 +170,7 @@ def solve_front(c: float, grid: Grid | None = None,
 
     Tries Newton from the heuristic seed first; if that fails (possible for
     intermediate positive c where no closed-form seed exists), falls back to
-    continuation from the well-conditioned c = 0 anchor.
+    continuation from the well-conditioned c = 0 anchor (SolverError if it stops short).
     """
     bc = bc or BoundaryClosure()
     cfg = cfg or newton.SolverConfig()
@@ -187,7 +187,15 @@ def solve_front(c: float, grid: Grid | None = None,
                                u=bvp.initial_guess(anchor_grid, 0.0))
     anchor, _ = newton.solve(anchor_seed, bc, cfg)
     branch = continue_branch(anchor, c, cfg=cfg, bc=bc, h=h)
-    profile = branch.profile_at(c)
+    try:
+        profile = branch.profile_at(c)
+    except KeyError:   # the step underflowed right after the last real failure
+        reached = branch.cs()[0 if c < 0 else -1]
+        last_c, why = branch.failures[-2]
+        raise newton.SolverError(
+            f"continuation toward c={c:g} on grid h={g.h:g} x_min={g.x_min:g} "
+            f"x_max={g.x_max:g} n={g.n} stopped at c={reached:.6g}; last failure "
+            f"at c={last_c:.6g}: {why}") from None
     if grid is not None and (profile.grid.n != grid.n
                              or profile.grid.x_min != grid.x_min):
         reseeded = reinterpolate(profile, grid, bc)

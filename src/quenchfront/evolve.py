@@ -1,11 +1,11 @@
 """Method-of-lines time integration of u_t = u_xx + c u_x - r(x) u - u^3.
 
 The linear spatial operator (diffusion, drift, and the ramp coefficient
-r(x), which is stiff for large |x|) is treated implicitly through banded
-solves; the cubic reaction is explicit.  Two schemes: IMEX Euler and
-Crank-Nicolson with Adams-Bashforth-2 on the reaction.  The spatial
-discretization is the same fourth-order operator the Newton solver uses, so
-Newton solutions are exact discrete fixed points of the stepper.
+r(x), which is stiff for large |x|) is implicit, LU-factored once per
+stepper so each step only back-substitutes; the cubic reaction is explicit.
+Two schemes: IMEX Euler and Crank-Nicolson with Adams-Bashforth-2 on the
+reaction.  The spatial discretization is the same fourth-order operator the
+Newton solver uses, so Newton solutions are exact discrete fixed points.
 
 The tanh-ramp variant (r = tanh(eps x)) is the full slow-quench model; its
 steady fronts are compared against inner rescalings of the linear-ramp
@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from . import bvp, continuation, newton
 from .bvp import BoundaryClosure, FrontProfile
-from .grid import Grid, make_grid
+from .grid import BandedLU, Grid, make_grid
 
 TANH_DOMAIN_HALF = 300.0   # solve domain for the tanh-ramp equation
 TANH_H = 0.05
@@ -73,7 +72,7 @@ def ramp_values(g: Grid, cfg: EvolveConfig) -> np.ndarray:
 
 
 class ImexStepper:
-    """One-step integrator holding the banded implicit systems.
+    """One-step integrator holding the LU factors of its implicit systems.
 
     Boundary rows of every implicit solve are identity rows pinning the
     state to the supplied Dirichlet values.  The Crank-Nicolson scheme
@@ -89,26 +88,23 @@ class ImexStepper:
         self.grid = g
         self.cfg = cfg
         self.boundary = boundary
-        r = ramp_values(g, cfg)
-        a = bvp._drift_diffusion_band(g, cfg.c).copy()
-        diag = -r.copy()
+        self._a = bvp._drift_diffusion_band(g, cfg.c).copy()  # boundary rows zero
+        diag = -ramp_values(g, cfg)
         diag[0] = diag[-1] = 0.0
-        a.add_diagonal(diag)
-        self._a = a  # interior rows only; boundary rows zero
+        self._a.add_diagonal(diag)
 
-        self._lhs_euler = self._implicit_system(cfg.dt)
-        self._lhs_cn = (self._implicit_system(0.5 * cfg.dt)
-                        if cfg.scheme == "imex_cn" else None)
+        self._lu_euler = self._factor(cfg.dt)
+        self._lu_cn = self._factor(0.5 * cfg.dt) if cfg.scheme == "imex_cn" else None
         self._n_prev: np.ndarray | None = None
         self._steps_taken = 0
 
-    def _implicit_system(self, weight: float):
+    def _factor(self, weight: float) -> BandedLU:
         lhs = self._a.copy()
         lhs.data *= -weight
         lhs.add_diagonal(np.ones(self.grid.n))
         lhs.set_identity_row(0)
         lhs.set_identity_row(self.grid.n - 1)
-        return lhs
+        return BandedLU(lhs)
 
     def _nonlinear(self, u: np.ndarray) -> np.ndarray:
         if not self.cfg.include_cubic:
@@ -123,10 +119,10 @@ class ImexStepper:
         use_euler = (cfg.scheme == "imex_euler"
                      or self._steps_taken < self.STARTUP_EULER_STEPS)
         if use_euler:
-            lhs = self._lhs_euler
+            lu = self._lu_euler
             rhs = u + cfg.dt * n_cur
         else:
-            lhs = self._lhs_cn
+            lu = self._lu_cn
             n_old = self._n_prev if self._n_prev is not None else n_cur
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs = (u + 0.5 * cfg.dt * self._a.matvec(u)
@@ -135,19 +131,12 @@ class ImexStepper:
         rhs[-1] = self.boundary[1]
         if not np.all(np.isfinite(rhs)):
             raise BlowUpError("non-finite state entering implicit solve")
-        out = scipy.linalg.solve_banded(
-            (lhs.bandwidth, lhs.bandwidth), lhs.data, rhs)
+        out = lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise BlowUpError("non-finite state after implicit solve")
         self._n_prev = n_cur
         self._steps_taken += 1
         return out
-
-
-def step(u: np.ndarray, g: Grid, cfg: EvolveConfig,
-         boundary: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Single IMEX step (one-shot convenience; use ImexStepper for runs)."""
-    return ImexStepper(g, cfg, boundary).step(u)
 
 
 def boundary_from_closure(g: Grid, cfg: EvolveConfig,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg.lapack
 
 MAX_BANDWIDTH = 4  # widest clamped stencil reaches 4 nodes off-diagonal
 
@@ -52,10 +53,9 @@ def make_grid(x_min: float, x_max: float, h_target: float = 0.01) -> Grid:
 class BandedMatrix:
     """Square banded matrix, diagonally-indexed storage.
 
-    ``data[bandwidth + i - j, j]`` holds entry (i, j); the layout matches
-    what the LAPACK banded solver expects, so no copy is needed to solve.
-    The sparsity pattern is symmetric (same width above and below) although
-    the values need not be.
+    ``data[bandwidth + i - j, j]`` holds entry (i, j), LAPACK's banded
+    layout, which ``BandedLU`` factors.  The sparsity pattern is symmetric
+    (same width above and below) although the values need not be.
     """
 
     def __init__(self, n: int, bandwidth: int):
@@ -88,10 +88,6 @@ class BandedMatrix:
             self.data[self.bandwidth + i - j, j] = 0.0
         self.data[self.bandwidth, i] = 1.0
 
-    def zero_row(self, i: int) -> None:
-        for j in range(max(0, i - self.bandwidth), min(self.n, i + self.bandwidth + 1)):
-            self.data[self.bandwidth + i - j, j] = 0.0
-
     def matvec(self, u: np.ndarray) -> np.ndarray:
         if u.shape != (self.n,):
             raise ValueError(f"vector length {u.shape} does not match n={self.n}")
@@ -113,6 +109,32 @@ class BandedMatrix:
             for i in range(i0, i1):
                 a[i, i - d] = self.data[p + d, i - d]
         return a
+
+
+class SingularMatrixError(np.linalg.LinAlgError):
+    """A banded LU factorization met an exactly zero pivot."""
+
+
+class BandedLU:
+    """LU factors of a BandedMatrix with partial pivoting, computed once
+    (LAPACK dgbtrf) and reused by every ``solve`` (dgbtrs)."""
+
+    def __init__(self, a: BandedMatrix):
+        p = self.bandwidth = a.bandwidth
+        self.n = a.n
+        # p extra rows above the band hold U's fill-in; Fortran order avoids a copy
+        ab = np.zeros((3 * p + 1, a.n), order="F")
+        ab[p:] = np.asarray_chkfinite(a.data)
+        self._lu, self._piv, info = scipy.linalg.lapack.dgbtrf(
+            ab, p, p, overwrite_ab=True)
+        if info > 0:
+            raise SingularMatrixError(f"singular matrix: zero pivot in column {info - 1}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if b.shape != (self.n,):
+            raise ValueError(f"vector length {b.shape} does not match n={self.n}")
+        p = self.bandwidth
+        return scipy.linalg.lapack.dgbtrs(self._lu, p, p, b, self._piv)[0]
 
 
 def fd_weights(z: float, xs: np.ndarray, m: int) -> np.ndarray:
@@ -146,76 +168,55 @@ def _stencil(offsets: tuple[int, ...], m: int) -> np.ndarray:
     return fd_weights(0.0, np.array(offsets, dtype=float), m)
 
 
-def _row_windows_d2(n: int) -> list[tuple[int, np.ndarray]]:
-    """(start_index, weights) per interior row for the second derivative."""
-    w_center = _stencil((-2, -1, 0, 1, 2), 2)
-    w_left = _stencil((-1, 0, 1, 2, 3, 4), 2)     # row 1, 6-point biased
-    w_right = _stencil((-4, -3, -2, -1, 0, 1), 2)  # row n-2, mirror
-    rows: list[tuple[int, np.ndarray]] = [(0, w_left)]
-    rows += [(i - 2, w_center) for i in range(2, n - 2)]
-    rows.append((n - 6, w_right))
-    return rows
-
-
-def _row_windows_d1(n: int, upwind_sign: int) -> list[tuple[int, np.ndarray]]:
-    """(start_index, weights) per interior row for the first derivative.
-
-    upwind_sign > 0 shifts the window one node to +x (characteristics of the
-    drift term c*u_x enter from the right when c > 0), upwind_sign < 0
-    mirrors that, 0 keeps the stencil centered.  Windows are clamped at the
-    boundaries; all variants use 5 points and stay fourth order.
-    """
-    if upwind_sign > 0:
-        desired_lo = -1
-    elif upwind_sign < 0:
-        desired_lo = -3
-    else:
-        desired_lo = -2
-    rows = []
-    cache: dict[int, np.ndarray] = {}
-    for i in range(1, n - 1):
-        s = min(max(i + desired_lo, 0), n - 5)
-        offsets = tuple(range(s - i, s - i + 5))
-        if offsets[0] not in cache:
-            cache[offsets[0]] = _stencil(offsets, 1)
-        rows.append((s, cache[offsets[0]]))
-    return rows
+def _frozen_band(n: int, *groups) -> BandedMatrix:
+    """Read-only band with weights[k] at (rows[r], starts[r] + k) per group;
+    filled one stencil column at a time to keep the temporaries O(n)."""
+    band = BandedMatrix(n, MAX_BANDWIDTH)
+    for rows, starts, weights in groups:
+        for k, wk in enumerate(weights):
+            band.data[MAX_BANDWIDTH + rows - starts - k, starts + k] += wk
+    band.data.flags.writeable = False
+    return band
 
 
 @lru_cache(maxsize=64)
 def d2_band(g: Grid) -> BandedMatrix:
-    """Banded second-derivative operator; boundary rows are zero."""
-    band = BandedMatrix(g.n, MAX_BANDWIDTH)
-    scale = 1.0 / g.h ** 2
-    for i, (s, w) in enumerate(_row_windows_d2(g.n), start=1):
-        for k, wk in enumerate(w):
-            band.add(i, s + k, wk * scale)
-    return band
+    """Banded second-derivative operator; boundary rows are zero.  Cached
+    and read-only: callers that modify it must take a ``copy()``."""
+    n, scale = g.n, 1.0 / g.h ** 2
+    interior = np.arange(2, n - 2)
+    return _frozen_band(
+        n, (interior, interior - 2, _stencil((-2, -1, 0, 1, 2), 2) * scale),
+        (np.array([1]), np.array([0]), _stencil((-1, 0, 1, 2, 3, 4), 2) * scale),
+        (np.array([n - 2]), np.array([n - 6]),
+         _stencil((-4, -3, -2, -1, 0, 1), 2) * scale))
 
 
 @lru_cache(maxsize=64)
 def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
-    """Banded first-derivative operator; boundary rows are zero."""
-    band = BandedMatrix(g.n, MAX_BANDWIDTH)
-    scale = 1.0 / g.h
-    for i, (s, w) in enumerate(_row_windows_d1(g.n, upwind_sign), start=1):
-        for k, wk in enumerate(w):
-            band.add(i, s + k, wk * scale)
-    return band
+    """Banded first-derivative operator; boundary rows are zero.
+
+    upwind_sign > 0 shifts the window one node to +x (characteristics of the
+    drift term c*u_x enter from the right when c > 0), upwind_sign < 0
+    mirrors that, 0 keeps the stencil centered.  Windows are clamped at the
+    boundaries; all variants use 5 points and stay fourth order.  Cached and
+    read-only: callers that modify it must take a ``copy()``.
+    """
+    n, scale = g.n, 1.0 / g.h
+    rows = np.arange(1, n - 1)
+    starts = np.clip(rows - 2 + int(np.sign(upwind_sign)), 0, n - 5)
+    lo = starts - rows   # window offset; only the clamped rows differ
+    return _frozen_band(n, *[(rows[lo == o], starts[lo == o],
+                              _stencil(tuple(range(o, o + 5)), 1) * scale)
+                             for o in np.unique(lo)])
 
 
 def d2_apply(g: Grid, u: np.ndarray) -> np.ndarray:
     """Fourth-order second derivative at interior nodes (boundary rows 0)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
-    return d2_band(g).matvec(u)
+    return d2_band(g).matvec(np.asarray(u, dtype=float))
 
 
 def d1_apply(g: Grid, u: np.ndarray, upwind_sign: int = 0) -> np.ndarray:
     """Fourth-order first derivative at interior nodes, biased against the
     characteristic direction when upwind_sign = sign(c) is nonzero."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
-    return d1_band(g, int(np.sign(upwind_sign))).matvec(u)
+    return d1_band(g, int(np.sign(upwind_sign))).matvec(np.asarray(u, dtype=float))

@@ -1,7 +1,8 @@
 """Damped Newton iteration with banded direct linear solves.
 
-The linear solves go through LAPACK's banded LU with partial pivoting
-(scipy.linalg.solve_banded); every solve is residual-checked so a silently
+The linear solves factor each Jacobian by LAPACK's banded LU with partial
+pivoting (``grid.BandedLU``, the factor-once/solve-many path the time
+stepper also uses); every solve is residual-checked so a silently
 near-singular Jacobian still surfaces as an error.
 """
 
@@ -10,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .bvp import BoundaryClosure, FrontProfile, stationary_jacobian, stationary_residual
-from .grid import BandedMatrix, Grid
+from .grid import BandedLU, BandedMatrix, Grid, SingularMatrixError
 
 
 class SolverError(RuntimeError):
@@ -64,13 +64,13 @@ class SolveReport:
 def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by banded LU with partial pivoting.
 
-    Raises SingularJacobianError when the factorization breaks down or the
-    backward error exceeds 1e-9 (||Ax-b|| vs ||A|| ||x|| + ||b||).
+    Raises SingularJacobianError on a zero pivot or when the backward error
+    exceeds 1e-9 (||Ax-b|| vs ||A|| ||x|| + ||b||).
     """
-    b = np.asarray(b, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
     try:
-        x = scipy.linalg.solve_banded((A.bandwidth, A.bandwidth), A.data, b)
-    except np.linalg.LinAlgError as exc:
+        x = BandedLU(A).solve(b)
+    except SingularMatrixError as exc:
         raise SingularJacobianError(f"banded LU failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularJacobianError("banded LU produced non-finite solution")

@@ -84,6 +84,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "error kind=MarginError" in err
 
+    def test_stalled_fallback_reports_where_it_stopped(self, tmp_path, capsys):
+        # the seed converges to a non-admissible profile and the fallback
+        # continuation from c = 0 stalls near c = -96.67 on this coarse mesh
+        code = run(["solve", "--c", "-200", "--h", "0.04",
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error kind=SolverError" in err
+        for part in ("c=-200 ", "h=0.04 ", "x_min=-25 ", "x_max=94.56 ",
+                     "n=2990", "stopped at c=-96.67", "non-admissible"):
+            assert part in err
+
     def test_solve_with_spectrum_header(self, tmp_path):
         out = tmp_path / "p.csv"
         assert run(["solve", "--c", "0", "--spectrum", "--out", str(out)]) == 0

@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import trapezoid
 
 from quenchfront import bvp, diagnostics, evolve, newton, spectrum
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
                                 boundary_from_closure, compare_inner_scaling,
-                                measured_rate, solve_tanh_front, step)
+                                measured_rate, solve_tanh_front)
 from quenchfront.grid import make_grid
+
+
+class SolveBandedEachStep:
+    """Reference implicit solve: scipy.linalg.solve_banded on the unfactored
+    left-hand side at every call."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def solve(self, b):
+        p = self.a.bandwidth
+        return scipy.linalg.solve_banded((p, p), self.a.data, b)
 
 
 class TestConfig:
@@ -36,8 +49,24 @@ class TestStepper:
 
     def test_zero_state_invariant(self, hm_profile):
         cfg = EvolveConfig(c=0.0, dt=0.01, t_end=1.0)
-        u = step(np.zeros(hm_profile.grid.n), hm_profile.grid, cfg, (0.0, 0.0))
+        st = ImexStepper(hm_profile.grid, cfg, (0.0, 0.0))
+        u = st.step(np.zeros(hm_profile.grid.n))
         assert np.all(u == 0.0)
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cn"])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    def test_factored_step_equals_solve_banded_bitwise(self, monkeypatch,
+                                                        scheme, c):
+        g = bvp.default_grid(c, 0.05)
+        cfg = EvolveConfig(c=c, dt=0.01, t_end=1.0, scheme=scheme)
+        bd = boundary_from_closure(g, cfg)
+        factored = ImexStepper(g, cfg, bd)
+        monkeypatch.setattr(evolve, "BandedLU", SolveBandedEachStep)
+        reference = ImexStepper(g, cfg, bd)
+        u = v = bvp.initial_guess(g, c)
+        for _ in range(ImexStepper.STARTUP_EULER_STEPS + 3):
+            u, v = factored.step(u), reference.step(v)
+            assert u.tobytes() == v.tobytes()
 
     def test_comparison_principle_spot_check(self, hm_profile):
         cfg = EvolveConfig(c=0.0, dt=0.01, t_end=1.0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from quenchfront.grid import (BandedMatrix, Grid, d1_apply, d1_band, d2_apply,
-                              d2_band, fd_weights, make_grid)
+from quenchfront import bvp
+from quenchfront.grid import (BandedLU, BandedMatrix, Grid, SingularMatrixError,
+                              d1_apply, d1_band, d2_apply, d2_band, fd_weights,
+                              make_grid)
 
 
 def test_grid_nodes_and_spacing():
@@ -158,3 +160,94 @@ class TestBandedMatrix:
     def test_symmetric_storage_pattern(self):
         a = BandedMatrix(8, 2)
         assert a.data.shape == (5, 8)
+
+
+def _reference_band(n: int, scale: float, windows) -> BandedMatrix:
+    """Entry-by-entry assembly: row i gets fd weights on nodes s..s+k-1."""
+    band = BandedMatrix(n, 4)
+    for i, s, offsets, m in windows:
+        w = fd_weights(0.0, np.array(offsets, dtype=float), m)
+        for k, wk in enumerate(w):
+            band.add(i, s + k, wk * scale)
+    return band
+
+
+def _reference_d2(g: Grid) -> BandedMatrix:
+    n = g.n
+    windows = [(1, 0, (-1, 0, 1, 2, 3, 4), 2)]
+    windows += [(i, i - 2, (-2, -1, 0, 1, 2), 2) for i in range(2, n - 2)]
+    windows.append((n - 2, n - 6, (-4, -3, -2, -1, 0, 1), 2))
+    return _reference_band(n, 1.0 / g.h ** 2, windows)
+
+
+def _reference_d1(g: Grid, upwind_sign: int) -> BandedMatrix:
+    n = g.n
+    lo = -2 + upwind_sign
+    windows = []
+    for i in range(1, n - 1):
+        s = min(max(i + lo, 0), n - 5)
+        windows.append((i, s, tuple(range(s - i, s - i + 5)), 1))
+    return _reference_band(n, 1.0 / g.h, windows)
+
+
+class TestVectorizedAssembly:
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 57])
+    def test_d2_matches_per_row_reference_bitwise(self, n):
+        g = Grid(-1.3, 2.1, n)
+        ref = _reference_d2(g)
+        assert d2_band(g).data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12, 57])
+    @pytest.mark.parametrize("upwind", [-1, 0, 1])
+    def test_d1_matches_per_row_reference_bitwise(self, n, upwind):
+        g = Grid(-1.3, 2.1, n)
+        ref = _reference_d1(g, upwind)
+        assert d1_band(g, upwind).data.tobytes() == ref.data.tobytes()
+
+
+class TestCachedBandsReadOnly:
+    def test_writing_to_cached_band_raises(self):
+        g = make_grid(-1.0, 1.0, 0.1)
+        for band in (d2_band(g), d1_band(g, 1), bvp._drift_diffusion_band(g, 0.5)):
+            with pytest.raises(ValueError):
+                band.data[4, 3] = 1.0
+            with pytest.raises(ValueError):
+                band.add_diagonal(np.ones(g.n))
+
+    def test_copy_is_writeable(self):
+        g = make_grid(-1.0, 1.0, 0.1)
+        band = d2_band(g).copy()
+        band.add_diagonal(np.ones(g.n))
+        assert band.data[4, 3] == d2_band(g).data[4, 3] + 1.0
+
+
+class TestBandedLU:
+    def test_zero_row_raises_singular(self):
+        rng = np.random.default_rng(3)
+        n, p = 30, 4
+        a = BandedMatrix(n, p)
+        a.data[:] = rng.normal(size=a.data.shape)
+        a.add_diagonal(np.full(n, 10.0))
+        a.set_identity_row(17)
+        a.data[p, 17] = 0.0   # row 17 is now all zero
+        with pytest.raises(SingularMatrixError):
+            BandedLU(a)
+
+    def test_factor_once_solve_many(self):
+        g = make_grid(-1.0, 1.0, 0.1)
+        a = d2_band(g).copy()
+        a.add_diagonal(np.full(g.n, -3.0))
+        a.set_identity_row(0)
+        a.set_identity_row(g.n - 1)
+        lu = BandedLU(a)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            b = rng.normal(size=g.n)
+            assert np.allclose(a.matvec(lu.solve(b)), b, atol=1e-12)
+
+    def test_non_finite_matrix_rejected(self):
+        a = BandedMatrix(10, 1)
+        a.add_diagonal(np.ones(10))
+        a.data[1, 3] = np.nan
+        with pytest.raises(ValueError):
+            BandedLU(a)

@@ -61,6 +61,12 @@ class TestBandedSolve:
         with pytest.raises(SingularJacobianError):
             banded_lu_solve(a, np.ones(n))
 
+    def test_non_finite_rhs_rejected(self):
+        a = BandedMatrix(4, 1)
+        a.add_diagonal(np.ones(4))
+        with pytest.raises(ValueError):
+            banded_lu_solve(a, np.array([1.0, np.inf, 0.0, 0.0]))
+
 
 def shooting_oracle_c0():
     """Independent oracle for the c = 0 front: integrate u'' = x u + u^3
