@@ -1,8 +1,13 @@
-"""Natural-parameter continuation of admissible fronts in the drift speed c.
+"""Continuation of admissible fronts in the drift speed c.
 
-The previous converged profile (re-interpolated when the domain must grow)
-seeds Newton at the next c; steps halve on failure and expand after a run of
-successes.  There are no folds in c, so no arclength machinery is needed.
+Each step predicts the front at the next c and corrects the prediction
+with Newton.  For c <= 2 the predictor is the tangent u + dc du/dc, where
+du/dc solves J du/dc = -dF/dc at the accepted point.  For c > 2 the front
+translates by -(c_next^2 - c^2)/4, which no linear predictor follows, so
+the previous front is shifted by that displacement instead.  The step is
+driven by Newton: after an accepted step dc <- dc clamp(5 / iterations,
+0.5, 2), and a failed step is halved down to DC_MIN.  There are no folds
+in c, so no arclength machinery is needed.
 """
 
 from __future__ import annotations
@@ -15,25 +20,10 @@ from scipy.interpolate import CubicSpline
 
 from . import bvp, newton
 from .bvp import BoundaryClosure, FrontProfile
-from .grid import Grid
+from .grid import Grid, d1_apply
 
 DC_MIN = 1e-4
-DC_MAX = 1.0
-GROW_FACTOR = 1.5
-GROW_AFTER = 3
-
-
-def _dc_cap(c: float) -> float:
-    """Step cap keeping the front displacement per step below ~3 units.
-
-    For c > 2 the interface sits at -c^2/4 - O(1) and moves c/2 per unit c;
-    the translation predictor absorbs most of that, but the leftover shape
-    correction still needs the step bounded.  For c <= 2 the interface
-    drifts slowly and the global cap suffices.
-    """
-    if c <= 2.0:
-        return DC_MAX
-    return min(DC_MAX, 6.0 / c)
+TARGET_ITERATIONS = 5   # Newton iterations per step the step controller aims at
 
 
 @dataclass
@@ -83,33 +73,47 @@ def reinterpolate(p: FrontProfile, g_new: Grid,
 
 def _is_admissible(profile: FrontProfile) -> bool:
     u = profile.u
-    interior_positive = bool(np.all(u[1:-1] > -1e-12 * max(1.0, u.max())))
+    interior_positive = bool(np.all(u[1:-1] > 0.0))
     decreasing = bool(np.all(np.diff(u) <= 1e-12 * max(1.0, u.max())))
     return interior_positive and decreasing
 
 
-def _predict(current: FrontProfile, c_next: float, g_target: Grid,
-             bc: BoundaryClosure) -> np.ndarray:
-    """Initial guess for the next continuation step.
+def _tangent(p: FrontProfile, bc: BoundaryClosure, sgn: float) -> np.ndarray:
+    """du/dc at a converged point, from J du/dc = -dF/dc.
 
-    Base rule: the previous solution (re-interpolated when the grid
-    changes).  For c > 2 the front translates by -(c_next^2 - c^2)/4, far
-    beyond the Newton basin of a steep-tailed profile, so the previous
-    solution is shifted by the known front displacement first.
+    dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F),
+    minus the slope in c of the left closure value on row 0, and 0 on row
+    n-1.  The closure is affine in c on either side of c = 0 and jumps at
+    c = 0, so its slope is differenced on the side the branch moves to
+    (``sgn``).
     """
-    shift = 0.0
-    if current.c > 2.0 and c_next > 2.0:
+    g = p.grid
+    rhs = -d1_apply(g, p.u, int(np.sign(p.c)))   # boundary rows of D1 are 0
+    c1, c2 = p.c + sgn * DC_MIN, p.c + 2.0 * sgn * DC_MIN
+    rhs[0] = (bc.left_value(c2, g.x_min) - bc.left_value(c1, g.x_min)) / (c2 - c1)
+    return newton.banded_lu_solve(bvp.stationary_jacobian(g, p.u, p.c), rhs)
+
+
+def _predict(current: FrontProfile, tangent: np.ndarray | None, c_next: float,
+             g_target: Grid, bc: BoundaryClosure) -> np.ndarray:
+    """Initial guess for the next continuation step on g_target.
+
+    With a tangent: u + (c_next - c) du/dc, clipped at zero.  Without one
+    (c > 2): the previous front shifted by its displacement
+    -(c_next^2 - c^2)/4, which lies far beyond the Newton basin of a
+    steep-tailed profile.  Either is re-interpolated when the grid changes.
+    """
+    g = current.grid
+    if tangent is None:
         shift = -(c_next ** 2 - current.c ** 2) / 4.0
-    if shift != 0.0:
-        g = current.grid
-        virtual = FrontProfile(c=c_next,
-                               grid=Grid(g.x_min + shift, g.x_max + shift, g.n),
-                               u=current.u)
-        return reinterpolate(virtual, g_target, bc).u
-    if (g_target.n, g_target.x_min, g_target.x_max) != (
-            current.grid.n, current.grid.x_min, current.grid.x_max):
-        return reinterpolate(current, g_target, bc).u
-    return current.u
+        moved = FrontProfile(c=c_next, grid=Grid(g.x_min + shift, g.x_max + shift, g.n),
+                             u=current.u)
+    else:
+        moved = FrontProfile(c=c_next, grid=g, u=np.maximum(
+            current.u + (c_next - current.c) * tangent, 0.0))
+    if moved.grid == g_target:
+        return moved.u
+    return reinterpolate(moved, g_target, bc).u
 
 
 def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
@@ -117,8 +121,9 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
                     bc: BoundaryClosure | None = None,
                     h: float = bvp.DEFAULT_H) -> Branch:
     """Continue an admissible seed toward c_target, recording every converged
-    point (seed included).  Steps halve on failure down to 1e-4 and grow
-    1.5x after three straight successes, capped at 1.0."""
+    point (seed included).  The first step is dc_init; each accepted step
+    scales the next by clamp(TARGET_ITERATIONS / Newton iterations, 0.5, 2),
+    and each failed step is halved, down to DC_MIN."""
     if not seed.converged:
         raise ValueError("continuation seed must be a converged profile")
     bc = bc or BoundaryClosure()
@@ -129,23 +134,22 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
     sgn = 1.0 if c_target >= seed.c else -1.0
     current = seed
     c = seed.c
-    dc = min(abs(dc_init), DC_MAX)
-    streak = 0
+    dc = abs(dc_init)
     while sgn * (c_target - c) > 1e-12:
-        applied = min(dc, _dc_cap(c), abs(c_target - c))
+        applied = min(dc, abs(c_target - c))
         c_next = c + sgn * applied
         g_target = current.grid
         if not bvp.domain_ok(g_target, c_next):
             g_target = bvp.default_grid(c_next, h)
         try:
+            tangent = None if c > 2.0 and c_next > 2.0 else _tangent(current, bc, sgn)
             trial = FrontProfile(c=c_next, grid=g_target,
-                                 u=_predict(current, c_next, g_target, bc))
-            solved, _ = newton.solve(trial, bc, cfg)
+                                 u=_predict(current, tangent, c_next, g_target, bc))
+            solved, report = newton.solve(trial, bc, cfg)
             if not _is_admissible(solved):
                 raise newton.SolverError("converged to a non-admissible profile")
         except newton.SolverError as exc:
             branch.failures.append((c_next, str(exc)))
-            streak = 0
             dc = 0.5 * applied
             if dc < DC_MIN:
                 branch.failures.append((c_next, "step size underflow"))
@@ -154,10 +158,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         branch.points.append((c_next, solved))
         current = solved
         c = c_next
-        streak += 1
-        if streak >= GROW_AFTER:
-            dc = min(dc * GROW_FACTOR, DC_MAX)
-            streak = 0
+        dc *= min(2.0, max(0.5, TARGET_ITERATIONS / max(report.iterations, 1)))
     branch.sort()
     return branch
 
@@ -175,14 +176,18 @@ def solve_front(c: float, grid: Grid | None = None,
     bc = bc or BoundaryClosure()
     cfg = cfg or newton.SolverConfig()
     g = grid or bvp.default_grid(c, h)
+    anchor_grid = bvp.default_grid(0.0, h)
+    # on the anchor problem itself the fallback would repeat this very
+    # solve, so its outcome stands
+    is_anchor = c == 0.0 and g == anchor_grid
     try:
         seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
         profile, _ = newton.solve(seed, bc, cfg)
-        if _is_admissible(profile):
+        if is_anchor or _is_admissible(profile):
             return profile
     except newton.SolverError:
-        pass
-    anchor_grid = bvp.default_grid(0.0, h)
+        if is_anchor:
+            raise
     anchor_seed = FrontProfile(c=0.0, grid=anchor_grid,
                                u=bvp.initial_guess(anchor_grid, 0.0))
     anchor, _ = newton.solve(anchor_seed, bc, cfg)

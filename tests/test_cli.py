@@ -86,15 +86,26 @@ class TestSolveCommand:
 
     def test_stalled_fallback_reports_where_it_stopped(self, tmp_path, capsys):
         # the seed converges to a non-admissible profile and the fallback
-        # continuation from c = 0 stalls near c = -96.67 on this coarse mesh
+        # continuation from c = 0 stalls near c = -103.0 on this coarse mesh
         code = run(["solve", "--c", "-200", "--h", "0.04",
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert "error kind=SolverError" in err
         for part in ("c=-200 ", "h=0.04 ", "x_min=-25 ", "x_max=94.56 ",
-                     "n=2990", "stopped at c=-96.67", "non-admissible"):
+                     "n=2990", "stopped at c=-103.0", "non-admissible"):
             assert part in err
+
+    def test_direct_solve_with_negative_tail_falls_back(self, tmp_path):
+        # Newton from the heuristic seed leaves non-positive nodes (~ -1e-100)
+        # in the decayed right tail here; continuation from c = 0 takes over
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", "10.23", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert float(header["u_at_zero"]) > 0.0
+        assert int(header["crossing_count"]) == 1
+        assert header["admissible"] == "True"
+        assert run(["solve", "--c", "9.14", "--out", str(tmp_path / "q.csv")]) == 0
 
     def test_solve_with_spectrum_header(self, tmp_path):
         out = tmp_path / "p.csv"

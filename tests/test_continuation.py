@@ -60,6 +60,26 @@ class TestContinueBranch:
         with pytest.raises(ValueError):
             continue_branch(bad, 1.0)
 
+    def test_stepper_reaches_minus_200_in_few_points(self, hm_profile):
+        br = continue_branch(hm_profile, -200.0)
+        assert not br.failures
+        assert br.cs()[0] == pytest.approx(-200.0)
+        assert len(br.points) <= 50
+
+    def test_stepper_reaches_12_in_few_points(self, hm_profile):
+        br = continue_branch(hm_profile, 12.0)
+        assert not br.failures
+        assert br.cs()[-1] == pytest.approx(12.0)
+        assert len(br.points) <= 21
+
+    def test_tangent_matches_central_difference(self, hm_profile):
+        c, d = -1.0, 1e-2
+        p = continue_branch(hm_profile, c).profile_at(c)
+        tangent = continuation._tangent(p, BoundaryClosure(), -1.0)
+        up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
+        um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
+        assert np.abs(tangent - (up.u - um.u) / (2 * d)).max() <= 1e-4
+
     def test_downward_direction(self, hm_profile):
         br = continue_branch(hm_profile, -1.0, dc_init=0.5)
         assert br.direction == "decreasing_c"
@@ -113,6 +133,21 @@ class TestSolveFront:
         p = solve_front(4.0)
         assert p.converged
         assert diagnostics.admissibility(p).admissible
+
+    def test_failed_anchor_solve_is_not_repeated(self, monkeypatch):
+        calls = []
+        real_solve = newton.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[0].c)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(newton, "solve", counting_solve)
+        # an unreachable tolerance makes the c = 0 anchor solve fail quickly
+        cfg = newton.SolverConfig(tol_residual=1e-16, max_iter=2)
+        with pytest.raises(newton.MaxIterationsError):
+            solve_front(0.0, cfg=cfg)
+        assert calls == [0.0]
 
     def test_respects_requested_grid(self):
         g = make_grid(-26.0, 14.0, 0.02)

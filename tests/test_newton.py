@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from quenchfront import bvp, newton
+from quenchfront import bvp, diagnostics, newton
 from quenchfront.bvp import FrontProfile
+from quenchfront.continuation import solve_front
 from quenchfront.grid import BandedMatrix
 from quenchfront.newton import (DivergenceError, MaxIterationsError,
                                 SingularJacobianError, SolverConfig,
@@ -124,6 +125,14 @@ class TestSolve:
         assert p.u[i0] == pytest.approx(u0_oracle, abs=1e-4)
         # the same bisection pins the tail amplitude near 1/sqrt(2 pi)
         assert alpha_oracle == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=0.02)
+
+    @pytest.mark.parametrize("h", [0.01, 0.02])
+    def test_hastings_mcleod_oracle(self, h):
+        # at c = 0 the front is sqrt(2) q with q the Hastings-McLeod solution
+        # of Painleve II, q(0) = 0.3670615515480784 (Fornberg & Weideman 2011)
+        p = solve_front(0.0, h=h)
+        assert diagnostics.u_at_zero(p) == pytest.approx(
+            math.sqrt(2.0) * 0.3670615515480784, rel=0.0, abs=1e-9)
 
     def test_erf_seed_at_large_negative_c(self):
         c = -200.0
