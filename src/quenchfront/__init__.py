@@ -17,7 +17,7 @@ from .diagnostics import admissibility, compute_diagnostics, crossings, front_po
 from .evolve import EvolveConfig, EvolveResult, ImexStepper, compare_inner_scaling
 from .grid import BandedMatrix, Grid, d1_apply, d2_apply, make_grid
 from .newton import SolveReport, SolverConfig, banded_lu_solve, solve
-from .specialfns import Omega0Result, bessel_j_third, erf, omega0
+from .specialfns import Omega0Result, bessel_j_third, omega0
 from .spectrum import SpectrumReport, build_potential, leading_eigenvalues
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "SolverConfig", "SpectrumReport",
     "admissibility", "banded_lu_solve", "bessel_j_third", "build_potential",
     "compare_inner_scaling", "compute_diagnostics", "continue_branch",
-    "crossings", "d1_apply", "d2_apply", "default_grid", "erf", "erf_profile",
+    "crossings", "d1_apply", "d2_apply", "default_grid", "erf_profile",
     "fit_tail_coefficients", "front_loc_largec", "front_loc_negc",
     "front_position", "jacobian", "leading_eigenvalues", "left_tail",
     "make_grid", "omega0", "reinterpolate", "residual", "right_tail", "solve",

@@ -9,15 +9,14 @@ the un-scaled (x, u, c) variables; the internal rescalings valid for large
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specialfns import erf, erfc, omega0
+from .specialfns import omega0
 
 __all__ = [
-    "AsymptoticPrediction",
     "erf_profile",
+    "erf_profile_vec",
     "front_loc_largec",
     "front_loc_negc",
     "right_tail",
@@ -25,11 +24,11 @@ __all__ = [
     "right_tail_log_derivative",
     "left_tail_exponent",
     "erf_front_position",
-    "predict",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _PI_QUARTER = math.pi ** 0.25
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def erf_profile(x: float, c: float) -> float:
@@ -37,14 +36,18 @@ def erf_profile(x: float, c: float) -> float:
     u = (-c)^{1/4} e^{x^2/(2c)} / (pi^{1/4} (erf(x/sqrt(-c)) + 1)^{1/2})."""
     if c >= 0:
         raise ValueError(f"erf profile requires c < 0, got c={c}")
-    z = x / math.sqrt(-c)
-    # for z <= -3 compute erf(z)+1 = erfc(-z) directly to avoid cancellation
-    denom = erfc(-z) if z <= -3.0 else erf(z) + 1.0
+    # erf(z) + 1 = erfc(-z), which keeps full relative accuracy for z << 0
+    denom = math.erfc(-x / math.sqrt(-c))
     return (-c) ** 0.25 * math.exp(x * x / (2.0 * c)) / (_PI_QUARTER * math.sqrt(denom))
 
 
 def erf_profile_vec(x: np.ndarray, c: float) -> np.ndarray:
-    return np.array([erf_profile(float(t), c) for t in np.asarray(x, dtype=float)])
+    """``erf_profile`` at every entry of x."""
+    if c >= 0:
+        raise ValueError(f"erf profile requires c < 0, got c={c}")
+    x = np.asarray(x, dtype=float)
+    denom = np.asarray(_erfc(-x / math.sqrt(-c)), dtype=float)
+    return (-c) ** 0.25 * np.exp(x * x / (2.0 * c)) / (_PI_QUARTER * np.sqrt(denom))
 
 
 def front_loc_largec(c: float) -> float:
@@ -130,37 +133,3 @@ def erf_front_position(c: float, delta: float = 0.1) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass
-class AsymptoticPrediction:
-    """Tagged bundle of closed-form predicted values for one c."""
-
-    kind: str
-    c: float
-    values: dict = field(default_factory=dict)
-
-
-_KINDS = ("right_tail", "left_tail", "erf_profile", "u_at_zero_negc",
-          "front_loc_largec", "front_loc_negc")
-
-
-def predict(kind: str, c: float, xs: np.ndarray | None = None,
-            alpha: float = 1.0) -> AsymptoticPrediction:
-    """Evaluate one family of predictions; scalar kinds ignore ``xs``."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown prediction kind {kind!r}")
-    if kind == "u_at_zero_negc":
-        if c >= 0:
-            raise ValueError("u(0) amplitude law requires c < 0")
-        return AsymptoticPrediction(kind, c, {0.0: (-c) ** 0.25 / _PI_QUARTER})
-    if kind == "front_loc_largec":
-        return AsymptoticPrediction(kind, c, {"x_delta": front_loc_largec(c)})
-    if kind == "front_loc_negc":
-        return AsymptoticPrediction(kind, c, {"x_delta": front_loc_negc(c)})
-    if xs is None:
-        raise ValueError(f"prediction kind {kind!r} needs sample points")
-    fn = {"right_tail": lambda t: right_tail(t, c, alpha),
-          "left_tail": lambda t: left_tail(t, c, alpha),
-          "erf_profile": lambda t: erf_profile(t, c)}[kind]
-    return AsymptoticPrediction(kind, c, {float(t): fn(float(t)) for t in xs})

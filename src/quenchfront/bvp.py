@@ -22,6 +22,7 @@ from .grid import BandedMatrix, Grid, d1_band, d2_band, make_grid
 
 DEFAULT_H = 0.01          # mesh size used throughout, matching dx = 0.01
 FRONT_MARGIN = 10.0       # minimum gap between front interface and boundary
+NOISE_REL = 1e-12         # monotonicity floor relative to max(1, max|u|)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -64,7 +65,6 @@ class BoundaryClosure:
 
     kind: str = "dirichlet_asymptotic"
     left_order: int = 1
-    includes_drift_term: bool = True
 
     def __post_init__(self):
         if self.kind not in ("dirichlet_asymptotic", "dirichlet_zero"):
@@ -80,10 +80,7 @@ class BoundaryClosure:
         s = -x_min
         corr = 0.0
         if self.left_order >= 1:
-            if c != 0.0 and self.includes_drift_term:
-                corr = -c / (4.0 * x_min * x_min)
-            elif c == 0.0:
-                corr = -1.0 / (8.0 * s ** 3)
+            corr = -c / (4.0 * s * s) if c != 0.0 else -1.0 / (8.0 * s ** 3)
         return math.sqrt(s) * (1.0 + corr)
 
     def right_value(self, c: float, x_max: float) -> float:
@@ -187,6 +184,16 @@ def stationary_jacobian(g: Grid, u: np.ndarray, c: float,
     return jac
 
 
+def shape_violations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where u fails to be an admissible front shape: the interior nodes
+    with u <= 0, and the steps i -> i+1 where u rises by more than the
+    roundoff floor NOISE_REL max(1, max|u|).  Both are empty for a positive,
+    decreasing profile."""
+    scale = max(1.0, float(np.abs(u).max()))
+    return (np.nonzero(u[1:-1] <= 0.0)[0] + 1,
+            np.nonzero(np.diff(u) > NOISE_REL * scale)[0])
+
+
 def residual(p: FrontProfile, bc: BoundaryClosure | None = None) -> np.ndarray:
     bc = bc or BoundaryClosure()
     return stationary_residual(p.grid, p.u, p.c,
@@ -194,8 +201,9 @@ def residual(p: FrontProfile, bc: BoundaryClosure | None = None) -> np.ndarray:
                                bc.right_value(p.c, p.grid.x_max))
 
 
-def jacobian(p: FrontProfile, bc: BoundaryClosure | None = None) -> BandedMatrix:
-    del bc  # closure rows are identity regardless of the closure data
+def jacobian(p: FrontProfile) -> BandedMatrix:
+    """Jacobian of ``residual``; closure rows are identity whatever the
+    closure data."""
     return stationary_jacobian(p.grid, p.u, p.c)
 
 

@@ -97,16 +97,16 @@ class RunConfig:
 def write_csv(path: str | Path, kind: str, header: dict, columns: dict,
               cfg: RunConfig, trailing_comments: list[str] | None = None) -> None:
     names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
-    length = len(arrays[0])
     lines = [f"# schema_version={SCHEMA_VERSION}",
              f"# kind={kind}",
              f"# generated_by=quenchfront {__version__}"]
     lines += [f"# {k}={_fmt(v)}" for k, v in header.items()]
     lines.append("# config: " + " ".join(cfg.echo()))
     lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(_fmt(float(a[i])) for a in arrays))
+    # "%.17g" prints a float exactly as _fmt does, one row per template
+    row = ",".join(["%.17g"] * len(names))
+    lines += [row % cells for cells in zip(
+        *(np.atleast_1d(np.asarray(columns[n], dtype=float)).tolist() for n in names))]
     lines += trailing_comments or []
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -233,20 +233,23 @@ def cmd_branch(cfg: RunConfig) -> int:
         points = [(c, p) for c, p in points if cfg.cmin - 1e-12 <= c <= cfg.cmax + 1e-12]
     points.sort(key=lambda t: t[0])
 
-    cs, u0s, xds, counts, lam0s, alphas = [], [], [], [], [], []
+    cs, u0s, xds, counts, lam0s, alphas, log_alphas = [], [], [], [], [], [], []
     for c, p in points:
         cs.append(c)
         u0s.append(diagnostics.u_at_zero(p))
         xds.append(diagnostics.front_position(p, cfg.delta))
         counts.append(len(diagnostics.crossings(p)))
         lam0s.append(float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0]))
-        alphas.append(bvp.fit_tail_coefficients(p).alpha_plus)
+        fit = bvp.fit_tail_coefficients(p)
+        alphas.append(fit.alpha_plus)
+        log_alphas.append(fit.log_alpha_plus)
     out = cfg.out or f"branch_{cfg.cmin:g}_{cfg.cmax:g}.csv"
     header = {"cmin": cfg.cmin, "cmax": cfg.cmax, "delta": cfg.delta,
               "points": len(cs), "failures": len(failures)}
     write_csv(out, "branch", header,
               {"c": cs, "u_at_zero": u0s, "x_delta": xds,
-               "crossing_count": counts, "lambda0": lam0s, "alpha_plus": alphas},
+               "crossing_count": counts, "lambda0": lam0s, "alpha_plus": alphas,
+               "log_alpha_plus": log_alphas},
               cfg,
               trailing_comments=[f"# failure: c={_fmt(c)} {msg}" for c, msg in failures])
     print(f"wrote {out}: {len(cs)} branch points on [{cfg.cmin:g}, {cfg.cmax:g}], "

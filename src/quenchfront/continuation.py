@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import bvp, newton
 from .bvp import BoundaryClosure, FrontProfile
-from .grid import Grid, d1_apply
+from .grid import Grid, UniformSpline, d1_apply
 
 DC_MIN = 1e-4
 TARGET_ITERATIONS = 5   # Newton iterations per step the step controller aims at
@@ -36,9 +35,6 @@ class Branch:
 
     def cs(self) -> np.ndarray:
         return np.array([c for c, _ in self.points])
-
-    def profiles(self) -> list[FrontProfile]:
-        return [p for _, p in self.points]
 
     def profile_at(self, c: float, tol: float = 1e-9) -> FrontProfile:
         for cc, p in self.points:
@@ -59,7 +55,7 @@ def reinterpolate(p: FrontProfile, g_new: Grid,
     if g_new.x_min > g_old.x_max or g_new.x_max < g_old.x_min:
         raise ValueError("new grid does not overlap the profile's grid")
     x_new = g_new.nodes()
-    spline = CubicSpline(g_old.nodes(), p.u)
+    spline = UniformSpline(g_old.x_min, g_old.h, p.u)
     u_new = np.empty(g_new.n)
     inside = (x_new >= g_old.x_min - 1e-12) & (x_new <= g_old.x_max + 1e-12)
     u_new[inside] = spline(np.clip(x_new[inside], g_old.x_min, g_old.x_max))
@@ -69,13 +65,6 @@ def reinterpolate(p: FrontProfile, g_new: Grid,
     u_new[x_new > g_old.x_max + 1e-12] = 0.0
     u_new = np.maximum(u_new, 0.0)  # spline overshoot is not a valid guess
     return FrontProfile(c=p.c, grid=g_new, u=u_new)
-
-
-def _is_admissible(profile: FrontProfile) -> bool:
-    u = profile.u
-    interior_positive = bool(np.all(u[1:-1] > 0.0))
-    decreasing = bool(np.all(np.diff(u) <= 1e-12 * max(1.0, u.max())))
-    return interior_positive and decreasing
 
 
 def _tangent(p: FrontProfile, bc: BoundaryClosure, sgn: float) -> np.ndarray:
@@ -146,7 +135,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
             trial = FrontProfile(c=c_next, grid=g_target,
                                  u=_predict(current, tangent, c_next, g_target, bc))
             solved, report = newton.solve(trial, bc, cfg)
-            if not _is_admissible(solved):
+            if not (report.positive and report.decreasing):
                 raise newton.SolverError("converged to a non-admissible profile")
         except newton.SolverError as exc:
             branch.failures.append((c_next, str(exc)))
@@ -182,8 +171,8 @@ def solve_front(c: float, grid: Grid | None = None,
     is_anchor = c == 0.0 and g == anchor_grid
     try:
         seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
-        profile, _ = newton.solve(seed, bc, cfg)
-        if is_anchor or _is_admissible(profile):
+        profile, report = newton.solve(seed, bc, cfg)
+        if is_anchor or (report.positive and report.decreasing):
             return profile
     except newton.SolverError:
         if is_anchor:
@@ -228,10 +217,9 @@ def pointwise_c_ordering_gap(branch: Branch, n_samples: int = 200,
         if x_hi <= x_lo:
             continue
         xs = np.linspace(x_lo, x_hi, n_samples)
-        s_lo = CubicSpline(p_lo.grid.nodes(), p_lo.u)
-        s_hi = CubicSpline(p_hi.grid.nodes(), p_hi.u)
-        v_lo = s_lo(xs)
+        v_lo = UniformSpline(p_lo.grid.x_min, p_lo.grid.h, p_lo.u)(xs)
+        v_hi = UniformSpline(p_hi.grid.x_min, p_hi.grid.h, p_hi.u)(xs)
         mask = v_lo > floor
         if np.any(mask):
-            worst = min(worst, float(np.min(v_lo[mask] - s_hi(xs)[mask])))
+            worst = min(worst, float(np.min(v_lo[mask] - v_hi[mask])))
     return worst

@@ -6,12 +6,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .bvp import BoundaryClosure, FrontProfile
+from .bvp import FrontProfile, shape_violations
+from .grid import UniformSpline
 
 DEFAULT_DELTA = 0.1
-_NOISE_REL = 1e-12  # positivity/monotonicity noise floor relative to max(u)
 
 
 @dataclass
@@ -113,7 +112,7 @@ def crossings(p: FrontProfile, refine_tol: float = 1e-10) -> list[float]:
     for i in sign_change:
         a, b = idx[i], idx[i + 1]
         window = slice(max(a - 3, 0), b + 4)
-        spline = CubicSpline(x[window], u[window])
+        spline = UniformSpline(x[window.start], p.grid.h, u[window])
         left_negative = f[i] < 0
         t_hi = math.log(-x[a])
         t_lo = 2.0 * math.log(u[b]) - 1.0 if b == i0 and closed else math.log(-x[b])
@@ -128,44 +127,34 @@ def crossings(p: FrontProfile, refine_tol: float = 1e-10) -> list[float]:
     return roots
 
 
-def crossing_slope(p: FrontProfile, root: float) -> float:
-    """d/dx (x u + u^3) at a crossing (transversality check)."""
-    x = p.grid.nodes()
-    spline = CubicSpline(x, x * p.u + p.u ** 3)
-    return float(spline(root, 1))
-
-
 def u_at_zero(p: FrontProfile) -> float:
     x = p.grid.nodes()
     i = int(np.argmin(np.abs(x)))
     if abs(x[i]) < 0.25 * p.grid.h:
         return float(p.u[i])
-    return float(CubicSpline(x, p.u)(0.0))
+    return float(UniformSpline(p.grid.x_min, p.grid.h, p.u)(0.0))
 
 
-def admissibility(p: FrontProfile, bc: BoundaryClosure | None = None,
-                  delta: float = DEFAULT_DELTA) -> AdmissibilityVerdict:
+def admissibility(p: FrontProfile) -> AdmissibilityVerdict:
     """Bundle of admissibility checks; never raises.
 
-    Positivity and monotonicity are tested above a relative noise floor:
-    far-tail nodes sit at (or underflow below) double-precision resolution,
-    where a strict sign test is meaningless.
+    Positivity and monotonicity are those of ``bvp.shape_violations``, the
+    test Newton records and continuation accepts by: interior values
+    strictly positive, increases allowed only below a roundoff floor.
     """
-    bc = bc or BoundaryClosure()
     u = p.u
     x = p.grid.nodes()
-    scale = max(1.0, float(np.abs(u).max()))
     verdict = AdmissibilityVerdict(positive=True, strictly_decreasing=True,
                                    left_limit_ok=True, right_limit_ok=True)
 
-    bad = np.nonzero(u[1:-1] < -_NOISE_REL * scale)[0]
-    if bad.size:
+    nonpositive, rises = shape_violations(u)
+    if nonpositive.size:
         verdict.positive = False
-        verdict.violation_location = float(x[1 + bad[0]])
-        verdict.messages.append(f"negative value at x={x[1 + bad[0]]:.4g}")
+        verdict.violation_location = float(x[nonpositive[0]])
+        verdict.messages.append(f"non-positive value at x={x[nonpositive[0]]:.4g}")
 
     du = np.diff(u)
-    if np.any(du > _NOISE_REL * scale):
+    if rises.size:
         i = int(np.argmax(du))
         verdict.strictly_decreasing = False
         verdict.violation_location = float(x[i])
@@ -200,7 +189,7 @@ def admissibility(p: FrontProfile, bc: BoundaryClosure | None = None,
 
 def compute_diagnostics(p: FrontProfile, delta: float = DEFAULT_DELTA) -> FrontDiagnostics:
     du = np.diff(p.u) / p.grid.h
-    verdict = admissibility(p, delta=delta)
+    verdict = admissibility(p)
     return FrontDiagnostics(
         x_delta=front_position(p, delta),
         delta=delta,

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import bvp, continuation, newton
 from .bvp import BoundaryClosure, FrontProfile
-from .grid import BandedLU, Grid, make_grid
+from .grid import BandedLU, Grid, UniformSpline, make_grid
 
 TANH_DOMAIN_HALF = 300.0   # solve domain for the tanh-ramp equation
 TANH_H = 0.05
@@ -255,7 +254,7 @@ def compare_inner_scaling(eps: float, c_unscaled: float, delta: float = 0.1,
     c_scaled = c_unscaled / e13
     inner = continuation.solve_front(c_scaled)
     tanh_guess_grid = make_grid(-TANH_DOMAIN_HALF, TANH_DOMAIN_HALF, TANH_H)
-    spline_inner = CubicSpline(inner.grid.nodes(), inner.u)
+    spline_inner = UniformSpline(inner.grid.x_min, inner.grid.h, inner.u)
 
     xg = tanh_guess_grid.nodes()
     guess = np.empty(tanh_guess_grid.n)
@@ -270,7 +269,7 @@ def compare_inner_scaling(eps: float, c_unscaled: float, delta: float = 0.1,
 
     half = window_half if window_half is not None else 1.0 / e13
     xs = np.linspace(-half, half, max(201, int(20 * half) + 1))
-    u_tanh = CubicSpline(front.grid.nodes(), front.u)(xs)
+    u_tanh = UniformSpline(front.grid.x_min, front.grid.h, front.u)(xs)
     u_inner_scaled = e13 * spline_inner(e13 * xs)
     sup_gap = float(np.abs(u_tanh - u_inner_scaled).max())
 

@@ -75,11 +75,6 @@ class BandedMatrix:
             raise IndexError(f"entry ({i},{j}) outside band")
         self.data[self.bandwidth + i - j, j] += value
 
-    def get(self, i: int, j: int) -> float:
-        if abs(i - j) > self.bandwidth:
-            return 0.0
-        return self.data[self.bandwidth + i - j, j]
-
     def add_diagonal(self, values: np.ndarray) -> None:
         self.data[self.bandwidth, :] += values
 
@@ -99,16 +94,6 @@ class BandedMatrix:
             if i1 > i0:
                 out[i0:i1] += self.data[p + d, i0 - d:i1 - d] * u[i0 - d:i1 - d]
         return out
-
-    def toarray(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        p = self.bandwidth
-        for d in range(-p, p + 1):
-            i0 = max(0, d)
-            i1 = self.n + min(0, d)
-            for i in range(i0, i1):
-                a[i, i - d] = self.data[p + d, i - d]
-        return a
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -135,6 +120,47 @@ class BandedLU:
             raise ValueError(f"vector length {b.shape} does not match n={self.n}")
         p = self.bandwidth
         return scipy.linalg.lapack.dgbtrs(self._lu, p, p, b, self._piv)[0]
+
+
+class UniformSpline:
+    """Not-a-knot cubic spline through ``values`` at x0 + i h, i = 0..n-1.
+
+    The nodal second derivatives M satisfy M[i-1] + 4 M[i] + M[i+1] =
+    6 (y[i-1] - 2 y[i] + y[i+1]) / h^2 at the interior nodes.  Not-a-knot
+    (one cubic across the first two and across the last two intervals)
+    gives M[0] = 2 M[1] - M[2] and its mirror, which reduces the first and
+    last interior rows to 6 M[i] = rhs[i]; the remaining tridiagonal system
+    is solved by BandedLU (de Boor, A Practical Guide to Splines, ch. IV).
+    Points outside the nodes are extrapolated by the end cubics.
+    """
+
+    def __init__(self, x0: float, h: float, values: np.ndarray):
+        y = np.asarray(values, dtype=float)
+        n = y.size
+        if n < 4:
+            raise ValueError(f"not-a-knot spline needs >= 4 nodes, got {n}")
+        a = BandedMatrix(n - 2, 1)
+        a.data[:] = [[1.0], [4.0], [1.0]]
+        a.data[1, [0, -1]] = 6.0
+        a.data[0, 1] = a.data[2, -2] = 0.0   # entries (0, 1) and (n-3, n-4)
+        m = np.empty(n)
+        m[1:-1] = BandedLU(a).solve(6.0 / h ** 2 * (y[:-2] - 2.0 * y[1:-1] + y[2:]))
+        m[0] = 2.0 * m[1] - m[2]
+        m[-1] = 2.0 * m[-2] - m[-3]
+        self.h = h
+        self.nodes = x0 + h * np.arange(n)
+        self._y = y
+        self._m = m
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        nodes = self.nodes
+        i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+        b = (x - nodes[i]) / self.h
+        a = 1.0 - b
+        y, m = self._y, self._m
+        return (a * y[i] + b * y[i + 1]
+                + self.h ** 2 / 6.0 * ((a ** 3 - a) * m[i] + (b ** 3 - b) * m[i + 1]))
 
 
 def fd_weights(z: float, xs: np.ndarray, m: int) -> np.ndarray:

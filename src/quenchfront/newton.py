@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import BoundaryClosure, FrontProfile, stationary_jacobian, stationary_residual
+from .bvp import (BoundaryClosure, FrontProfile, shape_violations, stationary_jacobian,
+                  stationary_residual)
 from .grid import BandedLU, BandedMatrix, Grid, SingularMatrixError
 
 
@@ -36,8 +37,6 @@ class MaxIterationsError(SolverError):
 class SolverConfig:
     tol_residual: float = 1e-10   # max-norm of the residual
     max_iter: int = 50
-    damping: str = "armijo"       # "armijo" | "none"
-    positivity_clip: bool = False
     backtrack_factor: float = 0.5
     min_step: float = 2.0 ** -20
 
@@ -46,8 +45,6 @@ class SolverConfig:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.damping not in ("armijo", "none"):
-            raise ValueError(f"unknown damping mode {self.damping!r}")
 
 
 @dataclass
@@ -85,7 +82,7 @@ def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 def solve_system(residual_fn, jacobian_fn, u0: np.ndarray,
                  cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Generic damped Newton loop on residual_fn/jacobian_fn."""
+    """Newton loop on residual_fn/jacobian_fn with Armijo backtracking."""
     cfg = cfg or SolverConfig()
     u = np.asarray(u0, dtype=float).copy()
     f = residual_fn(u)
@@ -100,26 +97,18 @@ def solve_system(residual_fn, jacobian_fn, u0: np.ndarray,
         step = banded_lu_solve(jac, -f)
 
         t = 1.0
-        if cfg.damping == "armijo":
-            while t >= cfg.min_step:
-                trial = u + t * step
-                f_trial = residual_fn(trial)
-                if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
-                    break
-                t *= cfg.backtrack_factor
-            else:
-                t = cfg.min_step
-                trial = u + t * step
-                f_trial = residual_fn(trial)
+        while t >= cfg.min_step:
+            trial = u + t * step
+            f_trial = residual_fn(trial)
+            if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
+                break
+            t *= cfg.backtrack_factor
         else:
-            trial = u + step
+            t = cfg.min_step
+            trial = u + t * step
             f_trial = residual_fn(trial)
 
-        u = trial
-        if cfg.positivity_clip:
-            u = np.maximum(u, 0.0)
-            f_trial = residual_fn(u)
-        f = f_trial
+        u, f = trial, f_trial
         res = float(np.abs(f).max())
         report.iterations = it
         report.step_norms.append(float(t * np.abs(step).max()))
@@ -155,8 +144,9 @@ def solve(initial: FrontProfile, bc: BoundaryClosure | None = None,
         lambda v: stationary_jacobian(g, v, initial.c),
         initial.u, cfg)
 
-    report.positive = bool(np.all(u[1:-1] > 0.0))
-    report.decreasing = bool(np.all(np.diff(u) <= 1e-12 * max(1.0, np.abs(u).max())))
+    nonpositive, rises = shape_violations(u)
+    report.positive = not nonpositive.size
+    report.decreasing = not rises.size
     profile = FrontProfile(c=initial.c, grid=g, u=u,
                            residual_norm=report.final_residual,
                            converged=report.converged)

@@ -1,10 +1,10 @@
-"""Self-contained special-function kernels: erf, Bessel J_{+-1/3}, and the
+"""Self-contained special-function kernels: Bessel J_{+-1/3} and the
 smallest positive root of J_{-1/3}(2 z^{3/2}/3) + J_{1/3}(2 z^{3/2}/3).
 
-No external math library is used beyond basic floating point; the Bessel
-series is summed in stdlib ``decimal`` arithmetic because the alternating
-ascending series cancels up to ~11 digits near x = 30, which double
-precision alone cannot absorb at the 1e-12 relative-error target.
+The Bessel series is summed in stdlib ``decimal`` arithmetic because the
+alternating ascending series cancels up to ~11 digits near x = 30, which
+double precision alone cannot absorb at the 1e-12 relative-error target.
+The error function comes from the standard library (``math.erfc``).
 """
 
 from __future__ import annotations
@@ -19,13 +19,9 @@ __all__ = [
     "GAMMA_TWO_THIRDS",
     "GAMMA_FOUR_THIRDS",
     "Omega0Result",
-    "erf",
-    "erfc",
     "bessel_j_third",
     "omega0",
 ]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 # Gamma function at the thirds, 16 significant digits.  Seeds for the Bessel
 # series coefficients; cross-checked in the tests against the reflection and
@@ -39,60 +35,9 @@ GAMMA_FOUR_THIRDS = 0.8929795115692492  # Gamma(4/3)
 # pi to 50 digits, used by the Decimal-precision gamma evaluation.
 _PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")
 
-_SERIES_CF_SPLIT = 3.0   # erf: power series below, continued fraction above
-_ERF_SATURATION = 6.0    # |erf| indistinguishable from 1 in double precision
 _BESSEL_PREC = 50        # working digits for the Bessel series
 _OMEGA0_SCAN_STEP = 0.05
 _OMEGA0_SCAN_MAX = 10.0
-
-
-def erf(x: float) -> float:
-    """Error function, absolute error below 1e-14 for |x| <= 6.
-
-    Odd symmetry is exact by construction; |x| > 6 returns +-1.
-    """
-    if math.isnan(x):
-        return math.nan
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax <= _SERIES_CF_SPLIT:
-        v = _erf_series(ax)
-    elif ax <= _ERF_SATURATION:
-        v = 1.0 - _erfc_cf(ax)
-    else:
-        v = 1.0
-    return v if x > 0 else -v
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, full relative accuracy for x > 3."""
-    if x > _SERIES_CF_SPLIT:
-        return _erfc_cf(x)
-    return 1.0 - erf(x)
-
-
-def _erf_series(x: float) -> float:
-    # erf(x) = (2x/sqrt(pi)) e^{-x^2} sum_n (2x^2)^n / (1*3*...*(2n+1));
-    # all terms positive, so no cancellation.
-    q = 2.0 * x * x
-    term = 1.0
-    terms = [term]
-    n = 0
-    while term > 1e-20:
-        n += 1
-        term *= q / (2 * n + 1)
-        terms.append(term)
-    return 2.0 * x * math.exp(-x * x) / _SQRT_PI * math.fsum(terms)
-
-
-def _erfc_cf(x: float, depth: int = 70) -> float:
-    # A&S-style continued fraction:
-    # sqrt(pi) e^{x^2} erfc(x) = 1/(x+ (1/2)/(x+ 1/(x+ (3/2)/(x+ ...)))).
-    f = 0.0
-    for k in range(depth, 0, -1):
-        f = (0.5 * k) / (x + f)
-    return math.exp(-x * x) / (_SQRT_PI * (x + f))
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ import pytest
 
 from quenchfront import asymptotics
 from quenchfront.asymptotics import (erf_front_position, erf_profile,
-                                     front_loc_largec, front_loc_negc,
-                                     left_tail, predict, right_tail,
+                                     erf_profile_vec, front_loc_largec,
+                                     front_loc_negc, left_tail, right_tail,
                                      right_tail_log_derivative)
 
 
@@ -151,20 +151,49 @@ class TestErfFrontPosition:
 
 class TestPredict:
     def test_scalar_kinds(self):
-        assert predict("u_at_zero_negc", -16.0).values[0.0] == pytest.approx(
-            2.0 / math.pi ** 0.25)
-        pred = predict("front_loc_largec", 3.0)
-        assert pred.values["x_delta"] < 0.0 and math.isfinite(pred.values["x_delta"])
-        assert predict("front_loc_negc", -9.0).values["x_delta"] == 3.0
+        # amplitude law u(0; c) = (-c)^{1/4} / pi^{1/4}, delay and advance
+        assert erf_profile(0.0, -16.0) == pytest.approx(2.0 / math.pi ** 0.25)
+        assert front_loc_largec(3.0) < 0.0 and math.isfinite(front_loc_largec(3.0))
+        assert front_loc_negc(-9.0) == 3.0
 
     def test_profile_kind_decreasing(self):
-        xs = np.linspace(-5.0, 5.0, 21)
-        pred = predict("erf_profile", -20.0, xs)
-        vals = [pred.values[float(t)] for t in xs]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        vals = erf_profile_vec(np.linspace(-5.0, 5.0, 21), -20.0)
+        assert np.all(np.diff(vals) < 0.0)
 
     def test_validation(self):
+        for fn in (erf_profile, erf_profile_vec, front_loc_negc):
+            with pytest.raises(ValueError):
+                fn(0.0, 1.0) if fn is not front_loc_negc else fn(1.0)
         with pytest.raises(ValueError):
-            predict("bogus", 0.0)
+            front_loc_largec(-1.0)
         with pytest.raises(ValueError):
-            predict("right_tail", 0.0)
+            right_tail(0.0, 0.0, 1.0)
+
+
+class TestErfProfileOracle:
+    """scipy.special.erfc is the oracle for the closed-form profile."""
+
+    @staticmethod
+    def oracle(x, c):
+        from scipy.special import erfc
+        return ((-c) ** 0.25 * np.exp(x * x / (2.0 * c))
+                / (math.pi ** 0.25 * np.sqrt(erfc(-x / math.sqrt(-c)))))
+
+    @pytest.mark.parametrize("c", [-1.0, -20.0, -200.0])
+    def test_vector_and_scalar_match_scipy(self, c):
+        # from the left closure past the level where the profile underflows
+        x = np.linspace(-25.0, 40.0 * math.sqrt(-c), 4001)
+        want = self.oracle(x, c)
+        got = erf_profile_vec(x, c)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        # scipy's erfc is itself off by up to 5.7e-14 near 25 (against
+        # 40-digit mpmath; math.erfc by 3.4e-16), which halves in sqrt
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        scalar = np.array([erf_profile(float(t), c) for t in x])
+        assert np.all(np.abs(scalar - want) <= 1e-13 * want)
+
+    def test_vector_keeps_shape(self):
+        x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+        assert erf_profile_vec(x, -4.0).shape == (2, 3)
+        assert erf_profile_vec(0.5, -4.0) == pytest.approx(erf_profile(0.5, -4.0),
+                                                          rel=1e-15)

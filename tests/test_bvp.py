@@ -99,8 +99,9 @@ class TestJacobian:
         jac = jacobian(p)
         from quenchfront.grid import d2_band
         base = d2_band(g)
+        p_ = jac.bandwidth   # diagonal entries sit in band row p
         for i in (1, g.n // 2, g.n - 2):
-            assert jac.get(i, i) == pytest.approx(base.get(i, i) - x[i], rel=1e-14)
+            assert jac.data[p_, i] == pytest.approx(base.data[p_, i] - x[i], rel=1e-14)
 
     def test_interior_row_sums(self, hm_profile):
         # stencil parts annihilate constants, so J 1 = -(x + 3u^2) interior
@@ -129,7 +130,8 @@ class TestJacobian:
         e0 = np.zeros(n)
         e0[0] = 1.0
         assert np.allclose(jac.matvec(e0)[0], 1.0)
-        assert jac.get(0, 1) == 0.0 and jac.get(n - 1, n - 2) == 0.0
+        p = jac.bandwidth   # entry (i, j) sits at data[p + i - j, j]
+        assert jac.data[p - 1, 1] == 0.0 and jac.data[p + 1, n - 2] == 0.0
 
 
 class TestDomains:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import quenchfront
 from quenchfront import cli
 from quenchfront.cli import RunConfig, load_profile, main, read_csv, write_csv
 
@@ -44,6 +50,14 @@ class TestCsvRoundTrip:
         header, cols = read_csv(path)
         assert header["kind"] == "profile"
         assert cols["u"][1] == 4.0
+
+    def test_rows_print_each_cell_as_17_significant_digits(self, tmp_path):
+        path = tmp_path / "t.csv"
+        a = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 3.0, 0.1, -1.0 / 3.0]
+        b = list(range(len(a)))   # an integer column prints like its floats
+        write_csv(path, "profile", {}, {"a": np.array(a), "b": b}, RunConfig())
+        rows = path.read_text().splitlines()[-len(a):]
+        assert rows == [f"{x:.17g},{float(y):.17g}" for x, y in zip(a, b)]
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -140,6 +154,9 @@ class TestBranchCommand:
         assert np.all(cols["crossing_count"][cs >= 0] == 1)
         assert np.all(np.diff(cols["u_at_zero"]) < 0)  # monotone in c
         assert np.all(cols["lambda0"] < 0)
+        assert np.all(np.isfinite(cols["log_alpha_plus"]))
+        assert np.allclose(np.exp(cols["log_alpha_plus"]), cols["alpha_plus"],
+                           rtol=1e-12, atol=0.0)
 
     def test_rejects_bad_range(self, capsys):
         assert run(["branch", "--cmin", "2", "--cmax", "-2"]) == 2
@@ -181,3 +198,14 @@ class TestOtherCommands:
         printed = capsys.readouterr().out
         assert "PASS  9" in printed and "PASS 11" in printed
         assert out.read_text().count("PASS") == 2
+
+
+def test_cold_import_loads_no_interpolate_optimize_or_special():
+    # a fresh interpreter, so no module imported by the tests counts
+    probe = ("import sys, quenchfront.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'], "
+             "['scipy', 'special'])))")
+    env = dict(os.environ, PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

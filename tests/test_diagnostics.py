@@ -6,8 +6,7 @@ import pytest
 from quenchfront import diagnostics
 from quenchfront.bvp import FrontProfile
 from quenchfront.diagnostics import (admissibility, compute_diagnostics,
-                                     crossing_slope, crossings, front_position,
-                                     u_at_zero)
+                                     crossings, front_position, u_at_zero)
 from quenchfront.grid import make_grid
 
 
@@ -43,8 +42,13 @@ class TestCrossings:
         assert roots[0] == pytest.approx(-0.682447, abs=1e-3)
 
     def test_transversality(self, hm_profile):
+        # d/dx (x u + u^3) over the mesh interval holding the crossing
         root = crossings(hm_profile)[0]
-        assert abs(crossing_slope(hm_profile, root)) > 1e-6
+        x, u = hm_profile.grid.nodes(), hm_profile.u
+        i = int(np.searchsorted(x, root)) - 1
+        g = x * u + u ** 3
+        assert x[i] <= root <= x[i + 1]
+        assert abs((g[i + 1] - g[i]) / hm_profile.grid.h) > 1e-6
 
     def test_crossing_is_sqrt_intersection(self, hm_profile):
         root = crossings(hm_profile)[0]

@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from quenchfront import bvp
 from quenchfront.grid import (BandedLU, BandedMatrix, Grid, SingularMatrixError,
-                              d1_apply, d1_band, d2_apply, d2_band, fd_weights,
-                              make_grid)
+                              UniformSpline, d1_apply, d1_band, d2_apply, d2_band,
+                              fd_weights, make_grid)
+
+
+def banded_to_dense(a: BandedMatrix) -> np.ndarray:
+    """Dense copy read straight from the band layout data[p + i - j, j]."""
+    dense = np.zeros((a.n, a.n))
+    for i in range(a.n):
+        for j in range(max(0, i - a.bandwidth), min(a.n, i + a.bandwidth + 1)):
+            dense[i, j] = a.data[a.bandwidth + i - j, j]
+    return dense
 
 
 def test_grid_nodes_and_spacing():
@@ -135,14 +145,13 @@ class TestBandedMatrix:
             dense[i, j] += v
         u = rng.normal(size=n)
         assert np.allclose(a.matvec(u), dense @ u, atol=1e-13)
-        assert np.allclose(a.toarray(), dense)
-        assert a.get(0, 0) == dense[0, 0]
+        assert np.allclose(banded_to_dense(a), dense)
+        assert a.data[p, 0] == dense[0, 0]
 
     def test_out_of_band_raises(self):
         a = BandedMatrix(10, 2)
         with pytest.raises(IndexError):
             a.add(0, 5, 1.0)
-        assert a.get(0, 5) == 0.0
 
     def test_bandwidth_bound(self):
         with pytest.raises(ValueError):
@@ -152,7 +161,7 @@ class TestBandedMatrix:
         g = make_grid(-1.0, 1.0, 0.1)
         band = d2_band(g).copy()
         band.set_identity_row(0)
-        row = band.toarray()[0]
+        row = banded_to_dense(band)[0]
         expected = np.zeros(g.n)
         expected[0] = 1.0
         assert np.array_equal(row, expected)
@@ -251,3 +260,41 @@ class TestBandedLU:
         a.data[1, 3] = np.nan
         with pytest.raises(ValueError):
             BandedLU(a)
+
+
+class TestUniformSpline:
+    """Oracle: scipy's not-a-knot CubicSpline on the same nodes."""
+
+    @pytest.mark.parametrize("n", [5, 8, 12_000])
+    @pytest.mark.parametrize("fn", [
+        lambda x: np.sqrt(0.5 * (np.hypot(x, 1.0) - x)) * (1.0 - np.tanh(x - 0.3)),
+        lambda x: np.sin(3.0 * x) + 0.1 * x ** 3,
+    ])
+    def test_matches_scipy_not_a_knot(self, n, fn):
+        x0, h = -3.7, 0.013 if n < 100 else 8.0 / n
+        x = x0 + h * np.arange(n)
+        y = fn(x)
+        # inside, at the nodes, and half a step past either end
+        xs = np.concatenate([np.linspace(x0 - 0.5 * h, x[-1] + 0.5 * h, 2001), x])
+        want = CubicSpline(x, y)(xs)
+        got = UniformSpline(x0, h, y)(xs)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_reproduces_a_cubic_and_its_nodes(self):
+        x = 0.5 + 0.25 * np.arange(9)
+        y = 2.0 - x + 0.5 * x ** 2 - 0.125 * x ** 3
+        s = UniformSpline(0.5, 0.25, y)
+        assert np.allclose(s(x), y, rtol=0.0, atol=1e-14)
+        t = np.linspace(0.0, 3.0, 31)
+        assert np.allclose(s(t), 2.0 - t + 0.5 * t ** 2 - 0.125 * t ** 3,
+                           rtol=0.0, atol=1e-13)
+
+    def test_scalar_in_scalar_out(self):
+        s = UniformSpline(0.0, 1.0, [1.0, 2.0, 3.0, 5.0])
+        assert np.ndim(s(2.5)) == 0
+        assert float(s(2.5)) == pytest.approx(float(CubicSpline([0, 1, 2, 3],
+                                                               [1, 2, 3, 5])(2.5)))
+
+    def test_needs_four_nodes(self):
+        with pytest.raises(ValueError):
+            UniformSpline(0.0, 1.0, [1.0, 2.0, 3.0])

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from quenchfront import specialfns
+from quenchfront.asymptotics import erf_profile
 from quenchfront.specialfns import (GAMMA_FOUR_THIRDS, GAMMA_THIRD,
-                                    GAMMA_TWO_THIRDS, bessel_j_third, erf,
-                                    omega0)
+                                    GAMMA_TWO_THIRDS, bessel_j_third, omega0)
 
 
 def erf_quadrature(x):
@@ -36,36 +36,63 @@ def airy_series(z):
     return ai0 * f_sum + aip0 * g_sum
 
 
+def profile_from_erf(z, erf_z):
+    """Closed-form profile at c = -1 (where x = z) built from a given erf(z):
+    u = e^{-z^2/2} / (pi^{1/4} (1 + erf z)^{1/2})."""
+    return math.exp(-z * z / 2.0) / (math.pi ** 0.25 * math.sqrt(1.0 + erf_z))
+
+
 class TestErf:
+    """The error function enters the package only through the closed-form
+    profile's denominator erf(z) + 1 = erfc(-z), which the standard library
+    evaluates; it is checked there, at c = -1."""
+
     def test_origin(self):
-        assert erf(0.0) == 0.0
+        # erf(0) = 0 leaves the amplitude law exactly
+        for c in (-1.0, -20.0, -200.0):
+            assert erf_profile(0.0, c) == (-c) ** 0.25 / math.pi ** 0.25
 
     def test_saturation(self):
-        assert abs(erf(10.0) - 1.0) <= 1e-15
-        assert abs(erf(-10.0) + 1.0) <= 1e-15
+        assert erf_profile(10.0, -1.0) == pytest.approx(
+            profile_from_erf(10.0, 1.0), rel=1e-15)
+        # 1 + erf(-10) = erfc(10) = 2.0884875837625447570e-45 (40-digit mpmath)
+        assert erf_profile(-10.0, -1.0) == pytest.approx(
+            math.exp(-50.0) / (math.pi ** 0.25 * math.sqrt(2.0884875837625447570e-45)),
+            rel=1e-14)
 
     def test_reference_point(self):
         # oracle value 0.8427007929497149 from the defining integral
-        assert abs(erf(1.0) - erf_quadrature(1.0)) <= 1e-14
-        assert abs(erf(1.0) - 0.8427007929497149) <= 1e-14
+        assert erf_profile(1.0, -1.0) == pytest.approx(
+            profile_from_erf(1.0, erf_quadrature(1.0)), rel=1e-14)
+        assert erf_profile(1.0, -1.0) == pytest.approx(
+            profile_from_erf(1.0, 0.8427007929497149), rel=1e-14)
 
     def test_accuracy_against_quadrature(self):
-        for x in np.concatenate([np.linspace(0.05, 6.0, 41), [2.999, 3.001]]):
-            assert abs(erf(float(x)) - erf_quadrature(float(x))) <= 1e-14
+        for z in np.concatenate([np.linspace(0.05, 6.0, 41), [2.999, 3.001]]):
+            assert erf_profile(float(z), -1.0) == pytest.approx(
+                profile_from_erf(float(z), erf_quadrature(float(z))), rel=1e-14)
 
     def test_odd_symmetry_exact(self):
-        for x in [0.3, 1.7, 2.9999, 3.0001, 5.5, 7.0]:
-            assert erf(-x) == -erf(x)
+        # erf(-z) = -erf(z): (1 + erf z) + (1 + erf(-z)) = 2, read off the
+        # profile as 1 + erf(+-z) = e^{-z^2} / (sqrt(pi) u(+-z)^2)
+        for z in [0.3, 1.7, 2.9999, 3.0001, 5.5, 7.0]:
+            total = math.exp(-z * z) / math.sqrt(math.pi) * (
+                erf_profile(z, -1.0) ** -2 + erf_profile(-z, -1.0) ** -2)
+            assert total == pytest.approx(2.0, rel=1e-14)
 
     def test_monotone_and_bounded(self):
-        # strictly increasing while increments stay above one ulp of 1.0
-        xs = np.linspace(-5.0, 5.0, 201)
-        vals = [erf(float(x)) for x in xs]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert all(-1.0 < v < 1.0 for v in vals)
-        wide = [erf(float(x)) for x in np.linspace(-7.0, 7.0, 57)]
-        assert all(b >= a for a, b in zip(wide, wide[1:]))
-        assert all(-1.0 <= v <= 1.0 for v in wide)
+        # (1 + erf z)^{-1/2} = pi^{1/4} e^{z^2/2} u(z) strictly decreasing
+        # while increments stay above roundoff, and above 2^{-1/2} (erf < 1)
+        zs = np.linspace(-5.0, 5.0, 201)
+        w = [math.pi ** 0.25 * math.exp(z * z / 2.0) * erf_profile(float(z), -1.0)
+             for z in zs]
+        assert all(b < a for a, b in zip(w, w[1:]))
+        assert all(2.0 ** -0.5 < v < math.inf for v in w)
+        # wider: u non-increasing and never below its erf = 1 value
+        wide = np.linspace(-7.0, 7.0, 57)
+        u = [erf_profile(float(z), -1.0) for z in wide]
+        assert all(b <= a for a, b in zip(u, u[1:]))
+        assert all(v >= profile_from_erf(float(z), 1.0) for z, v in zip(wide, u))
 
 
 class TestGammaConstants:
