@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .asymptotics import (erf_profile, front_loc_largec, front_loc_negc,
                           left_tail, right_tail)
-from .bvp import (BoundaryClosure, FrontProfile, default_grid,
-                  fit_tail_coefficients, jacobian, residual)
+from .bvp import (FrontProfile, default_grid, fit_tail_coefficients, jacobian,
+                  residual)
 from .continuation import Branch, continue_branch, reinterpolate, solve_front
 from .diagnostics import admissibility, compute_diagnostics, crossings, front_position
 from .evolve import EvolveConfig, EvolveResult, ImexStepper, compare_inner_scaling
@@ -22,7 +22,7 @@ from .spectrum import SpectrumReport, build_potential, leading_eigenvalues
 
 __all__ = [
     "__version__",
-    "BandedMatrix", "BoundaryClosure", "Branch", "EvolveConfig", "EvolveResult",
+    "BandedMatrix", "Branch", "EvolveConfig", "EvolveResult",
     "FrontProfile", "Grid", "ImexStepper", "Omega0Result", "SolveReport",
     "SolverConfig", "SpectrumReport",
     "admissibility", "banded_lu_solve", "bessel_j_third", "build_potential",

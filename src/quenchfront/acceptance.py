@@ -208,13 +208,11 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     for c in (0.0, 1.0):
         p = ctx.profile(c)
         lam0 = float(ctx.spectrum_at(c).eigenvalues[0])
-        cfg = evolve.EvolveConfig(c=c, dt=0.01, t_end=25.0, scheme="imex_cn",
+        cfg = evolve.EvolveConfig(dt=0.01, t_end=25.0, scheme="imex_cn",
                                   record_every=25)
         x = p.grid.nodes()
         bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p)) ** 2)
-        result = evolve.evolve(p.u + bump, p.grid, cfg,
-                               boundary=evolve.boundary_from_closure(p.grid, cfg),
-                               reference=p.u)
+        result = evolve.evolve(p, p.u + bump, cfg)
         rel = abs(result.measured_rate - lam0) / abs(lam0)
         measured[f"rate_c{c:g}"] = result.measured_rate
         measured[f"lambda0_c{c:g}"] = lam0

@@ -86,24 +86,19 @@ def left_tail_exponent(x: float, c: float) -> float:
             - c * c / (4.0 * _SQRT2) * math.sqrt(s))
 
 
-def left_tail(x: float, c: float, alpha_minus: float, truncation: int = 1) -> float:
+def left_tail(x: float, c: float, alpha_minus: float) -> float:
     """Left-tail expansion sqrt(-x) (algebraic series + alpha_- exp term).
 
-    ``truncation`` selects how many printed algebraic corrections to keep
-    (0 or 1); the series branch differs between c = 0 and c != 0:
-    1 - 1/(8(-x)^3) versus 1 + c/(2 sqrt2 x^2).
+    The series keeps its first printed correction, which differs between
+    c = 0 and c != 0: 1 - 1/(8(-x)^3) versus 1 + c/(2 sqrt2 x^2).
     """
     if not x < -2.0:
         raise ValueError(f"left tail needs x < -2, got x={x}")
-    if truncation not in (0, 1):
-        raise ValueError(f"truncation level must be 0 or 1, got {truncation}")
     s = -x
-    algebraic = 1.0
-    if truncation >= 1:
-        if c == 0.0:
-            algebraic -= 1.0 / (8.0 * s ** 3)
-        else:
-            algebraic += c / (2.0 * _SQRT2 * x * x)
+    if c == 0.0:
+        algebraic = 1.0 - 1.0 / (8.0 * s ** 3)
+    else:
+        algebraic = 1.0 + c / (2.0 * _SQRT2 * x * x)
     return math.sqrt(s) * (algebraic + alpha_minus * math.exp(left_tail_exponent(x, c)))
 
 

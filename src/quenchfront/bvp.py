@@ -1,11 +1,14 @@
 """Residual and Jacobian assembly for the stationary front equation
 
-    u'' + c u' - x u - u^3 = 0
+    u'' + c u' - r(x) u - u^3 = 0
 
-with Dirichlet closures built from the tail expansions: the left boundary is
-pinned to the truncated sqrt(-x) series, the right boundary to zero.  The
-same assembly path accepts an arbitrary ramp coefficient r(x) in place of x,
-which the time-stepper reuses for the tanh-ramp variant.
+The ramp r(x) is part of the profile: ``FrontProfile.eps`` None means the
+linear ramp r = x, a float means the tanh ramp r = tanh(eps x) of the full
+slow-quench model.  ``ramp`` and ``left_value`` are the one place that turn
+a profile into its coefficient and its Dirichlet closure: the left boundary
+is pinned to the truncated sqrt(-x) tail series (linear ramp) or to the
+local equilibrium sqrt(tanh(-eps x_min)) (tanh ramp), the right boundary to
+zero.
 """
 
 from __future__ import annotations
@@ -29,62 +32,49 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass
 class FrontProfile:
-    """One stationary front: parameter c, mesh, nodal values, diagnostics."""
+    """One stationary front: parameter c, mesh, nodal values, ramp
+    (eps None: r = x; eps float: r = tanh(eps x)), diagnostics."""
 
     c: float
     grid: Grid
     u: np.ndarray
+    eps: float | None = None
     residual_norm: float = math.inf
     converged: bool = False
     alpha_plus: float | None = None
     alpha_minus: float | None = None
     log_alpha_plus: float | None = None  # alpha_+ overflows double for c << -1
 
-    def copy(self) -> "FrontProfile":
-        return FrontProfile(self.c, self.grid, self.u.copy(), self.residual_norm,
-                            self.converged, self.alpha_plus, self.alpha_minus,
-                            self.log_alpha_plus)
+
+def ramp(g: Grid, eps: float | None) -> np.ndarray:
+    """Ramp coefficient r(x) at the nodes: x, or tanh(eps x)."""
+    x = g.nodes()
+    return x if eps is None else np.tanh(eps * x)
 
 
-@dataclass(frozen=True)
-class BoundaryClosure:
-    """Dirichlet boundary data from the truncated tail expansions.
+def left_value(c: float, x_min: float, eps: float | None = None) -> float:
+    """Dirichlet value at the left edge x_min.
 
-    left_order counts retained left-series corrections (0 or 1).  For c = 0
-    the first correction is the classical -1/(8(-x)^3).  For c != 0 it is
-    -c/(4 x^2), the dominant balance of u'' + c u' - x u - u^3 = 0 about
-    u = sqrt(-x) (substitute u = sqrt(s)(1 + A/s^2), s = -x: the O(s^{-1/2})
-    balance forces A = -c/4).  The same coefficient follows from the
-    closed-form large-negative-c profile, whose expansion continues
+    Tanh ramp (x_min <= 0): the local equilibrium sqrt(tanh(-eps x_min)),
+    independent of c.  Linear ramp (x_min < 0): the sqrt(-x) tail series
+    with its first correction.  For c = 0 that correction is the classical
+    -1/(8(-x)^3).  For c != 0 it is -c/(4 x^2), the dominant balance of
+    u'' + c u' - x u - u^3 = 0 about u = sqrt(-x) (substitute
+    u = sqrt(s)(1 + A/s^2), s = -x: the O(s^{-1/2}) balance forces
+    A = -c/4).  The same coefficient follows from the closed-form
+    large-negative-c profile, whose expansion continues
     1 - c/(4x^2) - (9/32) c^2/x^4 - ...; since the next term is negative for
     either sign of c, this closure always sits slightly above the true
     solution and never breaks the monotonicity of the solved profile at the
-    boundary node.  kind "dirichlet_zero" pins both ends to zero (testing
-    aid).
+    boundary node.
     """
-
-    kind: str = "dirichlet_asymptotic"
-    left_order: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("dirichlet_asymptotic", "dirichlet_zero"):
-            raise ValueError(f"unknown closure kind {self.kind!r}")
-        if self.left_order not in (0, 1):
-            raise ValueError(f"left_order must be 0 or 1, got {self.left_order}")
-
-    def left_value(self, c: float, x_min: float) -> float:
-        if self.kind == "dirichlet_zero":
-            return 0.0
-        if x_min >= 0:
-            raise ValueError("asymptotic left closure needs x_min < 0")
-        s = -x_min
-        corr = 0.0
-        if self.left_order >= 1:
-            corr = -c / (4.0 * s * s) if c != 0.0 else -1.0 / (8.0 * s ** 3)
-        return math.sqrt(s) * (1.0 + corr)
-
-    def right_value(self, c: float, x_max: float) -> float:
-        return 0.0
+    if eps is not None:
+        return math.sqrt(math.tanh(-eps * x_min))
+    if x_min >= 0:
+        raise ValueError("asymptotic left closure needs x_min < 0")
+    s = -x_min
+    corr = -c / (4.0 * s * s) if c != 0.0 else -1.0 / (8.0 * s ** 3)
+    return math.sqrt(s) * (1.0 + corr)
 
 
 def default_domain(c: float) -> tuple[float, float]:
@@ -148,32 +138,29 @@ def _drift_diffusion_band(g: Grid, c: float) -> BandedMatrix:
     return band
 
 
-def stationary_residual(g: Grid, u: np.ndarray, c: float,
-                        left_value: float, right_value: float,
-                        ramp: np.ndarray | None = None) -> np.ndarray:
+def stationary_residual(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
+                        left: float) -> np.ndarray:
     """F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes; boundary rows
-    pin u to the closure values."""
+    pin u to ``left`` on the left and to zero on the right."""
     u = np.asarray(u, dtype=float)
     if u.shape != (g.n,):
         raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite values in profile")
-    r = g.nodes() if ramp is None else ramp
     out = _drift_diffusion_band(g, c).matvec(u) - r * u - u ** 3
-    out[0] = u[0] - left_value
-    out[-1] = u[-1] - right_value
+    out[0] = u[0] - left
+    out[-1] = u[-1]
     return out
 
 
 def stationary_jacobian(g: Grid, u: np.ndarray, c: float,
-                        ramp: np.ndarray | None = None) -> BandedMatrix:
+                        r: np.ndarray) -> BandedMatrix:
     """D2 + c*D1 - diag(r(x) + 3u^2) on interior rows, identity at the ends."""
     u = np.asarray(u, dtype=float)
     if u.shape != (g.n,):
         raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite values in profile")
-    r = g.nodes() if ramp is None else ramp
     jac = _drift_diffusion_band(g, c).copy()
     diag = -(r + 3.0 * u ** 2)
     diag[0] = 0.0
@@ -194,17 +181,16 @@ def shape_violations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.nonzero(np.diff(u) > NOISE_REL * scale)[0])
 
 
-def residual(p: FrontProfile, bc: BoundaryClosure | None = None) -> np.ndarray:
-    bc = bc or BoundaryClosure()
-    return stationary_residual(p.grid, p.u, p.c,
-                               bc.left_value(p.c, p.grid.x_min),
-                               bc.right_value(p.c, p.grid.x_max))
+def residual(p: FrontProfile) -> np.ndarray:
+    """Residual of the profile's own equation: its c, ramp and closure."""
+    g = p.grid
+    return stationary_residual(g, p.u, p.c, ramp(g, p.eps),
+                               left_value(p.c, g.x_min, p.eps))
 
 
 def jacobian(p: FrontProfile) -> BandedMatrix:
-    """Jacobian of ``residual``; closure rows are identity whatever the
-    closure data."""
-    return stationary_jacobian(p.grid, p.u, p.c)
+    """Jacobian of ``residual``; closure rows are identity."""
+    return stationary_jacobian(p.grid, p.u, p.c, ramp(p.grid, p.eps))
 
 
 class TailFit(NamedTuple):

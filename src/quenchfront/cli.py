@@ -272,13 +272,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    p = _solve(cfg, cfg.c)
-    ecfg = evolve_mod.EvolveConfig(ramp=cfg.ramp, epsilon=cfg.eps, c=cfg.c,
-                                   dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme)
-    boundary = evolve_mod.boundary_from_closure(p.grid, ecfg)
+    if cfg.ramp == "linear":
+        p = _solve(cfg, cfg.c)
+    elif cfg.ramp == "tanh":
+        p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c)
+    else:
+        raise ValueError(f"unknown ramp {cfg.ramp!r}")
+    ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme)
     x = p.grid.nodes()
     bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p, cfg.delta)) ** 2)
-    result = evolve_mod.evolve(p.u + bump, p.grid, ecfg, boundary, reference=p.u)
+    result = evolve_mod.evolve(p, p.u + bump, ecfg)
     out = cfg.out or f"evolve_c{cfg.c:g}.csv"
     header = {"c": cfg.c, "dt": cfg.dt, "t_end": cfg.t_end, "scheme": cfg.scheme,
               "measured_rate": result.measured_rate,

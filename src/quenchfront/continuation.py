@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bvp, newton
-from .bvp import BoundaryClosure, FrontProfile
+from .bvp import FrontProfile
 from .grid import Grid, UniformSpline, d1_apply
 
 DC_MIN = 1e-4
@@ -46,11 +46,9 @@ class Branch:
         self.points.sort(key=lambda item: item[0])
 
 
-def reinterpolate(p: FrontProfile, g_new: Grid,
-                  bc: BoundaryClosure | None = None) -> FrontProfile:
+def reinterpolate(p: FrontProfile, g_new: Grid) -> FrontProfile:
     """Move a profile to a new grid: cubic interpolation on the overlap,
-    sqrt(-x) closure extension on the left, zero on the right."""
-    bc = bc or BoundaryClosure()
+    the left closure value extends it on the left, zero on the right."""
     g_old = p.grid
     if g_new.x_min > g_old.x_max or g_new.x_max < g_old.x_min:
         raise ValueError("new grid does not overlap the profile's grid")
@@ -61,13 +59,13 @@ def reinterpolate(p: FrontProfile, g_new: Grid,
     u_new[inside] = spline(np.clip(x_new[inside], g_old.x_min, g_old.x_max))
     left = x_new < g_old.x_min - 1e-12
     if np.any(left):
-        u_new[left] = [bc.left_value(p.c, float(t)) for t in x_new[left]]
+        u_new[left] = [bvp.left_value(p.c, float(t), p.eps) for t in x_new[left]]
     u_new[x_new > g_old.x_max + 1e-12] = 0.0
     u_new = np.maximum(u_new, 0.0)  # spline overshoot is not a valid guess
-    return FrontProfile(c=p.c, grid=g_new, u=u_new)
+    return FrontProfile(c=p.c, grid=g_new, u=u_new, eps=p.eps)
 
 
-def _tangent(p: FrontProfile, bc: BoundaryClosure, sgn: float) -> np.ndarray:
+def _tangent(p: FrontProfile, sgn: float) -> np.ndarray:
     """du/dc at a converged point, from J du/dc = -dF/dc.
 
     dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F),
@@ -79,12 +77,13 @@ def _tangent(p: FrontProfile, bc: BoundaryClosure, sgn: float) -> np.ndarray:
     g = p.grid
     rhs = -d1_apply(g, p.u, int(np.sign(p.c)))   # boundary rows of D1 are 0
     c1, c2 = p.c + sgn * DC_MIN, p.c + 2.0 * sgn * DC_MIN
-    rhs[0] = (bc.left_value(c2, g.x_min) - bc.left_value(c1, g.x_min)) / (c2 - c1)
-    return newton.banded_lu_solve(bvp.stationary_jacobian(g, p.u, p.c), rhs)
+    rhs[0] = (bvp.left_value(c2, g.x_min, p.eps)
+              - bvp.left_value(c1, g.x_min, p.eps)) / (c2 - c1)
+    return newton.banded_lu_solve(bvp.jacobian(p), rhs)
 
 
 def _predict(current: FrontProfile, tangent: np.ndarray | None, c_next: float,
-             g_target: Grid, bc: BoundaryClosure) -> np.ndarray:
+             g_target: Grid) -> np.ndarray:
     """Initial guess for the next continuation step on g_target.
 
     With a tangent: u + (c_next - c) du/dc, clipped at zero.  Without one
@@ -102,20 +101,21 @@ def _predict(current: FrontProfile, tangent: np.ndarray | None, c_next: float,
             current.u + (c_next - current.c) * tangent, 0.0))
     if moved.grid == g_target:
         return moved.u
-    return reinterpolate(moved, g_target, bc).u
+    return reinterpolate(moved, g_target).u
 
 
 def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
                     cfg: newton.SolverConfig | None = None,
-                    bc: BoundaryClosure | None = None,
                     h: float = bvp.DEFAULT_H) -> Branch:
     """Continue an admissible seed toward c_target, recording every converged
     point (seed included).  The first step is dc_init; each accepted step
     scales the next by clamp(TARGET_ITERATIONS / Newton iterations, 0.5, 2),
-    and each failed step is halved, down to DC_MIN."""
+    and each failed step is halved, down to DC_MIN.  Domains and the c > 2
+    predictor are those of the linear ramp, so a tanh-ramp seed is refused."""
     if not seed.converged:
         raise ValueError("continuation seed must be a converged profile")
-    bc = bc or BoundaryClosure()
+    if seed.eps is not None:
+        raise ValueError("continuation follows the linear ramp; got a tanh-ramp seed")
     cfg = cfg or newton.SolverConfig()
     direction = "increasing_c" if c_target >= seed.c else "decreasing_c"
     branch = Branch(points=[(seed.c, seed)], direction=direction)
@@ -131,10 +131,10 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         if not bvp.domain_ok(g_target, c_next):
             g_target = bvp.default_grid(c_next, h)
         try:
-            tangent = None if c > 2.0 and c_next > 2.0 else _tangent(current, bc, sgn)
+            tangent = None if c > 2.0 and c_next > 2.0 else _tangent(current, sgn)
             trial = FrontProfile(c=c_next, grid=g_target,
-                                 u=_predict(current, tangent, c_next, g_target, bc))
-            solved, report = newton.solve(trial, bc, cfg)
+                                 u=_predict(current, tangent, c_next, g_target))
+            solved, report = newton.solve(trial, cfg)
             if not (report.positive and report.decreasing):
                 raise newton.SolverError("converged to a non-admissible profile")
         except newton.SolverError as exc:
@@ -153,7 +153,6 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
 
 
 def solve_front(c: float, grid: Grid | None = None,
-                bc: BoundaryClosure | None = None,
                 cfg: newton.SolverConfig | None = None,
                 h: float = bvp.DEFAULT_H) -> FrontProfile:
     """Solve for the admissible front at one c.
@@ -162,7 +161,6 @@ def solve_front(c: float, grid: Grid | None = None,
     intermediate positive c where no closed-form seed exists), falls back to
     continuation from the well-conditioned c = 0 anchor (SolverError if it stops short).
     """
-    bc = bc or BoundaryClosure()
     cfg = cfg or newton.SolverConfig()
     g = grid or bvp.default_grid(c, h)
     anchor_grid = bvp.default_grid(0.0, h)
@@ -171,7 +169,7 @@ def solve_front(c: float, grid: Grid | None = None,
     is_anchor = c == 0.0 and g == anchor_grid
     try:
         seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
-        profile, report = newton.solve(seed, bc, cfg)
+        profile, report = newton.solve(seed, cfg)
         if is_anchor or (report.positive and report.decreasing):
             return profile
     except newton.SolverError:
@@ -179,8 +177,8 @@ def solve_front(c: float, grid: Grid | None = None,
             raise
     anchor_seed = FrontProfile(c=0.0, grid=anchor_grid,
                                u=bvp.initial_guess(anchor_grid, 0.0))
-    anchor, _ = newton.solve(anchor_seed, bc, cfg)
-    branch = continue_branch(anchor, c, cfg=cfg, bc=bc, h=h)
+    anchor, _ = newton.solve(anchor_seed, cfg)
+    branch = continue_branch(anchor, c, cfg=cfg, h=h)
     try:
         profile = branch.profile_at(c)
     except KeyError:   # the step underflowed right after the last real failure
@@ -192,8 +190,8 @@ def solve_front(c: float, grid: Grid | None = None,
             f"at c={last_c:.6g}: {why}") from None
     if grid is not None and (profile.grid.n != grid.n
                              or profile.grid.x_min != grid.x_min):
-        reseeded = reinterpolate(profile, grid, bc)
-        profile, _ = newton.solve(reseeded, bc, cfg)
+        reseeded = reinterpolate(profile, grid)
+        profile, _ = newton.solve(reseeded, cfg)
     return profile
 
 

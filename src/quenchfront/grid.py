@@ -70,11 +70,6 @@ class BandedMatrix:
         out.data[:] = self.data
         return out
 
-    def add(self, i: int, j: int, value: float) -> None:
-        if abs(i - j) > self.bandwidth:
-            raise IndexError(f"entry ({i},{j}) outside band")
-        self.data[self.bandwidth + i - j, j] += value
-
     def add_diagonal(self, values: np.ndarray) -> None:
         self.data[self.bandwidth, :] += values
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import (BoundaryClosure, FrontProfile, shape_violations, stationary_jacobian,
-                  stationary_residual)
+from .bvp import (FrontProfile, left_value, ramp, shape_violations,
+                  stationary_jacobian, stationary_residual)
 from .grid import BandedLU, BandedMatrix, Grid, SingularMatrixError
 
 
@@ -80,12 +80,22 @@ def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_system(residual_fn, jacobian_fn, u0: np.ndarray,
-                 cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Newton loop on residual_fn/jacobian_fn with Armijo backtracking."""
+def solve(initial: FrontProfile,
+          cfg: SolverConfig | None = None) -> tuple[FrontProfile, SolveReport]:
+    """Newton-solve the stationary equation of ``initial`` (its c, ramp and
+    closure) from its nodal values, with Armijo backtracking.
+
+    Positivity and monotonicity of the result are recorded in the report,
+    not enforced; admissibility is verified post hoc so that a defective
+    solve is visible rather than masked.
+    """
     cfg = cfg or SolverConfig()
-    u = np.asarray(u0, dtype=float).copy()
-    f = residual_fn(u)
+    g: Grid = initial.grid
+    c = initial.c
+    r = ramp(g, initial.eps)
+    gl = left_value(c, g.x_min, initial.eps)
+    u = np.asarray(initial.u, dtype=float).copy()
+    f = stationary_residual(g, u, c, r, gl)
     res = float(np.abs(f).max())
     report = SolveReport(converged=False, iterations=0, final_residual=res,
                          residual_norms=[res])
@@ -93,20 +103,20 @@ def solve_system(residual_fn, jacobian_fn, u0: np.ndarray,
     for it in range(1, cfg.max_iter + 1):
         if res <= cfg.tol_residual:
             break
-        jac = jacobian_fn(u)
+        jac = stationary_jacobian(g, u, c, r)
         step = banded_lu_solve(jac, -f)
 
         t = 1.0
         while t >= cfg.min_step:
             trial = u + t * step
-            f_trial = residual_fn(trial)
+            f_trial = stationary_residual(g, trial, c, r, gl)
             if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
                 break
             t *= cfg.backtrack_factor
         else:
             t = cfg.min_step
             trial = u + t * step
-            f_trial = residual_fn(trial)
+            f_trial = stationary_residual(g, trial, c, r, gl)
 
         u, f = trial, f_trial
         res = float(np.abs(f).max())
@@ -123,31 +133,11 @@ def solve_system(residual_fn, jacobian_fn, u0: np.ndarray,
     if not report.converged:
         raise MaxIterationsError(
             f"no convergence in {cfg.max_iter} iterations, residual {res:.3e}")
-    return u, report
-
-
-def solve(initial: FrontProfile, bc: BoundaryClosure | None = None,
-          cfg: SolverConfig | None = None) -> tuple[FrontProfile, SolveReport]:
-    """Newton-solve the stationary front equation from an initial profile.
-
-    Positivity and monotonicity of the result are recorded in the report,
-    not enforced; admissibility is verified post hoc so that a defective
-    solve is visible rather than masked.
-    """
-    bc = bc or BoundaryClosure()
-    g: Grid = initial.grid
-    gl = bc.left_value(initial.c, g.x_min)
-    gr = bc.right_value(initial.c, g.x_max)
-
-    u, report = solve_system(
-        lambda v: stationary_residual(g, v, initial.c, gl, gr),
-        lambda v: stationary_jacobian(g, v, initial.c),
-        initial.u, cfg)
 
     nonpositive, rises = shape_violations(u)
     report.positive = not nonpositive.size
     report.decreasing = not rises.size
-    profile = FrontProfile(c=initial.c, grid=g, u=u,
+    profile = FrontProfile(c=c, grid=g, u=u, eps=initial.eps,
                            residual_norm=report.final_residual,
                            converged=report.converged)
     return profile, report

@@ -15,22 +15,10 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 __all__ = [
-    "GAMMA_THIRD",
-    "GAMMA_TWO_THIRDS",
-    "GAMMA_FOUR_THIRDS",
     "Omega0Result",
     "bessel_j_third",
     "omega0",
 ]
-
-# Gamma function at the thirds, 16 significant digits.  Seeds for the Bessel
-# series coefficients; cross-checked in the tests against the reflection and
-# recurrence identities Gamma(1/3)*Gamma(2/3) = 2*pi/sqrt(3) and
-# Gamma(4/3) = Gamma(1/3)/3, and against the high-precision Spouge values
-# below.
-GAMMA_THIRD = 2.678938534707748        # Gamma(1/3)
-GAMMA_TWO_THIRDS = 1.354117939426400   # Gamma(2/3)
-GAMMA_FOUR_THIRDS = 0.8929795115692492  # Gamma(4/3)
 
 # pi to 50 digits, used by the Decimal-precision gamma evaluation.
 _PI_50 = Decimal("3.14159265358979323846264338327950288419716939937511")

@@ -1,11 +1,12 @@
 """Spectrum of the linearization about a front, via the conjugated operator.
 
-The linearization L u = u'' + c u' - (x + 3 u0^2) u shares its spectrum with
-the self-adjoint operator u'' - V(x) u, V = x + c^2/4 + 3 u0^2 (conjugation
-by e^{cx/2}, which is never materialized -- it would overflow).  V grows
-without bound on both sides, so a Dirichlet truncation on the solve domain
-and a symmetric tridiagonal eigensolve (bisection + inverse iteration)
-recover the leading eigenvalues robustly.
+The linearization L u = u'' + c u' - (r(x) + 3 u0^2) u, with the profile's
+ramp r, shares its spectrum with the self-adjoint operator u'' - V(x) u,
+V = r(x) + c^2/4 + 3 u0^2 (conjugation by e^{cx/2}, which is never
+materialized -- it would overflow).  For r = x, V grows without bound on
+both sides, so a Dirichlet truncation on the solve domain and a symmetric
+tridiagonal eigensolve (bisection + inverse iteration) recover the leading
+eigenvalues robustly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .bvp import FrontProfile
+from .bvp import FrontProfile, ramp
 from .grid import Grid
 
 MAX_LEADING = 10
@@ -35,18 +36,18 @@ class EigenIterationError(RuntimeError):
 
 
 def build_potential(p: FrontProfile) -> np.ndarray:
-    """V_i = x_i + c^2/4 + 3 u_i^2 (asymptotically -2x + c^2/4 on the left,
-    x + c^2/4 on the right)."""
-    return p.grid.nodes() + p.c * p.c / 4.0 + 3.0 * p.u ** 2
+    """V_i = r(x_i) + c^2/4 + 3 u_i^2 with the profile's ramp r (for r = x,
+    asymptotically -2x + c^2/4 on the left, x + c^2/4 on the right)."""
+    return ramp(p.grid, p.eps) + p.c * p.c / 4.0 + 3.0 * p.u ** 2
 
 
-def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int,
-                             want_vector: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def eigenvalues_of_potential(g: Grid, V: np.ndarray,
+                             k: int) -> tuple[np.ndarray, np.ndarray]:
     """k largest eigenvalues (descending) of d^2/dx^2 - V with Dirichlet
     truncation, discretized by the symmetric 2nd-order stencil.
 
-    Returns the eigenvector of the largest eigenvalue embedded on the full
-    grid (zeros at the boundary nodes) when requested.
+    Also returns the eigenvector of the largest eigenvalue embedded on the
+    full grid (zeros at the boundary nodes), scaled to max entry +1.
     """
     if V.shape != (g.n,):
         raise ValueError("potential length does not match grid")
@@ -61,14 +62,10 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int,
     order = np.argsort(vals)[::-1]
     vals = vals[order]
 
-    vec_full = None
-    if want_vector:
-        v = vecs[:, order[0]]
-        _check_rayleigh(diag, off, vals[0], v)
-        peak = v[np.argmax(np.abs(v))]
-        v = v / peak
-        vec_full = np.zeros(g.n)
-        vec_full[1:-1] = v
+    v = vecs[:, order[0]]
+    _check_rayleigh(diag, off, vals[0], v)
+    vec_full = np.zeros(g.n)
+    vec_full[1:-1] = v / v[np.argmax(np.abs(v))]
     return vals, vec_full
 
 

@@ -99,9 +99,6 @@ class TestLeftTail:
         expected = math.sqrt(10.0) * (1.0 + c / (2.0 * math.sqrt(2.0) * x * x))
         assert left_tail(x, c, 0.0) == pytest.approx(expected, rel=1e-14)
 
-    def test_truncation_level_zero(self):
-        assert left_tail(-9.0, 0.0, 0.0, truncation=0) == pytest.approx(3.0)
-
     def test_c_to_zero_limit(self):
         x = -8.0
         gap = abs(left_tail(x, 1e-9, 0.0) - left_tail(x, 0.0, 0.0))
@@ -118,8 +115,6 @@ class TestLeftTail:
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             left_tail(-1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            left_tail(-5.0, 0.0, 0.0, truncation=3)
 
 
 class TestConvergedProfileAgreement:

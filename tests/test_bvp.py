@@ -1,53 +1,46 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from quenchfront import bvp
-from quenchfront.bvp import (BoundaryClosure, FrontProfile, TailFitError,
-                             default_domain, fit_tail_coefficients, jacobian,
-                             required_bounds, residual)
+from quenchfront.bvp import (FrontProfile, TailFitError, default_domain,
+                             fit_tail_coefficients, jacobian, left_value,
+                             required_bounds, residual, stationary_residual)
 from quenchfront.grid import make_grid
 from quenchfront.newton import solve
 
 
 class TestBoundaryClosure:
     def test_left_value_c_zero(self):
-        bc = BoundaryClosure()
         s = 25.0
-        assert bc.left_value(0.0, -25.0) == pytest.approx(
+        assert left_value(0.0, -25.0) == pytest.approx(
             math.sqrt(s) * (1.0 - 1.0 / (8.0 * s ** 3)), rel=1e-15)
 
     def test_left_value_with_drift(self):
-        bc = BoundaryClosure()
-        assert bc.left_value(-2.0, -20.0) == pytest.approx(
+        assert left_value(-2.0, -20.0) == pytest.approx(
             math.sqrt(20.0) * (1.0 + 2.0 / (4.0 * 400.0)), rel=1e-15)
-        assert bc.left_value(3.0, -20.0) == pytest.approx(
+        assert left_value(3.0, -20.0) == pytest.approx(
             math.sqrt(20.0) * (1.0 - 3.0 / (4.0 * 400.0)), rel=1e-15)
 
-    def test_left_value_plain(self):
-        bc = BoundaryClosure(left_order=0)
-        assert bc.left_value(5.0, -25.0) == math.sqrt(25.0)
-
-    def test_zero_closure(self):
-        bc = BoundaryClosure(kind="dirichlet_zero")
-        assert bc.left_value(1.0, -25.0) == 0.0
+    def test_left_value_tanh_is_local_equilibrium(self):
+        # sqrt(tanh(-eps x_min)) whatever c
+        for c in (-1.0, 0.0, 2.0):
+            assert left_value(c, -150.0, 0.01) == math.sqrt(math.tanh(1.5))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoundaryClosure(kind="robin")
+            left_value(0.0, 5.0)
         with pytest.raises(ValueError):
-            BoundaryClosure(left_order=2)
-        with pytest.raises(ValueError):
-            BoundaryClosure().left_value(0.0, 5.0)
+            left_value(0.0, 5.0, 0.01)
 
 
 class TestResidual:
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.0, 10.0])
     def test_zero_state_interior_rows_exactly_zero(self, c):
         g = make_grid(-10.0, 10.0, 0.1)
-        p = FrontProfile(c=c, grid=g, u=np.zeros(g.n))
-        f = residual(p, BoundaryClosure(kind="dirichlet_zero"))
+        f = stationary_residual(g, np.zeros(g.n), c, g.nodes(), 0.0)
         assert np.all(f == 0.0)
 
     def test_sqrt_branch_residual_decays(self):
@@ -55,8 +48,7 @@ class TestResidual:
         # u'' = -(1/4)(-x)^{-3/2}
         g = make_grid(-100.0, -50.0, 0.01)
         x = g.nodes()
-        p = FrontProfile(c=0.0, grid=g, u=np.sqrt(-x))
-        f = residual(p, BoundaryClosure(left_order=0))
+        f = stationary_residual(g, np.sqrt(-x), 0.0, x, 10.0)
         interior = slice(1, -1)
         bound = 0.5 * (-x[interior]) ** -1.5
         assert np.all(np.abs(f[interior]) <= bound)
@@ -64,12 +56,20 @@ class TestResidual:
 
     def test_boundary_rows_enforce_closure(self):
         g = make_grid(-10.0, 10.0, 0.1)
-        bc = BoundaryClosure()
         u = np.linspace(3.0, 0.0, g.n)
         p = FrontProfile(c=1.5, grid=g, u=u)
-        f = residual(p, bc)
-        assert f[0] == pytest.approx(u[0] - bc.left_value(1.5, g.x_min))
+        f = residual(p)
+        assert f[0] == pytest.approx(u[0] - left_value(1.5, g.x_min))
         assert f[-1] == pytest.approx(u[-1])
+
+    def test_tanh_ramp_read_from_profile(self):
+        g = make_grid(-10.0, 10.0, 0.1)
+        x = g.nodes()
+        u = np.linspace(1.0, 0.0, g.n)
+        f = residual(FrontProfile(c=0.5, grid=g, u=u, eps=0.1))
+        expected = stationary_residual(g, u, 0.5, np.tanh(0.1 * x),
+                                       math.sqrt(math.tanh(1.0)))
+        assert np.array_equal(f, expected)
 
     def test_converged_profile_residual(self, hm_profile):
         assert np.abs(residual(hm_profile)).max() < 1e-10
@@ -183,7 +183,7 @@ class TestTailFit:
             <= 0.01 * fit_narrow.alpha_plus
 
     def test_profile_fields_updated(self, hm_profile):
-        p = hm_profile.copy()
+        p = dataclasses.replace(hm_profile)
         fit = fit_tail_coefficients(p)
         assert p.alpha_plus == fit.alpha_plus
         assert p.alpha_minus == fit.alpha_minus

@@ -179,6 +179,21 @@ class TestOtherCommands:
         assert float(header["measured_rate"]) < -1.0
         assert cols["deviation"][-1] < cols["deviation"][0]
 
+    def test_evolve_tanh_perturbs_the_tanh_front(self, tmp_path):
+        out = tmp_path / "et.csv"
+        assert run(["evolve", "--ramp", "tanh", "--eps", "0.01", "--c", "0",
+                    "--t-end", "1", "--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        # the 1e-3 bump decays; a front of the wrong ramp would jump to O(1)
+        assert cols["t"][1] > 0.0 and cols["deviation"][1] <= 2e-3
+
+    def test_evolve_config_file_bad_ramp_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ramp=step\n")
+        assert run(["--config", str(cfg), "evolve", "--c", "0", "--t-end", "0.1",
+                    "--out", str(tmp_path / "e.csv")]) == 2
+        assert "error kind=ValueError" in capsys.readouterr().err
+
     def test_compare_tanh_command(self, tmp_path):
         out = tmp_path / "ct.csv"
         assert run(["compare-tanh", "--eps", "0.01", "--c", "0",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quenchfront import bvp, continuation, diagnostics, newton
-from quenchfront.bvp import BoundaryClosure, FrontProfile
+from quenchfront.bvp import FrontProfile, left_value
 from quenchfront.continuation import (continue_branch, pointwise_c_ordering_gap,
                                       reinterpolate, solve_front)
 from quenchfront.grid import make_grid
@@ -60,6 +60,13 @@ class TestContinueBranch:
         with pytest.raises(ValueError):
             continue_branch(bad, 1.0)
 
+    def test_tanh_seed_rejected(self):
+        g = make_grid(-20.0, 20.0, 0.1)
+        seed = FrontProfile(c=0.0, grid=g, u=np.zeros(g.n), eps=0.01,
+                            converged=True)
+        with pytest.raises(ValueError, match="linear ramp"):
+            continue_branch(seed, 1.0)
+
     def test_stepper_reaches_minus_200_in_few_points(self, hm_profile):
         br = continue_branch(hm_profile, -200.0)
         assert not br.failures
@@ -75,7 +82,7 @@ class TestContinueBranch:
     def test_tangent_matches_central_difference(self, hm_profile):
         c, d = -1.0, 1e-2
         p = continue_branch(hm_profile, c).profile_at(c)
-        tangent = continuation._tangent(p, BoundaryClosure(), -1.0)
+        tangent = continuation._tangent(p, -1.0)
         up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
         um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
         assert np.abs(tangent - (up.u - um.u) / (2 * d)).max() <= 1e-4
@@ -103,12 +110,11 @@ class TestReinterpolate:
         assert report.converged and report.iterations <= 5
 
     def test_left_extension_matches_closure(self, hm_profile):
-        bc = BoundaryClosure()
         g2 = make_grid(hm_profile.grid.x_min - 20.0, hm_profile.grid.x_max, 0.01)
-        q = reinterpolate(hm_profile, g2, bc)
+        q = reinterpolate(hm_profile, g2)
         x = g2.nodes()
         left = x < hm_profile.grid.x_min - 1e-9
-        expected = np.array([bc.left_value(0.0, float(t)) for t in x[left]])
+        expected = np.array([left_value(0.0, float(t)) for t in x[left]])
         assert np.allclose(q.u[left], expected, rtol=0.0, atol=1e-14)
         # for c = 0 the closure is the printed series sqrt(-x)(1 - 1/(8(-x)^3))
         assert np.allclose(q.u[left],

@@ -3,11 +3,12 @@ import pytest
 import scipy.linalg
 from scipy.integrate import trapezoid
 
-from quenchfront import bvp, diagnostics, evolve, newton, spectrum
+from quenchfront import bvp, diagnostics, evolve, spectrum
+from quenchfront.bvp import FrontProfile
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
-                                boundary_from_closure, compare_inner_scaling,
-                                measured_rate, solve_tanh_front)
-from quenchfront.grid import make_grid
+                                compare_inner_scaling, measured_rate,
+                                solve_tanh_front)
+from quenchfront.grid import BandedLU, d2_band, make_grid
 
 
 class SolveBandedEachStep:
@@ -29,28 +30,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             EvolveConfig(scheme="explicit_euler")
         with pytest.raises(ValueError):
-            EvolveConfig(ramp="step")
-        with pytest.raises(ValueError):
-            EvolveConfig(ramp="tanh", epsilon=2.0)
-        with pytest.raises(ValueError):
             EvolveConfig(record_every=0)
 
 
 class TestStepper:
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cn"])
     def test_stationary_profile_is_fixed_point(self, hm_profile, scheme):
-        cfg = EvolveConfig(c=0.0, dt=0.01, t_end=1.0, scheme=scheme)
-        bd = boundary_from_closure(hm_profile.grid, cfg)
-        st = ImexStepper(hm_profile.grid, cfg, bd)
+        st = ImexStepper(hm_profile, EvolveConfig(dt=0.01, t_end=1.0, scheme=scheme))
         u = hm_profile.u.copy()
         for _ in range(100):
             u = st.step(u)
         assert np.abs(u - hm_profile.u).max() <= 1e-8  # per unit time
 
-    def test_zero_state_invariant(self, hm_profile):
-        cfg = EvolveConfig(c=0.0, dt=0.01, t_end=1.0)
-        st = ImexStepper(hm_profile.grid, cfg, (0.0, 0.0))
-        u = st.step(np.zeros(hm_profile.grid.n))
+    def test_zero_state_invariant(self):
+        # on x >= 0 the tanh ramp is positive and both Dirichlet values
+        # vanish, so the quenched state u = 0 is an exact fixed point
+        g = make_grid(0.0, 20.0, 0.1)
+        front = FrontProfile(c=0.0, grid=g, u=np.zeros(g.n), eps=0.1)
+        st = ImexStepper(front, EvolveConfig(dt=0.01, t_end=1.0))
+        u = np.zeros(g.n)
+        for _ in range(ImexStepper.STARTUP_EULER_STEPS + 2):
+            u = st.step(u)
         assert np.all(u == 0.0)
 
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cn"])
@@ -58,78 +58,86 @@ class TestStepper:
     def test_factored_step_equals_solve_banded_bitwise(self, monkeypatch,
                                                         scheme, c):
         g = bvp.default_grid(c, 0.05)
-        cfg = EvolveConfig(c=c, dt=0.01, t_end=1.0, scheme=scheme)
-        bd = boundary_from_closure(g, cfg)
-        factored = ImexStepper(g, cfg, bd)
+        front = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
+        cfg = EvolveConfig(dt=0.01, t_end=1.0, scheme=scheme)
+        factored = ImexStepper(front, cfg)
         monkeypatch.setattr(evolve, "BandedLU", SolveBandedEachStep)
-        reference = ImexStepper(g, cfg, bd)
-        u = v = bvp.initial_guess(g, c)
+        reference = ImexStepper(front, cfg)
+        u = v = front.u
         for _ in range(ImexStepper.STARTUP_EULER_STEPS + 3):
             u, v = factored.step(u), reference.step(v)
             assert u.tobytes() == v.tobytes()
 
+    def test_boundary_values_come_from_the_front(self, hm_profile):
+        g = make_grid(-150.0, 150.0, 0.5)
+        tanh_front = FrontProfile(c=0.3, grid=g, u=np.zeros(g.n), eps=0.01)
+        cfg = EvolveConfig(dt=0.01, t_end=1.0)
+        for front in (hm_profile, tanh_front):
+            u = ImexStepper(front, cfg).step(np.ones(front.grid.n))
+            assert u[0] == pytest.approx(
+                bvp.left_value(front.c, front.grid.x_min, front.eps), rel=1e-14)
+            assert u[-1] == pytest.approx(0.0, abs=1e-14)
+
     def test_comparison_principle_spot_check(self, hm_profile):
-        cfg = EvolveConfig(c=0.0, dt=0.01, t_end=1.0)
-        bd = boundary_from_closure(hm_profile.grid, cfg)
+        cfg = EvolveConfig(dt=0.01, t_end=1.0)
         x = hm_profile.grid.nodes()
         hi = hm_profile.u + 1e-3 * np.exp(-(x - 1.0) ** 2)
         lo = hm_profile.u.copy()
-        st_hi, st_lo = ImexStepper(hm_profile.grid, cfg, bd), ImexStepper(
-            hm_profile.grid, cfg, bd)
+        st_hi, st_lo = ImexStepper(hm_profile, cfg), ImexStepper(hm_profile, cfg)
         for _ in range(50):
             hi = st_hi.step(hi)
             lo = st_lo.step(lo)
         assert np.min(hi - lo) >= -1e-10
 
-    def test_diffusion_only_conserves_mass(self, hm_profile):
-        g = hm_profile.grid
-        cfg = EvolveConfig(ramp="none", include_cubic=False, c=0.0,
-                           dt=0.01, t_end=1.0)
-        st = ImexStepper(g, cfg, (0.0, 0.0))
+    def test_diffusion_only_conserves_mass(self):
+        # implicit Euler for u_t = u_xx with zero Dirichlet data solves
+        # (I - dt D2) u_next = u; D2 annihilates constants, so mass is kept
+        g = make_grid(-30.0, 15.0, 0.01)
+        dt = 0.01
+        lhs = d2_band(g).copy()
+        lhs.data *= -dt
+        lhs.add_diagonal(np.ones(g.n))
+        lhs.set_identity_row(0)
+        lhs.set_identity_row(g.n - 1)
+        lu = BandedLU(lhs)
         x = g.nodes()
         u = np.exp(-x ** 2)
         before = trapezoid(u, x)
         for _ in range(100):
-            u = st.step(u)
+            u[0] = u[-1] = 0.0
+            u = lu.solve(u)
         assert abs(trapezoid(u, x) - before) <= 1e-10 * before
 
     def test_blow_up_reported_with_step_index(self, hm_profile):
-        g = hm_profile.grid
-        cfg = EvolveConfig(c=0.0, dt=1.0, t_end=50.0, scheme="imex_euler")
+        cfg = EvolveConfig(dt=1.0, t_end=50.0, scheme="imex_euler")
         with pytest.raises(BlowUpError, match="step"):
-            evolve.evolve(50.0 * np.ones(g.n), g, cfg, (0.0, 0.0))
+            evolve.evolve(hm_profile, 50.0 * np.ones(hm_profile.grid.n), cfg)
 
 
 class TestEvolveRuns:
     def test_perturbation_decay_matches_lambda0(self, hm_profile):
         lam0 = spectrum.leading_eigenvalues(hm_profile, 1).eigenvalues[0]
-        cfg = EvolveConfig(c=0.0, dt=0.01, t_end=20.0, scheme="imex_cn",
-                           record_every=20)
+        cfg = EvolveConfig(dt=0.01, t_end=20.0, scheme="imex_cn", record_every=20)
         x = hm_profile.grid.nodes()
         bump = 1e-3 * np.exp(-(x - diagnostics.front_position(hm_profile)) ** 2)
-        res = evolve.evolve(hm_profile.u + bump, hm_profile.grid, cfg,
-                            boundary_from_closure(hm_profile.grid, cfg),
-                            reference=hm_profile.u)
+        res = evolve.evolve(hm_profile, hm_profile.u + bump, cfg)
         assert abs(res.measured_rate - lam0) / abs(lam0) <= 0.2
 
     def test_deviation_history_decreases_after_transient(self, hm_profile):
-        cfg = EvolveConfig(c=0.0, dt=0.01, t_end=5.0, record_every=50)
+        cfg = EvolveConfig(dt=0.01, t_end=5.0, record_every=50)
         x = hm_profile.grid.nodes()
         bump = 1e-3 * np.exp(-x ** 2)
-        res = evolve.evolve(hm_profile.u + bump, hm_profile.grid, cfg,
-                            boundary_from_closure(hm_profile.grid, cfg),
-                            reference=hm_profile.u)
+        res = evolve.evolve(hm_profile, hm_profile.u + bump, cfg)
         devs = [d for _, d in res.deviation_history]
         tail = devs[max(1, len(devs) // 5):]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
     def test_steady_state_limit_equals_newton_solution(self, hm_profile):
         g = hm_profile.grid
-        cfg = EvolveConfig(c=0.0, dt=0.01, t_end=30.0, record_every=50)
-        res = evolve.evolve(bvp.initial_guess(g, 0.0), g, cfg,
-                            boundary_from_closure(g, cfg),
-                            reference=hm_profile.u)
+        cfg = EvolveConfig(dt=0.01, t_end=30.0, record_every=50)
+        res = evolve.evolve(hm_profile, bvp.initial_guess(g, 0.0), cfg)
         assert np.abs(res.final.u - hm_profile.u).max() <= 1e-6
+        assert res.final.residual_norm <= 1e-6
         assert res.measured_rate * cfg.t_end <= -14.0
 
     def test_measured_rate_empty_history(self):
@@ -145,14 +153,17 @@ class TestTanhFront:
         assert np.all(np.diff(front.u) <= 1e-12)
         assert front.u[0] == pytest.approx(np.sqrt(np.tanh(eps * 150.0)), abs=1e-12)
 
-        cfg = EvolveConfig(ramp="tanh", epsilon=eps, c=c, dt=0.05, t_end=100.0,
-                           scheme="imex_cn", record_every=100)
+        cfg = EvolveConfig(dt=0.05, t_end=100.0, scheme="imex_cn", record_every=100)
         x = g.nodes()
         bump = 1e-3 * np.exp(-(x / 4.0) ** 2)
-        res = evolve.evolve(front.u + bump, g, cfg,
-                            boundary=boundary_from_closure(g, cfg),
-                            reference=front.u)
+        res = evolve.evolve(front, front.u + bump, cfg)
         assert res.deviation_history[-1][1] <= 1e-5
+        assert res.final.eps == eps
+
+    def test_generic_residual_reads_the_tanh_ramp(self):
+        front = solve_tanh_front(0.01, 0.0, make_grid(-150.0, 150.0, 0.05))
+        assert np.abs(bvp.residual(front)).max() <= 1e-10
+        assert front.eps == 0.01
 
     def test_boundary_sensitivity_small(self):
         # doubling the tanh solve domain must not move the interface

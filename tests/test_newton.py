@@ -17,8 +17,7 @@ class TestBandedSolve:
     def test_identity(self):
         n = 17
         a = BandedMatrix(n, 2)
-        for i in range(n):
-            a.add(i, i, 1.0)
+        a.add_diagonal(np.ones(n))
         b = np.sin(np.arange(n, dtype=float))
         assert np.allclose(banded_lu_solve(a, b), b, atol=1e-14)
 
@@ -27,11 +26,9 @@ class TestBandedSolve:
         # with 1-based indices
         n = 10
         a = BandedMatrix(n, 1)
-        for i in range(n):
-            a.add(i, i, 2.0)
-            if i:
-                a.add(i, i - 1, -1.0)
-                a.add(i - 1, i, -1.0)
+        a.data[0, 1:] = -1.0    # entry (i, j) sits at data[1 + i - j, j]
+        a.data[1] = 2.0
+        a.data[2, :-1] = -1.0
         rng = np.random.default_rng(11)
         b = rng.normal(size=n)
         inv = np.empty((n, n))
@@ -45,10 +42,10 @@ class TestBandedSolve:
         n, p = 200, 4
         a = BandedMatrix(n, p)
         for i in range(n):
-            a.add(i, i, 6.0 + rng.normal())
+            a.data[p, i] += 6.0 + rng.normal()
             for j in range(max(0, i - p), min(n, i + p + 1)):
                 if j != i:
-                    a.add(i, j, rng.normal())
+                    a.data[p + i - j, j] += rng.normal()
         x_true = rng.normal(size=n)
         b = a.matvec(x_true)
         x = banded_lu_solve(a, b)
@@ -116,7 +113,7 @@ def shooting_oracle_c0():
 
 class TestSolve:
     def test_fixed_point_converges_immediately(self, hm_profile):
-        p, report = solve(hm_profile.copy())
+        p, report = solve(hm_profile)
         assert report.converged and report.iterations <= 2
         assert np.abs(p.u - hm_profile.u).max() <= 1e-9
 

@@ -6,8 +6,16 @@ from scipy.integrate import quad
 
 from quenchfront import specialfns
 from quenchfront.asymptotics import erf_profile
-from quenchfront.specialfns import (GAMMA_FOUR_THIRDS, GAMMA_THIRD,
-                                    GAMMA_TWO_THIRDS, bessel_j_third, omega0)
+from quenchfront.specialfns import bessel_j_third, omega0
+
+# Gamma at the thirds, 16 significant digits
+GAMMA_THIRD = 2.678938534707748
+GAMMA_TWO_THIRDS = 1.354117939426400
+GAMMA_FOUR_THIRDS = 0.8929795115692492
+
+
+def gamma(num, den):
+    return float(specialfns._gamma_decimal(num, den))
 
 
 def erf_quadrature(x):
@@ -97,26 +105,23 @@ class TestErf:
 
 class TestGammaConstants:
     def test_reflection_identity(self):
-        assert GAMMA_THIRD * GAMMA_TWO_THIRDS == pytest.approx(
+        assert gamma(1, 3) * gamma(2, 3) == pytest.approx(
             2.0 * math.pi / math.sqrt(3.0), rel=1e-15)
 
     def test_recurrence_identity(self):
-        assert GAMMA_FOUR_THIRDS == pytest.approx(GAMMA_THIRD / 3.0, rel=1e-15)
+        assert gamma(4, 3) == pytest.approx(gamma(1, 3) / 3.0, rel=1e-15)
 
     def test_match_high_precision_values(self):
-        assert float(specialfns._gamma_decimal(1, 3)) == pytest.approx(
-            GAMMA_THIRD, rel=1e-15)
-        assert float(specialfns._gamma_decimal(2, 3)) == pytest.approx(
-            GAMMA_TWO_THIRDS, rel=1e-15)
-        assert float(specialfns._gamma_decimal(4, 3)) == pytest.approx(
-            GAMMA_FOUR_THIRDS, rel=1e-15)
-        assert float(specialfns._gamma_decimal(1, 1)) == pytest.approx(1.0, rel=1e-15)
+        assert gamma(1, 3) == pytest.approx(GAMMA_THIRD, rel=1e-15)
+        assert gamma(2, 3) == pytest.approx(GAMMA_TWO_THIRDS, rel=1e-15)
+        assert gamma(4, 3) == pytest.approx(GAMMA_FOUR_THIRDS, rel=1e-15)
+        assert gamma(1, 1) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestBesselThird:
     def test_small_argument_leading_term(self):
         x = 1e-6
-        lead = (x / 2.0) ** (1.0 / 3.0) / GAMMA_FOUR_THIRDS
+        lead = (x / 2.0) ** (1.0 / 3.0) / gamma(4, 3)
         assert bessel_j_third(1, x) == pytest.approx(lead, rel=1e-9)
 
     def test_negative_order_positive_near_zero(self):

@@ -21,8 +21,7 @@ class TestOscillatorOracle:
         errs = []
         for h in (0.04, 0.02):
             g = make_grid(-15.0, 15.0, h)
-            vals, _ = eigenvalues_of_potential(g, g.nodes() ** 2, 1,
-                                               want_vector=False)
+            vals, _ = eigenvalues_of_potential(g, g.nodes() ** 2, 1)
             errs.append(abs(vals[0] + 1.0))
         order = np.log2(errs[0] / errs[1])
         assert 1.7 <= order <= 2.3
@@ -33,6 +32,11 @@ class TestBuildPotential:
         g = make_grid(-10.0, 10.0, 0.1)
         p = FrontProfile(c=3.0, grid=g, u=np.zeros(g.n))
         assert np.allclose(build_potential(p), g.nodes() + 2.25)
+
+    def test_tanh_ramp_read_from_profile(self):
+        g = make_grid(-10.0, 10.0, 0.1)
+        p = FrontProfile(c=3.0, grid=g, u=np.zeros(g.n), eps=0.1)
+        assert np.array_equal(build_potential(p), np.tanh(0.1 * g.nodes()) + 2.25)
 
     def test_asymptotic_slopes(self, hm_profile):
         V = build_potential(hm_profile)
