@@ -13,23 +13,22 @@ from .asymptotics import (erf_profile, front_loc_largec, front_loc_negc,
 from .bvp import (FrontProfile, default_grid, fit_tail_coefficients, jacobian,
                   residual)
 from .continuation import Branch, continue_branch, reinterpolate, solve_front
-from .diagnostics import admissibility, compute_diagnostics, crossings, front_position
+from .diagnostics import admissibility, crossings, front_position
 from .evolve import EvolveConfig, EvolveResult, ImexStepper, compare_inner_scaling
 from .grid import BandedMatrix, Grid, d1_apply, d2_apply, make_grid
 from .newton import SolveReport, SolverConfig, banded_lu_solve, solve
-from .specialfns import Omega0Result, bessel_j_third, omega0
 from .spectrum import SpectrumReport, build_potential, leading_eigenvalues
 
 __all__ = [
     "__version__",
     "BandedMatrix", "Branch", "EvolveConfig", "EvolveResult",
-    "FrontProfile", "Grid", "ImexStepper", "Omega0Result", "SolveReport",
+    "FrontProfile", "Grid", "ImexStepper", "SolveReport",
     "SolverConfig", "SpectrumReport",
-    "admissibility", "banded_lu_solve", "bessel_j_third", "build_potential",
-    "compare_inner_scaling", "compute_diagnostics", "continue_branch",
+    "admissibility", "banded_lu_solve", "build_potential",
+    "compare_inner_scaling", "continue_branch",
     "crossings", "d1_apply", "d2_apply", "default_grid", "erf_profile",
     "fit_tail_coefficients", "front_loc_largec", "front_loc_negc",
     "front_position", "jacobian", "leading_eigenvalues", "left_tail",
-    "make_grid", "omega0", "reinterpolate", "residual", "right_tail", "solve",
+    "make_grid", "reinterpolate", "residual", "right_tail", "solve",
     "solve_front",
 ]

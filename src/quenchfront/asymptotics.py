@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from .specialfns import omega0
-
 __all__ = [
+    "OMEGA0",
     "erf_profile",
     "erf_profile_vec",
     "front_loc_largec",
@@ -25,6 +24,11 @@ __all__ = [
     "left_tail_exponent",
     "erf_front_position",
 ]
+
+# Omega0 = a_1 = 2.338107410459767...: the first zero of Ai(-z), equivalently
+# the smallest positive root of J_{-1/3}(2z^{3/2}/3) + J_{1/3}(2z^{3/2}/3)
+# (DLMF 9.9, Table 9.9.1), correctly rounded to double.
+OMEGA0 = 2.338107410459767
 
 _SQRT2 = math.sqrt(2.0)
 _PI_QUARTER = math.pi ** 0.25
@@ -54,7 +58,7 @@ def front_loc_largec(c: float) -> float:
     """Delayed front position -c^2/4 - Omega0 * (15/16)^{2/3} for c > 0."""
     if c <= 0:
         raise ValueError(f"front delay formula requires c > 0, got c={c}")
-    return -c * c / 4.0 - omega0().value * (15.0 / 16.0) ** (2.0 / 3.0)
+    return -c * c / 4.0 - OMEGA0 * (15.0 / 16.0) ** (2.0 / 3.0)
 
 
 def front_loc_negc(c: float) -> float:
@@ -89,8 +93,13 @@ def left_tail_exponent(x: float, c: float) -> float:
 def left_tail(x: float, c: float, alpha_minus: float) -> float:
     """Left-tail expansion sqrt(-x) (algebraic series + alpha_- exp term).
 
-    The series keeps its first printed correction, which differs between
-    c = 0 and c != 0: 1 - 1/(8(-x)^3) versus 1 + c/(2 sqrt2 x^2).
+    The series keeps its first correction.  For c = 0 that is the classical
+    -1/(8(-x)^3).  For c != 0 it is -c/(4 x^2), the dominant balance of
+    u'' + c u' - x u - u^3 = 0 about u = sqrt(-x) (substitute
+    u = sqrt(s)(1 + A/s^2), s = -x: the O(s^{-1/2}) balance forces
+    A = -c/4).  The same coefficient follows from the closed-form
+    large-negative-c profile, whose expansion continues
+    1 - c/(4x^2) - (9/32) c^2/x^4 - ...
     """
     if not x < -2.0:
         raise ValueError(f"left tail needs x < -2, got x={x}")
@@ -98,7 +107,7 @@ def left_tail(x: float, c: float, alpha_minus: float) -> float:
     if c == 0.0:
         algebraic = 1.0 - 1.0 / (8.0 * s ** 3)
     else:
-        algebraic = 1.0 + c / (2.0 * _SQRT2 * x * x)
+        algebraic = 1.0 - c / (4.0 * s * s)
     return math.sqrt(s) * (algebraic + alpha_minus * math.exp(left_tail_exponent(x, c)))
 
 

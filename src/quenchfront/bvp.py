@@ -27,13 +27,11 @@ DEFAULT_H = 0.01          # mesh size used throughout, matching dx = 0.01
 FRONT_MARGIN = 10.0       # minimum gap between front interface and boundary
 NOISE_REL = 1e-12         # monotonicity floor relative to max(1, max|u|)
 
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass
 class FrontProfile:
     """One stationary front: parameter c, mesh, nodal values, ramp
-    (eps None: r = x; eps float: r = tanh(eps x)), diagnostics."""
+    (eps None: r = x; eps float: r = tanh(eps x)), Newton outcome."""
 
     c: float
     grid: Grid
@@ -41,9 +39,6 @@ class FrontProfile:
     eps: float | None = None
     residual_norm: float = math.inf
     converged: bool = False
-    alpha_plus: float | None = None
-    alpha_minus: float | None = None
-    log_alpha_plus: float | None = None  # alpha_+ overflows double for c << -1
 
 
 def ramp(g: Grid, eps: float | None) -> np.ndarray:
@@ -56,25 +51,15 @@ def left_value(c: float, x_min: float, eps: float | None = None) -> float:
     """Dirichlet value at the left edge x_min.
 
     Tanh ramp (x_min <= 0): the local equilibrium sqrt(tanh(-eps x_min)),
-    independent of c.  Linear ramp (x_min < 0): the sqrt(-x) tail series
-    with its first correction.  For c = 0 that correction is the classical
-    -1/(8(-x)^3).  For c != 0 it is -c/(4 x^2), the dominant balance of
-    u'' + c u' - x u - u^3 = 0 about u = sqrt(-x) (substitute
-    u = sqrt(s)(1 + A/s^2), s = -x: the O(s^{-1/2}) balance forces
-    A = -c/4).  The same coefficient follows from the closed-form
-    large-negative-c profile, whose expansion continues
-    1 - c/(4x^2) - (9/32) c^2/x^4 - ...; since the next term is negative for
-    either sign of c, this closure always sits slightly above the true
-    solution and never breaks the monotonicity of the solved profile at the
-    boundary node.
+    independent of c.  Linear ramp (x_min < -2): the sqrt(-x) tail series
+    ``asymptotics.left_tail`` with its first correction.  The term after it,
+    -(9/32) c^2/x^4, is negative for either sign of c, so this closure sits
+    slightly above the true solution and never breaks the monotonicity of
+    the solved profile at the boundary node.
     """
     if eps is not None:
         return math.sqrt(math.tanh(-eps * x_min))
-    if x_min >= 0:
-        raise ValueError("asymptotic left closure needs x_min < 0")
-    s = -x_min
-    corr = -c / (4.0 * s * s) if c != 0.0 else -1.0 / (8.0 * s ** 3)
-    return math.sqrt(s) * (1.0 + corr)
+    return asymptotics.left_tail(x_min, c, 0.0)
 
 
 def default_domain(c: float) -> tuple[float, float]:
@@ -196,11 +181,8 @@ def jacobian(p: FrontProfile) -> BandedMatrix:
 class TailFit(NamedTuple):
     alpha_plus: float
     alpha_minus: float
-    log_alpha_plus: float
+    log_alpha_plus: float   # alpha_+ overflows double for c << -1
     right_residual: float   # max deviation of the log-linear fit
-    left_residual: float
-    right_window: tuple[float, float]
-    left_window: tuple[float, float]
 
 
 class TailFitError(RuntimeError):
@@ -220,7 +202,7 @@ def fit_tail_coefficients(p: FrontProfile,
     follows the predicted decay).  Left side: same idea applied to
     u - sqrt(-x)(series), which isolates the exponentially small correction.
     alpha_+ itself overflows double precision for c << -1, so the log is
-    returned (and stored) alongside.
+    returned alongside.  The profile is not modified.
     """
     x = p.grid.nodes()
     c = p.c
@@ -265,12 +247,7 @@ def fit_tail_coefficients(p: FrontProfile,
                 sign = float(np.sign(np.median(diff))) or 1.0
                 alpha_minus = sign * math.exp(log_mag)
 
-    p.alpha_plus = alpha_plus
-    p.log_alpha_plus = log_alpha_plus
-    p.alpha_minus = alpha_minus
-    return TailFit(alpha_plus, alpha_minus, log_alpha_plus,
-                   right_residual, left_residual, (lo, hi),
-                   (left_window[0], left_window[1]))
+    return TailFit(alpha_plus, alpha_minus, log_alpha_plus, right_residual)
 
 
 def smooth_sqrt_ramp(x: np.ndarray, interface: float = 0.0,

@@ -181,12 +181,16 @@ def _solve(cfg: RunConfig, c: float) -> FrontProfile:
     return continuation.solve_front(c, grid=g, cfg=solver_cfg, h=cfg.h)
 
 
+def _grid_header(g: Grid) -> dict:
+    """The grid a front was solved on, as echoed in every front's header."""
+    return {"h": g.h, "xmin": g.x_min, "xmax": g.x_max, "n": g.n}
+
+
 def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
     fit = bvp.fit_tail_coefficients(p)
     roots = diagnostics.crossings(p)
     header = {
-        "c": p.c, "h": p.grid.h, "xmin": p.grid.x_min, "xmax": p.grid.x_max,
-        "n": p.grid.n, "residual_norm": p.residual_norm,
+        "c": p.c, **_grid_header(p.grid), "residual_norm": p.residual_norm,
         "alpha_plus": fit.alpha_plus, "alpha_minus": fit.alpha_minus,
         "log_alpha_plus": fit.log_alpha_plus,
         "x_delta": diagnostics.front_position(p, cfg.delta),
@@ -283,7 +287,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p, cfg.delta)) ** 2)
     result = evolve_mod.evolve(p, p.u + bump, ecfg)
     out = cfg.out or f"evolve_c{cfg.c:g}.csv"
-    header = {"c": cfg.c, "dt": cfg.dt, "t_end": cfg.t_end, "scheme": cfg.scheme,
+    header = {"c": cfg.c, **_grid_header(p.grid), "dt": cfg.dt,
+              "t_end": cfg.t_end, "scheme": cfg.scheme,
               "measured_rate": result.measured_rate,
               "final_deviation": result.deviation_history[-1][1]}
     write_csv(out, "evolve", header,
@@ -298,7 +303,8 @@ def cmd_compare_tanh(cfg: RunConfig) -> int:
         raise ValueError(f"eps must lie in (0, 0.1], got {cfg.eps}")
     rep = evolve_mod.compare_inner_scaling(cfg.eps, cfg.c, delta=cfg.delta)
     out = cfg.out or f"compare_tanh_eps{cfg.eps:g}_c{cfg.c:g}.csv"
-    header = {"eps": cfg.eps, "c": cfg.c, "c_scaled": rep.c_scaled,
+    header = {"eps": cfg.eps, "c": cfg.c, **_grid_header(rep.grid),
+              "c_scaled": rep.c_scaled,
               "delta": cfg.delta, "sup_gap": rep.sup_gap,
               "x_delta_tanh": rep.x_delta_tanh,
               "x_delta_inner_scaled": rep.x_delta_inner_scaled,
@@ -337,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, flags):
-        p = sub.add_parser(name, help=help_)
+    def add(name, help_, flags, **kwargs):
+        p = sub.add_parser(name, help=help_, **kwargs)
         for flag, kw in flags.items():
             p.add_argument(flag, **kw)
         return p
@@ -372,8 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheme": dict(choices=["imex_euler", "imex_cn"]),
         "--ramp": dict(choices=["linear", "tanh"]),
         "--eps": dict(type=float), **common})
+    # the fronts compared have fixed grids and tolerances: no --h, no --tol
+    # (and no abbreviations, or --h would be read as --help)
     add("compare-tanh", "overlay tanh-ramp front with rescaled inner front", {
-        "--eps": dict(type=float), "--c": dict(type=float), **common})
+        "--eps": dict(type=float), "--c": dict(type=float),
+        "--out": common["--out"], "--delta": common["--delta"]},
+        allow_abbrev=False)
     add("validate", "run the acceptance suite", {
         "--criteria": dict(type=str, help="comma-separated subset, e.g. 1,5,11"),
         "--out": dict(type=str)})

@@ -30,7 +30,6 @@ class Branch:
     """Ordered family of admissible fronts along c."""
 
     points: list[tuple[float, FrontProfile]] = field(default_factory=list)
-    direction: str = "increasing_c"
     failures: list[tuple[float, str]] = field(default_factory=list)
 
     def cs(self) -> np.ndarray:
@@ -117,8 +116,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
     if seed.eps is not None:
         raise ValueError("continuation follows the linear ramp; got a tanh-ramp seed")
     cfg = cfg or newton.SolverConfig()
-    direction = "increasing_c" if c_target >= seed.c else "decreasing_c"
-    branch = Branch(points=[(seed.c, seed)], direction=direction)
+    branch = Branch(points=[(seed.c, seed)])
 
     sgn = 1.0 if c_target >= seed.c else -1.0
     current = seed

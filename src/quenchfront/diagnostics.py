@@ -14,17 +14,6 @@ DEFAULT_DELTA = 0.1
 
 
 @dataclass
-class FrontDiagnostics:
-    x_delta: float
-    delta: float
-    crossing_points: list[float]
-    monotone_x: bool
-    min_slope_gap: float        # max forward-difference slope; < 0 when monotone
-    u_at_zero: float
-    x_delta_error_bound: float  # h^2 |u''| / |u'| at the crossing
-
-
-@dataclass
 class AdmissibilityVerdict:
     positive: bool
     strictly_decreasing: bool
@@ -53,19 +42,6 @@ def front_position(p: FrontProfile, delta: float = DEFAULT_DELTA) -> float:
     x = p.grid.nodes()
     frac = (u[i] - delta) / (u[i] - u[i + 1])
     return float(x[i] + frac * p.grid.h)
-
-
-def front_position_error_bound(p: FrontProfile, delta: float = DEFAULT_DELTA) -> float:
-    """Linear-interpolation error estimate h^2 |u''| / |u'| at the crossing."""
-    u = p.u
-    above = np.nonzero(u > delta)[0]
-    i = min(max(int(above[-1]), 1), p.grid.n - 2)
-    h = p.grid.h
-    upp = (u[i + 1] - 2 * u[i] + u[i - 1]) / h ** 2
-    up = (u[i + 1] - u[i - 1]) / (2 * h)
-    if up == 0:
-        return math.inf
-    return float(h ** 2 * abs(upp) / abs(up))
 
 
 def crossings(p: FrontProfile, refine_tol: float = 1e-10) -> list[float]:
@@ -172,7 +148,7 @@ def admissibility(p: FrontProfile) -> AdmissibilityVerdict:
         verdict.left_limit_ok = False
         verdict.messages.append("domain does not reach x < 0")
     else:
-        tol = 2.0 * max(abs(p.c) / (2.0 * math.sqrt(2.0) * s * s),
+        tol = 2.0 * max(abs(p.c) / (4.0 * s * s),
                         1.0 / (8.0 * s ** 3)) * math.sqrt(s) + 1e-10
         gap = abs(u[0] - math.sqrt(s))
         if gap > tol:
@@ -185,17 +161,3 @@ def admissibility(p: FrontProfile) -> AdmissibilityVerdict:
         verdict.messages.append(f"right boundary value {u[-1]:.3g} not ~0")
 
     return verdict
-
-
-def compute_diagnostics(p: FrontProfile, delta: float = DEFAULT_DELTA) -> FrontDiagnostics:
-    du = np.diff(p.u) / p.grid.h
-    verdict = admissibility(p)
-    return FrontDiagnostics(
-        x_delta=front_position(p, delta),
-        delta=delta,
-        crossing_points=crossings(p),
-        monotone_x=verdict.strictly_decreasing,
-        min_slope_gap=float(du.max()),
-        u_at_zero=u_at_zero(p),
-        x_delta_error_bound=front_position_error_bound(p, delta),
-    )

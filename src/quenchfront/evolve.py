@@ -186,6 +186,7 @@ class InnerScalingReport:
     eps: float
     c: float
     c_scaled: float
+    grid: Grid              # the tanh front's grid
     xs: np.ndarray
     u_tanh: np.ndarray
     u_inner_scaled: np.ndarray
@@ -231,7 +232,7 @@ def compare_inner_scaling(eps: float, c_unscaled: float, delta: float = 0.1,
     xd_inner = diagnostics.front_position(inner, delta) / e13
 
     return InnerScalingReport(
-        eps=eps, c=c_unscaled, c_scaled=c_scaled, xs=xs, u_tanh=u_tanh,
-        u_inner_scaled=u_inner_scaled, sup_gap=sup_gap, x_delta_tanh=xd_tanh,
-        x_delta_inner_scaled=xd_inner,
+        eps=eps, c=c_unscaled, c_scaled=c_scaled, grid=front.grid, xs=xs,
+        u_tanh=u_tanh, u_inner_scaled=u_inner_scaled, sup_gap=sup_gap,
+        x_delta_tanh=xd_tanh, x_delta_inner_scaled=xd_inner,
         interface_gap=abs(xd_tanh - xd_inner))

@@ -33,12 +33,14 @@ class MaxIterationsError(SolverError):
     pass
 
 
+BACKTRACK_FACTOR = 0.5   # Armijo step reduction
+MIN_STEP = 2.0 ** -20     # smallest damping factor tried; taken if none passes
+
+
 @dataclass
 class SolverConfig:
     tol_residual: float = 1e-10   # max-norm of the residual
     max_iter: int = 50
-    backtrack_factor: float = 0.5
-    min_step: float = 2.0 ** -20
 
     def __post_init__(self):
         if self.tol_residual <= 0:
@@ -107,14 +109,14 @@ def solve(initial: FrontProfile,
         step = banded_lu_solve(jac, -f)
 
         t = 1.0
-        while t >= cfg.min_step:
+        while t >= MIN_STEP:
             trial = u + t * step
             f_trial = stationary_residual(g, trial, c, r, gl)
             if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
                 break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK_FACTOR
         else:
-            t = cfg.min_step
+            t = MIN_STEP
             trial = u + t * step
             f_trial = stationary_residual(g, trial, c, r, gl)
 

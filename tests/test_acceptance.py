@@ -70,16 +70,12 @@ def test_criterion_11_numerical_hygiene(accept_ctx):
 
 
 def test_front_delay_sensitivity_to_root_constant(accept_ctx, monkeypatch):
-    """Corrupting the Bessel-combination root by +0.1 must visibly move the
-    front-delay comparison (guards against a silently broken constant)."""
+    """Corrupting the Airy-zero constant OMEGA0 by +0.1 must visibly move
+    the front-delay comparison (guards against a silently broken constant)."""
     from quenchfront import asymptotics
-    from quenchfront.specialfns import Omega0Result, omega0
 
     base = acceptance.criterion_2(accept_ctx)
-    true_root = omega0()
-    fake = Omega0Result(value=true_root.value + 0.1,
-                        residual=true_root.residual, bracket=true_root.bracket)
-    monkeypatch.setattr(asymptotics, "omega0", lambda: fake)
+    monkeypatch.setattr(asymptotics, "OMEGA0", asymptotics.OMEGA0 + 0.1)
     shifted = acceptance.criterion_2(accept_ctx)
     expected_shift = 0.1 * (15.0 / 16.0) ** (2.0 / 3.0)
     for c in (8, 10, 12):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quenchfront import asymptotics
+from quenchfront import asymptotics, bvp, continuation
 from quenchfront.asymptotics import (erf_front_position, erf_profile,
                                      erf_profile_vec, front_loc_largec,
                                      front_loc_negc, left_tail, right_tail,
@@ -95,9 +95,15 @@ class TestLeftTail:
             math.sqrt(10.0) * (1.0 - 1.0 / 8000.0), rel=1e-14)
 
     def test_printed_drift_term(self):
+        # dominant balance about sqrt(-x): u = sqrt(-x)(1 - c/(4x^2) + ...)
         x, c = -10.0, 2.0
-        expected = math.sqrt(10.0) * (1.0 + c / (2.0 * math.sqrt(2.0) * x * x))
+        expected = math.sqrt(10.0) * (1.0 - c / (4.0 * x * x))
         assert left_tail(x, c, 0.0) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [-3.0, 0.0, 2.0])
+    def test_is_the_left_closure(self, c):
+        for x_min in (-25.0, -32.25):
+            assert bvp.left_value(c, x_min) == left_tail(x_min, c, 0.0)
 
     def test_c_to_zero_limit(self):
         x = -8.0
@@ -122,6 +128,17 @@ class TestConvergedProfileAgreement:
         i = int(np.argmin(np.abs(hm_profile.grid.nodes() + 10.0)))
         gap = math.sqrt(10.0) - hm_profile.u[i]
         assert abs(gap) <= 2.0 * math.sqrt(10.0) / 8000.0
+
+    @pytest.mark.parametrize("c", [-5.0, -1.0, 1.0, 3.0])
+    def test_solved_front_follows_left_series(self, c):
+        # the series' O(c/x^2) term is the one the solved fronts follow:
+        # max|u - series| on [-20, -15] is 1.6e-4 to 6.4e-4 at h = 0.04, and
+        # 1.0e-2 to 5.1e-2 with the coefficient c/(2 sqrt2) in its place
+        p = continuation.solve_front(c, h=0.04)
+        x = p.grid.nodes()
+        w = (x >= -20.0) & (x <= -15.0)
+        series = np.array([left_tail(float(t), c, 0.0) for t in x[w]])
+        assert np.abs(p.u[w] - series).max() <= 1e-3
 
     def test_fitted_log_slope_near_prediction(self, hm_profile):
         x = hm_profile.grid.nodes()

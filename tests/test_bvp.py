@@ -182,12 +182,16 @@ class TestTailFit:
         assert abs(fit_wide.alpha_plus - fit_narrow.alpha_plus) \
             <= 0.01 * fit_narrow.alpha_plus
 
-    def test_profile_fields_updated(self, hm_profile):
-        p = dataclasses.replace(hm_profile)
-        fit = fit_tail_coefficients(p)
-        assert p.alpha_plus == fit.alpha_plus
-        assert p.alpha_minus == fit.alpha_minus
-        assert p.log_alpha_plus == fit.log_alpha_plus
+    def test_fit_leaves_profile_unchanged(self, hm_profile):
+        # a pure function: the amplitudes live on the returned TailFit only
+        state = dict(vars(hm_profile), u=hm_profile.u.copy())
+        fit = fit_tail_coefficients(hm_profile)
+        assert math.isfinite(fit.log_alpha_plus)
+        assert vars(hm_profile).keys() == state.keys()
+        assert np.array_equal(hm_profile.u, state["u"])
+        assert hm_profile.residual_norm == state["residual_norm"]
+        assert not any(f.name.startswith("alpha")
+                       for f in dataclasses.fields(FrontProfile))
 
     def test_underflow_window_raises(self):
         g = make_grid(-25.0, 15.0, 0.05)

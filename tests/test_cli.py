@@ -187,6 +187,16 @@ class TestOtherCommands:
         # the 1e-3 bump decays; a front of the wrong ramp would jump to O(1)
         assert cols["t"][1] > 0.0 and cols["deviation"][1] <= 2e-3
 
+    def test_evolve_header_echoes_the_grid_solved_on(self, tmp_path):
+        # the tanh front has its own grid, whatever the config's h says
+        out = tmp_path / "et.csv"
+        assert run(["evolve", "--ramp", "tanh", "--eps", "0.01", "--c", "0",
+                    "--t-end", "0.1", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert float(header["h"]) == pytest.approx(0.05)
+        assert (header["xmin"], header["xmax"], header["n"]) == ("-300", "300", "12001")
+        assert " h=0.01 " in out.read_text()   # the echoed config is unchanged
+
     def test_evolve_config_file_bad_ramp_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ramp=step\n")
@@ -202,6 +212,14 @@ class TestOtherCommands:
         assert float(header["sup_gap"]) <= 0.05 * 0.01 ** (1.0 / 3.0)
         assert "interface" in out.read_text()
         assert np.allclose(cols["gap"], cols["u_tanh"] - cols["u_inner_scaled"])
+        assert (header["xmin"], header["xmax"], header["n"]) == ("-300", "300", "12001")
+
+    @pytest.mark.parametrize("flag", ["--h", "--tol"])
+    def test_compare_tanh_rejects_unread_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["compare-tanh", "--eps", "0.01", "--c", "0", flag, "0.02"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_compare_tanh_eps_validation(self, capsys):
         assert run(["compare-tanh", "--eps", "0.5", "--c", "0"]) == 2
@@ -219,7 +237,7 @@ def test_cold_import_loads_no_interpolate_optimize_or_special():
     # a fresh interpreter, so no module imported by the tests counts
     probe = ("import sys, quenchfront.cli; print(sorted(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'], "
-             "['scipy', 'special'])))")
+             "['scipy', 'special'], ['decimal'])))")
     env = dict(os.environ, PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True)

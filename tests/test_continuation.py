@@ -89,8 +89,10 @@ class TestContinueBranch:
 
     def test_downward_direction(self, hm_profile):
         br = continue_branch(hm_profile, -1.0, dc_init=0.5)
-        assert br.direction == "decreasing_c"
+        # a downward sweep still comes back sorted: target first, seed last
+        assert np.all(np.diff(br.cs()) > 0)
         assert br.cs()[0] == pytest.approx(-1.0)
+        assert br.cs()[-1] == hm_profile.c
         assert not br.failures
 
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from quenchfront import diagnostics
 from quenchfront.bvp import FrontProfile
-from quenchfront.diagnostics import (admissibility, compute_diagnostics,
-                                     crossings, front_position, u_at_zero)
-from quenchfront.grid import make_grid
+from quenchfront.diagnostics import (admissibility, crossings, front_position,
+                                     u_at_zero)
+from quenchfront.grid import UniformSpline, make_grid
 
 
 def synthetic_profile(fn, x_min=-5.0, x_max=8.0, h=0.001, c=0.0):
@@ -30,9 +29,12 @@ class TestFrontPosition:
             front_position(hm_profile, -0.1)
 
     def test_error_bound_recorded(self, hm_profile):
-        d = compute_diagnostics(hm_profile)
-        assert d.x_delta_error_bound >= 0.0
-        assert d.x_delta_error_bound < 1e-3
+        # the interpolated level crossing sits where the cubic spline of u
+        # passes delta, up to the linear-interpolation error h^2 |u''| / 8
+        g = hm_profile.grid
+        x_delta = front_position(hm_profile, 0.1)
+        spline = UniformSpline(g.x_min, g.h, hm_profile.u)
+        assert float(spline(x_delta)) == pytest.approx(0.1, abs=1e-5)
 
 
 class TestCrossings:
@@ -129,10 +131,10 @@ class TestUAtZero:
 
 
 class TestBundle:
+    """The front scalars a profile header reports, one function each."""
+
     def test_compute_diagnostics_fields(self, hm_profile):
-        d = compute_diagnostics(hm_profile)
-        assert d.monotone_x
-        assert d.min_slope_gap <= 0.0  # flat only where the tail underflowed
-        assert d.delta == 0.1
-        assert d.u_at_zero == pytest.approx(0.5191034, abs=1e-5)
-        assert len(d.crossing_points) == 1
+        assert admissibility(hm_profile).strictly_decreasing
+        assert np.diff(hm_profile.u).max() <= 0.0  # flat only where the tail underflowed
+        assert u_at_zero(hm_profile) == pytest.approx(0.5191034, abs=1e-5)
+        assert len(crossings(hm_profile)) == 1

@@ -1,21 +1,15 @@
+"""The two special functions the package relies on: erf, through the
+closed-form profile (standard library ``math.erfc``), and the first zero
+Omega0 of Ai(-z), the literal ``asymptotics.OMEGA0`` in the front-delay law.
+"""
+
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from quenchfront import specialfns
-from quenchfront.asymptotics import erf_profile
-from quenchfront.specialfns import bessel_j_third, omega0
-
-# Gamma at the thirds, 16 significant digits
-GAMMA_THIRD = 2.678938534707748
-GAMMA_TWO_THIRDS = 1.354117939426400
-GAMMA_FOUR_THIRDS = 0.8929795115692492
-
-
-def gamma(num, den):
-    return float(specialfns._gamma_decimal(num, den))
+from quenchfront.asymptotics import OMEGA0, erf_profile
 
 
 def erf_quadrature(x):
@@ -103,96 +97,41 @@ class TestErf:
         assert all(v >= profile_from_erf(float(z), 1.0) for z, v in zip(wide, u))
 
 
-class TestGammaConstants:
-    def test_reflection_identity(self):
-        assert gamma(1, 3) * gamma(2, 3) == pytest.approx(
-            2.0 * math.pi / math.sqrt(3.0), rel=1e-15)
-
-    def test_recurrence_identity(self):
-        assert gamma(4, 3) == pytest.approx(gamma(1, 3) / 3.0, rel=1e-15)
-
-    def test_match_high_precision_values(self):
-        assert gamma(1, 3) == pytest.approx(GAMMA_THIRD, rel=1e-15)
-        assert gamma(2, 3) == pytest.approx(GAMMA_TWO_THIRDS, rel=1e-15)
-        assert gamma(4, 3) == pytest.approx(GAMMA_FOUR_THIRDS, rel=1e-15)
-        assert gamma(1, 1) == pytest.approx(1.0, rel=1e-15)
-
-
-class TestBesselThird:
-    def test_small_argument_leading_term(self):
-        x = 1e-6
-        lead = (x / 2.0) ** (1.0 / 3.0) / gamma(4, 3)
-        assert bessel_j_third(1, x) == pytest.approx(lead, rel=1e-9)
-
-    def test_negative_order_positive_near_zero(self):
-        for x in np.linspace(1e-3, 0.1, 7):
-            assert bessel_j_third(-1, float(x)) > 0.0
-
-    def test_root_of_combination(self):
-        # cross-check against the first zero of the Airy function via
-        # Ai(-z) = sqrt(z)/3 (J_{1/3} + J_{-1/3})(2 z^{3/2}/3); the zero is
-        # located by bisecting the independent Airy series
-        lo, hi = 2.0, 2.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if airy_series(-lo) * airy_series(-mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        z = 0.5 * (lo + hi)
-        assert z == pytest.approx(2.3381074, abs=1e-7)
-        arg = 2.0 * z ** 1.5 / 3.0
-        assert abs(bessel_j_third(1, arg) + bessel_j_third(-1, arg)) <= 1e-9
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            bessel_j_third(1, 0.0)
-        with pytest.raises(ValueError):
-            bessel_j_third(-1, -2.0)
-        with pytest.raises(ValueError):
-            bessel_j_third(2, 1.0)
-
-    def test_airy_connection_formula(self):
-        # Ai(-z) = (sqrt(z)/3)(J_{1/3} + J_{-1/3})(2 z^{3/2}/3): an
-        # independent accuracy probe across the working range
-        for z in np.linspace(0.2, 2.2, 9):
-            arg = 2.0 * z ** 1.5 / 3.0
-            combo = (math.sqrt(z) / 3.0) * (bessel_j_third(1, arg)
-                                            + bessel_j_third(-1, arg))
-            assert combo == pytest.approx(airy_series(-z), abs=2e-13)
+def airy_zero_by_bisection(lo=2.0, hi=2.5):
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if airy_series(-lo) * airy_series(-mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 class TestOmega0:
+    """OMEGA0 is a stored literal; independent oracles pin it."""
+
     def test_value_against_airy_oracle(self):
-        lo, hi = 2.0, 2.5
-        assert airy_series(-lo) * airy_series(-hi) < 0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if airy_series(-lo) * airy_series(-mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        oracle = 0.5 * (lo + hi)
-        assert omega0().value == pytest.approx(oracle, abs=1e-10)
-        assert omega0().value == pytest.approx(2.3381074105, abs=1e-9)
+        assert OMEGA0 == pytest.approx(airy_zero_by_bisection(), abs=1e-10)
+        assert OMEGA0 == pytest.approx(2.3381074105, abs=1e-9)
+
+    def test_matches_scipy_to_one_ulp(self):
+        from scipy.special import ai_zeros
+        assert abs(-ai_zeros(1)[0][0] - OMEGA0) <= math.ulp(OMEGA0)
 
     def test_residual_and_bracket(self):
-        res = omega0()
-        assert abs(res.residual) < 1e-12
-        a, b = res.bracket
-        assert a < res.value < b
-        assert specialfns._bessel_combination(a) * specialfns._bessel_combination(b) <= 0
+        # Ai'(-Omega0) = 0.70, so +-1e-12 moves Ai by ~7e-13, far above the
+        # series' roundoff: the root lies in that bracket
+        assert airy_series(-(OMEGA0 - 1e-12)) > 0 > airy_series(-(OMEGA0 + 1e-12))
+        assert abs(airy_series(-OMEGA0)) < 1e-14
 
     def test_derived_delay_constant(self):
-        assert omega0().value * (15.0 / 16.0) ** (2.0 / 3.0) == pytest.approx(
+        assert OMEGA0 * (15.0 / 16.0) ** (2.0 / 3.0) == pytest.approx(
             2.2396422032, abs=1e-8)
 
     def test_sign_change_bracket_on_2_25(self):
-        f = specialfns._bessel_combination
-        assert f(2.0) * f(2.5) < 0
+        assert airy_series(-2.0) * airy_series(-2.5) < 0
 
     def test_smallest_root_no_earlier_sign_change(self):
-        f = specialfns._bessel_combination
-        zs = np.arange(1e-3, omega0().value - 1e-6, 1e-3)
-        signs = np.sign([f(float(z)) for z in zs])
+        zs = np.arange(1e-3, OMEGA0 - 1e-6, 1e-3)
+        signs = np.sign([airy_series(-float(z)) for z in zs])
         assert np.all(signs == signs[0])
