@@ -57,6 +57,10 @@ class RunConfig:
     ramp: str = "linear"
     criteria: str | None = None
 
+    def __post_init__(self):
+        # keys set by the config file or a flag rather than by default
+        self.given: set[str] = set()
+
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         cfg = cls()
@@ -81,6 +85,7 @@ class RunConfig:
             setattr(self, key, int(value))
         else:
             setattr(self, key, float(value))
+        self.given.add(key)
 
     def echo(self) -> list[str]:
         # everything that shapes the computed values; the output path does
@@ -203,6 +208,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
     if cfg.spectrum:
         rep = spectrum.leading_eigenvalues(p, k=1)
         header["lambda0"] = float(rep.eigenvalues[0])
+        header["lambda0_residual"] = rep.residual
     return header
 
 
@@ -267,7 +273,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     out = cfg.out or f"spectrum_c{cfg.c:g}.csv"
     header = {"c": cfg.c, "k": cfg.k, "potential_min": rep.potential_min,
               "eigenvalues": ";".join(_fmt(float(v)) for v in rep.eigenvalues),
-              "lambda0": float(rep.eigenvalues[0])}
+              "lambda0": float(rep.eigenvalues[0]),
+              "lambda0_residual": rep.residual}
     write_csv(out, "spectrum", header,
               {"x": p.grid.nodes(), "ground_state": rep.ground_state,
                "potential": spectrum.build_potential(p)}, cfg)
@@ -275,10 +282,23 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
+def _refuse_grid_keys(cfg: RunConfig, command: str) -> None:
+    """The tanh front is solved on a fixed grid with the default tolerance;
+    a grid or tolerance given by a flag or the config file would be ignored."""
+    unread = [k for k in ("h", "xmin", "xmax", "tol") if k in cfg.given]
+    if unread:
+        half = evolve_mod.TANH_DOMAIN_HALF
+        raise ValueError(
+            f"{command} solves its tanh front at h={evolve_mod.TANH_H:g} on "
+            f"[{-half:g}, {half:g}] with the default tolerance; it does not "
+            f"use the given {', '.join(unread)}")
+
+
 def cmd_evolve(cfg: RunConfig) -> int:
     if cfg.ramp == "linear":
         p = _solve(cfg, cfg.c)
     elif cfg.ramp == "tanh":
+        _refuse_grid_keys(cfg, "evolve --ramp tanh")
         p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c)
     else:
         raise ValueError(f"unknown ramp {cfg.ramp!r}")
@@ -301,6 +321,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_compare_tanh(cfg: RunConfig) -> int:
     if not 0.0 < cfg.eps <= 0.1:
         raise ValueError(f"eps must lie in (0, 0.1], got {cfg.eps}")
+    _refuse_grid_keys(cfg, "compare-tanh")
     rep = evolve_mod.compare_inner_scaling(cfg.eps, cfg.c, delta=cfg.delta)
     out = cfg.out or f"compare_tanh_eps{cfg.eps:g}_c{cfg.c:g}.csv"
     header = {"eps": cfg.eps, "c": cfg.c, **_grid_header(rep.grid),
@@ -408,9 +429,11 @@ def main(argv: list[str] | None = None) -> int:
             if key in ("command", "config") or value is None:
                 continue
             setattr(cfg, key, value)
+            cfg.given.add(key)
         return _COMMANDS[args.command](cfg)
     except (ValueError, newton.SolverError, evolve_mod.BlowUpError,
-            bvp.TailFitError, KeyError, OSError) as exc:
+            bvp.TailFitError, spectrum.EigenIterationError, KeyError,
+            OSError) as exc:
         print(f"error kind={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,9 @@ class MaxIterationsError(SolverError):
 
 BACKTRACK_FACTOR = 0.5   # Armijo step reduction
 MIN_STEP = 2.0 ** -20     # smallest damping factor tried; taken if none passes
+# a full correction below ROUNDOFF_STEP * max(1, max|u|) that does not lower
+# the residual means Newton sits at the roundoff floor of the residual
+ROUNDOFF_STEP = 1e-12
 
 
 @dataclass
@@ -89,7 +92,9 @@ def solve(initial: FrontProfile,
 
     Positivity and monotonicity of the result are recorded in the report,
     not enforced; admissibility is verified post hoc so that a defective
-    solve is visible rather than masked.
+    solve is visible rather than masked.  A solve stalled at the roundoff
+    floor above ``tol_residual`` raises MaxIterationsError at once rather
+    than backtracking through the remaining iterations.
     """
     cfg = cfg or SolverConfig()
     g: Grid = initial.grid
@@ -107,6 +112,8 @@ def solve(initial: FrontProfile,
             break
         jac = stationary_jacobian(g, u, c, r)
         step = banded_lu_solve(jac, -f)
+        step_norm = float(np.abs(step).max())
+        at_roundoff = step_norm <= ROUNDOFF_STEP * max(1.0, float(np.abs(u).max()))
 
         t = 1.0
         while t >= MIN_STEP:
@@ -114,6 +121,11 @@ def solve(initial: FrontProfile,
             f_trial = stationary_residual(g, trial, c, r, gl)
             if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
                 break
+            if at_roundoff:
+                raise MaxIterationsError(
+                    f"Newton stalled at the roundoff floor at c={c:g}, "
+                    f"h={g.h:g}, n={g.n}: iteration {it}, residual {res:.3e} "
+                    f"> tol {cfg.tol_residual:g}, full step {step_norm:.3e}")
             t *= BACKTRACK_FACTOR
         else:
             t = MIN_STEP
@@ -123,7 +135,7 @@ def solve(initial: FrontProfile,
         u, f = trial, f_trial
         res = float(np.abs(f).max())
         report.iterations = it
-        report.step_norms.append(float(t * np.abs(step).max()))
+        report.step_norms.append(t * step_norm)
         report.residual_norms.append(res)
         if len(report.residual_norms) > 5 and res > 10.0 * report.residual_norms[-6]:
             report.final_residual = res

@@ -5,22 +5,34 @@ ramp r, shares its spectrum with the self-adjoint operator u'' - V(x) u,
 V = r(x) + c^2/4 + 3 u0^2 (conjugation by e^{cx/2}, which is never
 materialized -- it would overflow).  For r = x, V grows without bound on
 both sides, so a Dirichlet truncation on the solve domain and a symmetric
-tridiagonal eigensolve (bisection + inverse iteration) recover the leading
-eigenvalues robustly.
+tridiagonal eigensolve recover the leading eigenvalues robustly.
+
+The top eigenpair alone (k = 1) comes from shifted inverse iteration with
+every shift certified to lie above the spectrum: sigma I - T is positive
+definite exactly when sigma exceeds the largest eigenvalue of T, which one
+O(n) LDL^T factorization (LAPACK dpttrf) decides.  Several eigenvalues
+(k >= 2) need their indices, hence Sturm counts: bisection + inverse
+iteration (LAPACK stebz/stein).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .bvp import FrontProfile, ramp
 from .grid import Grid
 
 MAX_LEADING = 10
+MAX_INVERSE_STEPS = 30
 _RAYLEIGH_TOL = 1e-10
+# eigen-residual ||T v - rho v||_2 / ||T||_inf at which inverse iteration
+# stops: the roundoff level that bisection + inverse iteration reaches
+_ROUNDOFF_RESIDUAL = 1e-15
 
 
 @dataclass
@@ -29,6 +41,16 @@ class SpectrumReport:
     eigenvalues: np.ndarray     # k largest, descending
     ground_state: np.ndarray    # on the profile's grid, max entry +1
     potential_min: float
+    iterations: int             # shifted inverse-iteration steps; 0 for k >= 2
+    residual: float             # ||T v - lambda0 v||_2, ||v||_2 = 1: bounds the
+                                # distance from lambda0 to the discrete spectrum
+
+
+class Eigenpairs(NamedTuple):
+    values: np.ndarray          # k largest, descending
+    ground_state: np.ndarray    # on the full grid, zero boundary, max entry +1
+    iterations: int
+    residual: float
 
 
 class EigenIterationError(RuntimeError):
@@ -41,13 +63,13 @@ def build_potential(p: FrontProfile) -> np.ndarray:
     return ramp(p.grid, p.eps) + p.c * p.c / 4.0 + 3.0 * p.u ** 2
 
 
-def eigenvalues_of_potential(g: Grid, V: np.ndarray,
-                             k: int) -> tuple[np.ndarray, np.ndarray]:
+def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> Eigenpairs:
     """k largest eigenvalues (descending) of d^2/dx^2 - V with Dirichlet
     truncation, discretized by the symmetric 2nd-order stencil.
 
     Also returns the eigenvector of the largest eigenvalue embedded on the
-    full grid (zeros at the boundary nodes), scaled to max entry +1.
+    full grid (zeros at the boundary nodes), scaled to max entry +1, with
+    the iteration count and eigen-residual of that pair.
     """
     if V.shape != (g.n,):
         raise ValueError("potential length does not match grid")
@@ -57,23 +79,84 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray,
         raise ValueError(f"k must be in [1, {min(MAX_LEADING, m)}], got {k}")
     diag = -2.0 / h ** 2 - V[1:-1]
     off = np.full(m - 1, 1.0 / h ** 2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                  select_range=(m - k, m - 1))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
+    if k == 1:
+        lam, v, iterations = _top_eigenpair(diag, off)
+        vals = np.array([lam])
+    else:
+        vals, vecs = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(m - k, m - 1))
+        order = np.argsort(vals)[::-1]
+        vals = vals[order]
+        v = vecs[:, order[0]]
+        iterations = 0
 
-    v = vecs[:, order[0]]
     _check_rayleigh(diag, off, vals[0], v)
+    residual = float(np.linalg.norm(_apply(diag, off, v) - vals[0] * v)
+                     / np.linalg.norm(v))
     vec_full = np.zeros(g.n)
     vec_full[1:-1] = v / v[np.argmax(np.abs(v))]
-    return vals, vec_full
+    return Eigenpairs(vals, vec_full, iterations, residual)
+
+
+def _top_eigenpair(diag: np.ndarray,
+                   off: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Largest eigenpair of the symmetric tridiagonal T = tridiag(off, diag,
+    off) by shifted inverse iteration from above the spectrum.
+
+    The first shift is the Gershgorin bound max_i (d_i + |e_(i-1)| + |e_i|).
+    After each step the shift is lowered to rho + ||r||_2 (Rayleigh quotient
+    plus eigen-residual) if dpttrf certifies sigma I - T positive definite
+    there, so no shift ever falls below lambda0 and the iteration can only
+    converge to the top eigenpair.  The start vector is all ones; off > 0
+    makes (sigma I - T)^{-1} entrywise positive, as is the ground state.
+    """
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    sigma = float(np.max(diag + radius))
+    tol = _ROUNDOFF_RESIDUAL * float(np.max(np.abs(diag) + radius))
+    factor = _certified_factor(diag, off, sigma)
+    if factor is None:
+        raise EigenIterationError(
+            f"Gershgorin shift {sigma:.17g} not above the spectrum (n={diag.size + 2})")
+    v = np.ones(diag.size)
+    for it in range(1, MAX_INVERSE_STEPS + 1):
+        w = dpttrs(*factor, v)[0]
+        v = w / np.linalg.norm(w)
+        tv = _apply(diag, off, v)
+        rho = float(v @ tv)
+        res = float(np.linalg.norm(tv - rho * v))
+        if res <= tol:
+            return rho, v, it
+        if rho + res < sigma:
+            lower = _certified_factor(diag, off, rho + res)
+            if lower is not None:
+                sigma, factor = rho + res, lower
+    raise EigenIterationError(
+        f"inverse iteration for lambda0 did not reach the roundoff residual "
+        f"{tol:.3e} in {MAX_INVERSE_STEPS} steps (n={diag.size + 2}, last "
+        f"residual {res:.3e})")
+
+
+def _certified_factor(diag: np.ndarray, off: np.ndarray,
+                      sigma: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """LDL^T factors of sigma I - T, or None when it is not positive
+    definite, i.e. when sigma does not lie above the spectrum of T."""
+    d, e, info = dpttrf(sigma - diag, -off)
+    return (d, e) if info == 0 else None
+
+
+def _apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T v."""
+    tv = diag * v
+    tv[:-1] += off * v[1:]
+    tv[1:] += off * v[:-1]
+    return tv
 
 
 def _check_rayleigh(diag: np.ndarray, off: np.ndarray, lam: float,
                     v: np.ndarray) -> None:
-    r = diag * v - lam * v
-    r[:-1] += off * v[1:]
-    r[1:] += off * v[:-1]
+    r = _apply(diag, off, v) - lam * v
     scale = (np.abs(diag).max() + 2 * np.abs(off).max()) * np.abs(v).max()
     if np.abs(r).max() > _RAYLEIGH_TOL * scale:
         raise EigenIterationError(
@@ -86,6 +169,8 @@ def leading_eigenvalues(p: FrontProfile, k: int = 5) -> SpectrumReport:
     if not p.converged:
         raise ValueError("spectrum requires a converged profile")
     V = build_potential(p)
-    vals, ground = eigenvalues_of_potential(p.grid, V, k)
-    return SpectrumReport(c=p.c, eigenvalues=vals, ground_state=ground,
-                          potential_min=float(V.min()))
+    pairs = eigenvalues_of_potential(p.grid, V, k)
+    return SpectrumReport(c=p.c, eigenvalues=pairs.values,
+                          ground_state=pairs.ground_state,
+                          potential_min=float(V.min()),
+                          iterations=pairs.iterations, residual=pairs.residual)

@@ -127,6 +127,16 @@ class TestSolveCommand:
         header, _ = read_csv(out)
         assert float(header["lambda0"]) == pytest.approx(-1.5185, abs=2e-3)
 
+    def test_lambda0_residual_in_headers(self, tmp_path):
+        for argv in (["solve", "--c", "0", "--spectrum"],
+                     ["spectrum", "--c", "0", "--k", "1"],
+                     ["spectrum", "--c", "0", "--k", "3"]):
+            out = tmp_path / "p.csv"
+            assert run([*argv, "--out", str(out)]) == 0
+            header, _ = read_csv(out)
+            # ||T v - lambda0 v||_2 at roundoff: ||T||_inf ~ 4/h^2 = 4e4
+            assert 0.0 < float(header["lambda0_residual"]) <= 1e-10
+
     def test_seed_file_roundtrip(self, tmp_path):
         out = tmp_path / "p.csv"
         run(["solve", "--c", "0", "--out", str(out)])
@@ -197,6 +207,22 @@ class TestOtherCommands:
         assert (header["xmin"], header["xmax"], header["n"]) == ("-300", "300", "12001")
         assert " h=0.01 " in out.read_text()   # the echoed config is unchanged
 
+    @pytest.mark.parametrize("flag", ["--h", "--tol"])
+    def test_evolve_tanh_rejects_unread_flags(self, flag, tmp_path, capsys):
+        out = tmp_path / "et.csv"
+        assert run(["evolve", "--ramp", "tanh", "--eps", "0.01", "--c", "0",
+                    flag, "0.02", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and f"not use the given {flag[2:]}" in err
+        assert not out.exists()
+
+    def test_evolve_tanh_rejects_unread_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ramp=tanh\nh=0.02\nxmin=-50\nxmax=50\n")
+        assert run(["--config", str(cfg), "evolve", "--eps", "0.01",
+                    "--out", str(tmp_path / "et.csv")]) == 2
+        assert "not use the given h, xmin, xmax" in capsys.readouterr().err
+
     def test_evolve_config_file_bad_ramp_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ramp=step\n")
@@ -220,6 +246,13 @@ class TestOtherCommands:
             run(["compare-tanh", "--eps", "0.01", "--c", "0", flag, "0.02"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_compare_tanh_rejects_unread_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("h=0.02\ntol=1e-9\n")
+        assert run(["--config", str(cfg), "compare-tanh", "--eps", "0.01",
+                    "--c", "0", "--out", str(tmp_path / "ct.csv")]) == 2
+        assert "not use the given h, tol" in capsys.readouterr().err
 
     def test_compare_tanh_eps_validation(self, capsys):
         assert run(["compare-tanh", "--eps", "0.5", "--c", "0"]) == 2

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.integrate import trapezoid
 
-from quenchfront import bvp, diagnostics, evolve, spectrum
+from quenchfront import bvp, continuation, diagnostics, evolve, spectrum
 from quenchfront.bvp import FrontProfile
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
                                 compare_inner_scaling, measured_rate,
@@ -140,8 +140,27 @@ class TestEvolveRuns:
         assert res.final.residual_norm <= 1e-6
         assert res.measured_rate * cfg.t_end <= -14.0
 
+    def test_measured_rate_skips_the_plateau(self):
+        t = np.arange(0.0, 30.0, 0.25)
+        history = list(zip(t, 1e-3 * np.exp(-t) + 1e-11))
+        assert measured_rate(history, 1e-11) == pytest.approx(-1.0, rel=1e-5)
+
+    def test_rate_does_not_depend_on_the_reference_path(self, hm_profile):
+        # the same c = 1 front reached directly and by continuation from
+        # c = 0: different grids and Newton residuals, one decay rate
+        direct = continuation.solve_front(1.0)
+        continued = continuation.continue_branch(hm_profile, 1.0).profile_at(1.0)
+        assert direct.grid != continued.grid
+        cfg = EvolveConfig(dt=0.01, t_end=25.0, scheme="imex_cn", record_every=25)
+        rates = []
+        for front in (direct, continued):
+            x = front.grid.nodes()
+            bump = 1e-3 * np.exp(-(x - diagnostics.front_position(front)) ** 2)
+            rates.append(evolve.evolve(front, front.u + bump, cfg).measured_rate)
+        assert rates[0] == pytest.approx(rates[1], rel=1e-6)
+
     def test_measured_rate_empty_history(self):
-        assert np.isnan(measured_rate([(0.0, 0.0)]))
+        assert np.isnan(measured_rate([(0.0, 0.0)], evolve.ROUNDOFF_PLATEAU))
 
 
 class TestTanhFront:

@@ -172,6 +172,25 @@ class TestSolve:
         with pytest.raises((MaxIterationsError, DivergenceError)):
             solve(seed, cfg=SolverConfig(max_iter=2))
 
+    def test_stall_at_roundoff_floor_raises_at_once(self, monkeypatch):
+        # at h = 0.005 the residual's roundoff floor (~2e-10) lies above the
+        # tolerance; Newton converges in 4 steps and then only sees roundoff
+        evaluations = []
+        real_residual = newton.stationary_residual
+
+        def counting_residual(*args):
+            evaluations.append(1)
+            return real_residual(*args)
+
+        monkeypatch.setattr(newton, "stationary_residual", counting_residual)
+        g = bvp.default_grid(0.0, 0.005)
+        seed = FrontProfile(c=0.0, grid=g, u=bvp.initial_guess(g, 0.0))
+        with pytest.raises(MaxIterationsError,
+                           match=rf"c=0, h=0.005, n={g.n}: iteration [4-7], "
+                                 r"residual .* full step"):
+            solve(seed)
+        assert len(evaluations) <= 20   # was 917 over 50 iterations
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol_residual=-1.0)

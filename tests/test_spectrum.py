@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from quenchfront import continuation, spectrum
+from quenchfront import bvp, continuation, newton, spectrum
 from quenchfront.bvp import FrontProfile
 from quenchfront.grid import make_grid
-from quenchfront.spectrum import (build_potential, eigenvalues_of_potential,
-                                  leading_eigenvalues)
+from quenchfront.spectrum import (EigenIterationError, build_potential,
+                                  eigenvalues_of_potential, leading_eigenvalues)
 
 
 class TestOscillatorOracle:
     def test_eigenvalues_match_odd_integers(self):
         g = make_grid(-20.0, 20.0, 0.01)
-        vals, vec = eigenvalues_of_potential(g, g.nodes() ** 2, 6)
+        vals, vec, _, _ = eigenvalues_of_potential(g, g.nodes() ** 2, 6)
         for j in range(6):
             assert vals[j] == pytest.approx(-(2 * j + 1), abs=1e-3)
         assert vec.max() == pytest.approx(1.0)
@@ -21,7 +24,7 @@ class TestOscillatorOracle:
         errs = []
         for h in (0.04, 0.02):
             g = make_grid(-15.0, 15.0, h)
-            vals, _ = eigenvalues_of_potential(g, g.nodes() ** 2, 1)
+            vals = eigenvalues_of_potential(g, g.nodes() ** 2, 1).values
             errs.append(abs(vals[0] + 1.0))
         order = np.log2(errs[0] / errs[1])
         assert 1.7 <= order <= 2.3
@@ -88,3 +91,74 @@ class TestLeadingEigenvalues:
             # no spectral jumps; the 0.75 prefactor covers the measured
             # slope d(lambda0)/dc ~ 0.59 near c = 0
             assert abs(l2 - l1) <= 0.75 * abs(c2 - c1) * (abs(c1) + 1.0)
+
+
+def _operator(g, V):
+    """Diagonal and off-diagonal of T = d^2/dx^2 - V (Dirichlet), and ||T||_inf."""
+    diag = -2.0 / g.h ** 2 - V[1:-1]
+    off = np.full(g.n - 3, 1.0 / g.h ** 2)
+    return diag, off, float(np.abs(diag).max() + 2.0 * off[0])
+
+
+def _solved_front(c, h):
+    """A converged front at (c, h): Newton from the heuristic seed, or the
+    continuation fallback where that diverges (c near 12)."""
+    g = bvp.default_grid(c, h)
+    try:
+        front, _ = newton.solve(FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)))
+    except newton.SolverError:
+        front = continuation.solve_front(c, h=h)
+    return front
+
+
+def _assert_matches_bisection(g, V):
+    diag, off, norm_t = _operator(g, V)
+    m = g.n - 2
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(m - 1, m - 1))
+    ref = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
+    top = eigenvalues_of_potential(g, V, 1)
+    assert abs(top.values[0] - vals[0]) <= 1e-15 * norm_t
+    assert np.abs(top.ground_state[1:-1] - ref).max() <= 1e-9
+    assert top.ground_state[1:-1].min() > 0.0
+    assert 1 <= top.iterations <= spectrum.MAX_INVERSE_STEPS
+    assert top.residual <= 1e-15 * norm_t
+    two = eigenvalues_of_potential(g, V, 2)
+    assert two.iterations == 0
+    assert abs(two.values[0] - top.values[0]) <= 1e-15 * norm_t
+    assert np.abs(two.ground_state - top.ground_state).max() <= 1e-9
+
+
+class TestCertifiedInverseIteration:
+    """k = 1 takes shifted inverse iteration; k >= 2 bisection (stebz/stein)."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(c=st.floats(-200.0, 12.0), h=st.sampled_from([0.04, 0.02, 0.01]))
+    @example(c=-200.0, h=0.04)
+    @example(c=12.0, h=0.01)
+    def test_top_pair_matches_bisection_on_fronts(self, c, h):
+        front = _solved_front(c, h)
+        _assert_matches_bisection(front.grid, build_potential(front))
+
+    def test_top_pair_matches_bisection_on_oscillator(self):
+        g = make_grid(-20.0, 20.0, 0.01)
+        _assert_matches_bisection(g, g.nodes() ** 2)
+
+    def test_no_shift_below_lambda0_is_certified(self, hm_profile):
+        g = hm_profile.grid
+        diag, off, norm_t = _operator(g, build_potential(hm_profile))
+        lam0 = eigenvalues_of_potential(g, build_potential(hm_profile), 1).values[0]
+        gap = 1e4 * np.finfo(float).eps * norm_t      # far above roundoff
+        assert spectrum._certified_factor(diag, off, lam0 - gap) is None
+        assert spectrum._certified_factor(diag, off, lam0 + gap) is not None
+
+    def test_iteration_cap_names_grid_and_residual(self, hm_profile, monkeypatch):
+        monkeypatch.setattr(spectrum, "MAX_INVERSE_STEPS", 2)
+        with pytest.raises(EigenIterationError,
+                           match=rf"n={hm_profile.grid.n}, last residual \d"):
+            leading_eigenvalues(hm_profile, 1)
+
+    def test_report_carries_iterations_and_residual(self, hm_profile):
+        rep = leading_eigenvalues(hm_profile, 1)
+        assert 1 <= rep.iterations <= spectrum.MAX_INVERSE_STEPS
+        assert 0.0 < rep.residual <= 1e-10
+        assert leading_eigenvalues(hm_profile, 3).iterations == 0
