@@ -244,7 +244,9 @@ def fit_tail_coefficients(p: FrontProfile,
             # sane number; otherwise the exponential term is buried under
             # the truncated algebraic series and no fit exists
             if left_residual <= 2.0 and abs(log_mag) <= 300.0:
-                sign = float(np.sign(np.median(diff))) or 1.0
+                # the sign of the median; np.median would import numpy.ma
+                middle = np.sort(diff)[(diff.size - 1) // 2:diff.size // 2 + 1]
+                sign = float(np.sign(middle.mean())) or 1.0
                 alpha_minus = sign * math.exp(log_mag)
 
     return TailFit(alpha_plus, alpha_minus, log_alpha_plus, right_residual)

@@ -10,13 +10,54 @@ replaces them with closure conditions.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg.lapack
 
 MAX_BANDWIDTH = 4  # widest clamped stencil reaches 4 nodes off-diagonal
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module (the f2py extension that
+    ``scipy.linalg.lapack`` re-exports), loaded from its file.
+
+    Importing ``scipy.linalg`` instead would initialise the whole package,
+    which pulls in numpy.testing, numpy.f2py and numpy.ma and more than
+    doubles the start-up time of a command; the solver needs only a handful
+    of LAPACK routines.  A module that an earlier ``import scipy.linalg``
+    loaded is reused.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")   # locates scipy, runs none of it
+    if scipy is None:
+        raise ImportError("scipy is not installed", name=name)
+    linalg = Path(scipy.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _flapack extension module in {linalg}", name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, str(path), loader=loader))
+    loader.exec_module(module)
+    # CPython files a single-phase extension in sys.modules under its full
+    # name; without the entry, a later ``import scipy.linalg`` loads its own
+    # module object (sharing these functions) and binds it as the package's
+    # ``_flapack`` attribute
+    sys.modules.pop(name, None)
+    return module
+
+
+flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -105,7 +146,7 @@ class BandedLU:
         # p extra rows above the band hold U's fill-in; Fortran order avoids a copy
         ab = np.zeros((3 * p + 1, a.n), order="F")
         ab[p:] = np.asarray_chkfinite(a.data)
-        self._lu, self._piv, info = scipy.linalg.lapack.dgbtrf(
+        self._lu, self._piv, info = flapack.dgbtrf(
             ab, p, p, overwrite_ab=True)
         if info > 0:
             raise SingularMatrixError(f"singular matrix: zero pivot in column {info - 1}")
@@ -114,7 +155,7 @@ class BandedLU:
         if b.shape != (self.n,):
             raise ValueError(f"vector length {b.shape} does not match n={self.n}")
         p = self.bandwidth
-        return scipy.linalg.lapack.dgbtrs(self._lu, p, p, b, self._piv)[0]
+        return flapack.dgbtrs(self._lu, p, p, b, self._piv)[0]
 
 
 class UniformSpline:
@@ -229,7 +270,7 @@ def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     lo = starts - rows   # window offset; only the clamped rows differ
     return _frozen_band(n, *[(rows[lo == o], starts[lo == o],
                               _stencil(tuple(range(o, o + 5)), 1) * scale)
-                             for o in np.unique(lo)])
+                             for o in sorted(set(lo.tolist()))])
 
 
 def d2_apply(g: Grid, u: np.ndarray) -> np.ndarray:

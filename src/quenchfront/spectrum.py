@@ -12,7 +12,8 @@ every shift certified to lie above the spectrum: sigma I - T is positive
 definite exactly when sigma exceeds the largest eigenvalue of T, which one
 O(n) LDL^T factorization (LAPACK dpttrf) decides.  Several eigenvalues
 (k >= 2) need their indices, hence Sturm counts: bisection + inverse
-iteration (LAPACK stebz/stein).
+iteration (LAPACK dstebz/dstein, the calls scipy's eigh_tridiagonal makes
+for an index range).
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .bvp import FrontProfile, ramp
-from .grid import Grid
+from .grid import Grid, flapack
 
 MAX_LEADING = 10
 MAX_INVERSE_STEPS = 30
@@ -83,11 +82,7 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> Eigenpairs:
         lam, v, iterations = _top_eigenpair(diag, off)
         vals = np.array([lam])
     else:
-        vals, vecs = eigh_tridiagonal(diag, off, select="i",
-                                      select_range=(m - k, m - 1))
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        v = vecs[:, order[0]]
+        vals, v = _leading_eigenpairs(diag, off, k)
         iterations = 0
 
     _check_rayleigh(diag, off, vals[0], v)
@@ -96,6 +91,30 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> Eigenpairs:
     vec_full = np.zeros(g.n)
     vec_full[1:-1] = v / v[np.argmax(np.abs(v))]
     return Eigenpairs(vals, vec_full, iterations, residual)
+
+
+def _leading_eigenpairs(diag: np.ndarray, off: np.ndarray,
+                        k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k largest eigenvalues (descending) of T = tridiag(off, diag, off) by
+    bisection over the index range m-k+1..m (dstebz, block order, as
+    inverse iteration wants it), and the eigenvector of the largest by
+    inverse iteration (dstein).  dstein runs for all k values, as in
+    eigh_tridiagonal: its start vectors depend on how many it computed
+    before, so asking for one would change the vector's last bits."""
+    m = diag.size
+    found, w, iblock, isplit, info = flapack.dstebz(
+        diag, off, 2, 0.0, 1.0, m - k + 1, m, 0.0, "B")
+    if info != 0:
+        raise EigenIterationError(
+            f"bisection (LAPACK dstebz) failed: info={info} (n={m + 2}, k={k})")
+    w = w[:found]
+    vecs, info = flapack.dstein(diag, off, w, iblock, isplit)
+    if info != 0:
+        raise EigenIterationError(
+            f"inverse iteration (LAPACK dstein) failed: info={info} "
+            f"(n={m + 2}, k={k})")
+    order = np.argsort(w)[::-1]
+    return w[order], vecs[:, order[0]]
 
 
 def _top_eigenpair(diag: np.ndarray,
@@ -121,7 +140,7 @@ def _top_eigenpair(diag: np.ndarray,
             f"Gershgorin shift {sigma:.17g} not above the spectrum (n={diag.size + 2})")
     v = np.ones(diag.size)
     for it in range(1, MAX_INVERSE_STEPS + 1):
-        w = dpttrs(*factor, v)[0]
+        w = flapack.dpttrs(*factor, v)[0]
         v = w / np.linalg.norm(w)
         tv = _apply(diag, off, v)
         rho = float(v @ tv)
@@ -142,7 +161,7 @@ def _certified_factor(diag: np.ndarray, off: np.ndarray,
                       sigma: float) -> tuple[np.ndarray, np.ndarray] | None:
     """LDL^T factors of sigma I - T, or None when it is not positive
     definite, i.e. when sigma does not lie above the spectrum of T."""
-    d, e, info = dpttrf(sigma - diag, -off)
+    d, e, info = flapack.dpttrf(sigma - diag, -off)
     return (d, e) if info == 0 else None
 
 

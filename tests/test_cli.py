@@ -266,12 +266,20 @@ class TestOtherCommands:
         assert out.read_text().count("PASS") == 2
 
 
-def test_cold_import_loads_no_interpolate_optimize_or_special():
-    # a fresh interpreter, so no module imported by the tests counts
-    probe = ("import sys, quenchfront.cli; print(sorted(m for m in sys.modules "
+def test_cold_import_loads_no_interpolate_optimize_or_special(tmp_path):
+    # a fresh interpreter, so no module imported by the tests counts; two
+    # short solves (c = 0 has no drift term, c = -1 builds the D1 band) then
+    # show that no operation imports them lazily either.  scipy's compiled
+    # LAPACK module (scipy.linalg._flapack) is allowed, the scipy.linalg
+    # package and numpy.ma are not
+    probe = ("import sys, quenchfront.cli; "
+             "[quenchfront.cli.main(['solve', '--c', c, '--h', '0.04', '--out', sys.argv[1]]) "
+             "for c in ('0', '-1')]; "
+             "print(sorted(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'], "
-             "['scipy', 'special'], ['decimal'])))")
+             "['scipy', 'special'], ['decimal'], ['numpy', 'ma']) "
+             "or m == 'scipy.linalg'))")
     env = dict(os.environ, PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "p.csv")], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -1,10 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from quenchfront import bvp, continuation, newton, spectrum
+from quenchfront import bvp, continuation, grid, newton, spectrum
 from quenchfront.bvp import FrontProfile
 from quenchfront.grid import make_grid
 from quenchfront.spectrum import (EigenIterationError, build_potential,
@@ -162,3 +165,41 @@ class TestCertifiedInverseIteration:
         assert 1 <= rep.iterations <= spectrum.MAX_INVERSE_STEPS
         assert 0.0 < rep.residual <= 1e-10
         assert leading_eigenvalues(hm_profile, 3).iterations == 0
+
+
+class TestLeadingPairs:
+    """k >= 2 makes the two LAPACK calls of eigh_tridiagonal(select="i")."""
+
+    @pytest.mark.parametrize("c", [-20.0, 0.0, 5.0])
+    def test_k5_bitwise_equal_to_eigh_tridiagonal(self, c):
+        front = _solved_front(c, 0.02)
+        g, V = front.grid, build_potential(front)
+        diag, off, _ = _operator(g, V)
+        m = g.n - 2
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(m - 5, m - 1))
+        order = np.argsort(vals)[::-1]
+        ground = vecs[:, order[0]]
+        pairs = eigenvalues_of_potential(g, V, 5)
+        assert pairs.values.tobytes() == vals[order].tobytes()
+        assert (pairs.ground_state[1:-1].tobytes()
+                == (ground / ground[np.argmax(np.abs(ground))]).tobytes())
+
+    def test_grid_loads_scipys_own_lapack_module(self):
+        # resolved by scipy's package in an interpreter that never loads grid
+        probe = "import scipy.linalg._flapack as f; print(f.__file__)"
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True)
+        assert grid.flapack.__file__ == out.stdout.strip()
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_names_grid_k_and_info(self, hm_profile, monkeypatch, routine):
+        real = getattr(grid.flapack, routine)
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, 3)
+
+        monkeypatch.setattr(grid.flapack, routine, failing)
+        with pytest.raises(EigenIterationError,
+                           match=rf"{routine}\) failed: info=3 \(n={hm_profile.grid.n}, k=5\)"):
+            leading_eigenvalues(hm_profile, 5)
