@@ -187,7 +187,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     harmonic-oscillator eigensolver validation."""
     g = make_grid(-20.0, 20.0, 0.01)
     osc = spectrum.eigenvalues_of_potential(g, g.nodes() ** 2, 6)
-    osc_err = float(max(abs(osc.values[j] + (2 * j + 1)) for j in range(6)))
+    osc_err = float(max(abs(osc.eigenvalues[j] + (2 * j + 1)) for j in range(6)))
     measured = {"oscillator_error": osc_err}
     ok = osc_err <= 1e-3 and osc.ground_state.min() >= -1e-8
     for c in (-10.0, -1.0, 0.0, 1.0, 10.0):

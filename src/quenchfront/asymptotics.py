@@ -21,7 +21,6 @@ __all__ = [
     "right_tail",
     "left_tail",
     "right_tail_log_derivative",
-    "left_tail_exponent",
     "erf_front_position",
 ]
 
@@ -30,7 +29,6 @@ __all__ = [
 # (DLMF 9.9, Table 9.9.1), correctly rounded to double.
 OMEGA0 = 2.338107410459767
 
-_SQRT2 = math.sqrt(2.0)
 _PI_QUARTER = math.pi ** 0.25
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -82,16 +80,8 @@ def right_tail_log_derivative(x: float, c: float) -> float:
     return -math.sqrt(x + c * c / 4.0) - 0.5 * c - 0.25 / x
 
 
-def left_tail_exponent(x: float, c: float) -> float:
-    """Exponent of the decaying left-tail correction:
-    -(2 sqrt2/3)(-x)^{3/2} - c x/2 - c^2 (-x)^{1/2}/(4 sqrt2)."""
-    s = -x
-    return (-(2.0 * _SQRT2 / 3.0) * s ** 1.5 - 0.5 * c * x
-            - c * c / (4.0 * _SQRT2) * math.sqrt(s))
-
-
-def left_tail(x: float, c: float, alpha_minus: float) -> float:
-    """Left-tail expansion sqrt(-x) (algebraic series + alpha_- exp term).
+def left_tail(x: float, c: float) -> float:
+    """Left-tail expansion: sqrt(-x) times its algebraic series.
 
     The series keeps its first correction.  For c = 0 that is the classical
     -1/(8(-x)^3).  For c != 0 it is -c/(4 x^2), the dominant balance of
@@ -108,7 +98,7 @@ def left_tail(x: float, c: float, alpha_minus: float) -> float:
         algebraic = 1.0 - 1.0 / (8.0 * s ** 3)
     else:
         algebraic = 1.0 - c / (4.0 * s * s)
-    return math.sqrt(s) * (algebraic + alpha_minus * math.exp(left_tail_exponent(x, c)))
+    return math.sqrt(s) * algebraic
 
 
 def erf_front_position(c: float, delta: float = 0.1) -> float:

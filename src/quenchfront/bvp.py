@@ -59,7 +59,7 @@ def left_value(c: float, x_min: float, eps: float | None = None) -> float:
     """
     if eps is not None:
         return math.sqrt(math.tanh(-eps * x_min))
-    return asymptotics.left_tail(x_min, c, 0.0)
+    return asymptotics.left_tail(x_min, c)
 
 
 def default_domain(c: float) -> tuple[float, float]:
@@ -180,7 +180,6 @@ def jacobian(p: FrontProfile) -> BandedMatrix:
 
 class TailFit(NamedTuple):
     alpha_plus: float
-    alpha_minus: float
     log_alpha_plus: float   # alpha_+ overflows double for c << -1
     right_residual: float   # max deviation of the log-linear fit
 
@@ -190,25 +189,22 @@ class TailFitError(RuntimeError):
 
 
 _UNDERFLOW_FLOOR = 1e-300
+RIGHT_WINDOW = (5.0, 9.0)   # x-range of the right-tail fit, before clipping
 
 
-def fit_tail_coefficients(p: FrontProfile,
-                          right_window: tuple[float, float] = (5.0, 9.0),
-                          left_window: tuple[float, float] = (-5.0, -2.5)) -> TailFit:
-    """Fit the tail amplitudes alpha_+/alpha_- of a converged profile.
+def fit_tail_coefficients(p: FrontProfile) -> TailFit:
+    """Fit the right-tail amplitude alpha_+ of a converged profile.
 
-    Right side: the mean of log u + (2/3)(x + c^2/4)^{3/2} + (c/2) x
-    + (1/4) log x over the window gives log alpha_+ (flat when the profile
-    follows the predicted decay).  Left side: same idea applied to
-    u - sqrt(-x)(series), which isolates the exponentially small correction.
-    alpha_+ itself overflows double precision for c << -1, so the log is
-    returned alongside.  The profile is not modified.
+    The mean of log u + (2/3)(x + c^2/4)^{3/2} + (c/2) x + (1/4) log x over
+    RIGHT_WINDOW gives log alpha_+ (flat when the profile follows the
+    predicted decay).  alpha_+ itself overflows double precision for
+    c << -1, so the log is returned alongside.  The profile is not modified.
     """
     x = p.grid.nodes()
     c = p.c
 
-    lo = max(right_window[0], max(0.0, -c * c / 4.0) + 1.0, p.grid.x_min)
-    hi = min(right_window[1], p.grid.x_max)
+    lo = max(RIGHT_WINDOW[0], max(0.0, -c * c / 4.0) + 1.0, p.grid.x_min)
+    hi = min(RIGHT_WINDOW[1], p.grid.x_max)
     mask = (x >= lo) & (x <= hi)
     # shrink the window from the right while it contains underflowed values
     while mask.sum() > 4 and np.any(p.u[mask] < _UNDERFLOW_FLOOR):
@@ -223,33 +219,7 @@ def fit_tail_coefficients(p: FrontProfile,
     log_alpha_plus = float(np.mean(zr))
     right_residual = float(np.max(np.abs(zr - log_alpha_plus)))
     alpha_plus = math.exp(log_alpha_plus) if log_alpha_plus < 700.0 else math.inf
-
-    mask_l = (x >= left_window[0]) & (x <= left_window[1])
-    alpha_minus = math.nan
-    left_residual = math.inf
-    if mask_l.sum() >= 4:
-        xl, ul = x[mask_l], p.u[mask_l]
-        series = np.array([asymptotics.left_tail(float(t), c, 0.0) for t in xl])
-        diff = ul - series
-        expo = np.array([asymptotics.left_tail_exponent(float(t), c) for t in xl])
-        scaled = diff / np.sqrt(-xl)
-        with np.errstate(divide="ignore"):
-            zl = np.where(np.abs(scaled) > 0,
-                          np.log(np.abs(scaled) + _UNDERFLOW_FLOOR) - expo,
-                          -np.inf)
-        if np.all(np.isfinite(zl)):
-            log_mag = float(np.mean(zl))
-            left_residual = float(np.max(np.abs(zl - log_mag)))
-            # a credible amplitude varies little across the window and is a
-            # sane number; otherwise the exponential term is buried under
-            # the truncated algebraic series and no fit exists
-            if left_residual <= 2.0 and abs(log_mag) <= 300.0:
-                # the sign of the median; np.median would import numpy.ma
-                middle = np.sort(diff)[(diff.size - 1) // 2:diff.size // 2 + 1]
-                sign = float(np.sign(middle.mean())) or 1.0
-                alpha_minus = sign * math.exp(log_mag)
-
-    return TailFit(alpha_plus, alpha_minus, log_alpha_plus, right_residual)
+    return TailFit(alpha_plus, log_alpha_plus, right_residual)
 
 
 def smooth_sqrt_ramp(x: np.ndarray, interface: float = 0.0,

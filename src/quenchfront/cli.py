@@ -196,8 +196,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
     roots = diagnostics.crossings(p)
     header = {
         "c": p.c, **_grid_header(p.grid), "residual_norm": p.residual_norm,
-        "alpha_plus": fit.alpha_plus, "alpha_minus": fit.alpha_minus,
-        "log_alpha_plus": fit.log_alpha_plus,
+        "alpha_plus": fit.alpha_plus, "log_alpha_plus": fit.log_alpha_plus,
         "x_delta": diagnostics.front_position(p, cfg.delta),
         "delta": cfg.delta,
         "u_at_zero": diagnostics.u_at_zero(p),

@@ -57,7 +57,6 @@ class SolveReport:
     converged: bool
     iterations: int
     final_residual: float
-    step_norms: list[float] = field(default_factory=list)
     residual_norms: list[float] = field(default_factory=list)
     positive: bool = False
     decreasing: bool = False
@@ -135,7 +134,6 @@ def solve(initial: FrontProfile,
         u, f = trial, f_trial
         res = float(np.abs(f).max())
         report.iterations = it
-        report.step_norms.append(t * step_norm)
         report.residual_norms.append(res)
         if len(report.residual_norms) > 5 and res > 10.0 * report.residual_norms[-6]:
             report.final_residual = res

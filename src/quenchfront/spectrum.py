@@ -19,7 +19,6 @@ for an index range).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,20 +35,12 @@ _ROUNDOFF_RESIDUAL = 1e-15
 
 @dataclass
 class SpectrumReport:
-    c: float
     eigenvalues: np.ndarray     # k largest, descending
-    ground_state: np.ndarray    # on the profile's grid, max entry +1
+    ground_state: np.ndarray    # on the full grid, zero boundary, max entry +1
     potential_min: float
     iterations: int             # shifted inverse-iteration steps; 0 for k >= 2
     residual: float             # ||T v - lambda0 v||_2, ||v||_2 = 1: bounds the
                                 # distance from lambda0 to the discrete spectrum
-
-
-class Eigenpairs(NamedTuple):
-    values: np.ndarray          # k largest, descending
-    ground_state: np.ndarray    # on the full grid, zero boundary, max entry +1
-    iterations: int
-    residual: float
 
 
 class EigenIterationError(RuntimeError):
@@ -62,16 +53,22 @@ def build_potential(p: FrontProfile) -> np.ndarray:
     return ramp(p.grid, p.eps) + p.c * p.c / 4.0 + 3.0 * p.u ** 2
 
 
-def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> Eigenpairs:
+def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> SpectrumReport:
     """k largest eigenvalues (descending) of d^2/dx^2 - V with Dirichlet
     truncation, discretized by the symmetric 2nd-order stencil.
 
     Also returns the eigenvector of the largest eigenvalue embedded on the
     full grid (zeros at the boundary nodes), scaled to max entry +1, with
-    the iteration count and eigen-residual of that pair.
+    the iteration count and eigen-residual of that pair, and min V.  A
+    non-finite V is rejected, naming its first such node.
     """
     if V.shape != (g.n,):
         raise ValueError("potential length does not match grid")
+    bad = np.flatnonzero(~np.isfinite(V))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"non-finite potential at x={g.x_min + i * g.h:g} "
+                         f"(node {i} of n={g.n})")
     h = g.h
     m = g.n - 2
     if not 1 <= k <= min(MAX_LEADING, m):
@@ -90,7 +87,7 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> Eigenpairs:
                      / np.linalg.norm(v))
     vec_full = np.zeros(g.n)
     vec_full[1:-1] = v / v[np.argmax(np.abs(v))]
-    return Eigenpairs(vals, vec_full, iterations, residual)
+    return SpectrumReport(vals, vec_full, float(V.min()), iterations, residual)
 
 
 def _leading_eigenpairs(diag: np.ndarray, off: np.ndarray,
@@ -187,9 +184,4 @@ def leading_eigenvalues(p: FrontProfile, k: int = 5) -> SpectrumReport:
     """Leading spectrum of the linearization about a converged front."""
     if not p.converged:
         raise ValueError("spectrum requires a converged profile")
-    V = build_potential(p)
-    pairs = eigenvalues_of_potential(p.grid, V, k)
-    return SpectrumReport(c=p.c, eigenvalues=pairs.values,
-                          ground_state=pairs.ground_state,
-                          potential_min=float(V.min()),
-                          iterations=pairs.iterations, residual=pairs.residual)
+    return eigenvalues_of_potential(p.grid, build_potential(p), k)

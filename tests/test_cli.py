@@ -84,6 +84,9 @@ class TestSolveCommand:
         assert int(header["crossing_count"]) == 1
         assert header["admissible"] == "True"
         assert np.abs(cols["residual"]).max() < 1e-9
+        # the right-tail amplitude and its log; no left-tail amplitude
+        assert ("log_alpha_plus" in header
+                and [k for k in header if k.startswith("alpha")] == ["alpha_plus"])
 
     def test_solve_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

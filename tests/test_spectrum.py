@@ -17,7 +17,8 @@ from quenchfront.spectrum import (EigenIterationError, build_potential,
 class TestOscillatorOracle:
     def test_eigenvalues_match_odd_integers(self):
         g = make_grid(-20.0, 20.0, 0.01)
-        vals, vec, _, _ = eigenvalues_of_potential(g, g.nodes() ** 2, 6)
+        rep = eigenvalues_of_potential(g, g.nodes() ** 2, 6)
+        vals, vec = rep.eigenvalues, rep.ground_state
         for j in range(6):
             assert vals[j] == pytest.approx(-(2 * j + 1), abs=1e-3)
         assert vec.max() == pytest.approx(1.0)
@@ -27,10 +28,20 @@ class TestOscillatorOracle:
         errs = []
         for h in (0.04, 0.02):
             g = make_grid(-15.0, 15.0, h)
-            vals = eigenvalues_of_potential(g, g.nodes() ** 2, 1).values
+            vals = eigenvalues_of_potential(g, g.nodes() ** 2, 1).eigenvalues
             errs.append(abs(vals[0] + 1.0))
         order = np.log2(errs[0] / errs[1])
         assert 1.7 <= order <= 2.3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_potential_names_its_node(self, bad, k):
+        g = make_grid(-10.0, 10.0, 0.05)
+        V = g.nodes() ** 2
+        V[100] = bad
+        with pytest.raises(ValueError, match=r"non-finite potential at x=-5 "
+                                             rf"\(node 100 of n={g.n}\)"):
+            eigenvalues_of_potential(g, V, k)
 
 
 class TestBuildPotential:
@@ -120,14 +131,14 @@ def _assert_matches_bisection(g, V):
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(m - 1, m - 1))
     ref = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
     top = eigenvalues_of_potential(g, V, 1)
-    assert abs(top.values[0] - vals[0]) <= 1e-15 * norm_t
+    assert abs(top.eigenvalues[0] - vals[0]) <= 1e-15 * norm_t
     assert np.abs(top.ground_state[1:-1] - ref).max() <= 1e-9
     assert top.ground_state[1:-1].min() > 0.0
     assert 1 <= top.iterations <= spectrum.MAX_INVERSE_STEPS
     assert top.residual <= 1e-15 * norm_t
     two = eigenvalues_of_potential(g, V, 2)
     assert two.iterations == 0
-    assert abs(two.values[0] - top.values[0]) <= 1e-15 * norm_t
+    assert abs(two.eigenvalues[0] - top.eigenvalues[0]) <= 1e-15 * norm_t
     assert np.abs(two.ground_state - top.ground_state).max() <= 1e-9
 
 
@@ -149,7 +160,7 @@ class TestCertifiedInverseIteration:
     def test_no_shift_below_lambda0_is_certified(self, hm_profile):
         g = hm_profile.grid
         diag, off, norm_t = _operator(g, build_potential(hm_profile))
-        lam0 = eigenvalues_of_potential(g, build_potential(hm_profile), 1).values[0]
+        lam0 = eigenvalues_of_potential(g, build_potential(hm_profile), 1).eigenvalues[0]
         gap = 1e4 * np.finfo(float).eps * norm_t      # far above roundoff
         assert spectrum._certified_factor(diag, off, lam0 - gap) is None
         assert spectrum._certified_factor(diag, off, lam0 + gap) is not None
@@ -180,7 +191,7 @@ class TestLeadingPairs:
         order = np.argsort(vals)[::-1]
         ground = vecs[:, order[0]]
         pairs = eigenvalues_of_potential(g, V, 5)
-        assert pairs.values.tobytes() == vals[order].tobytes()
+        assert pairs.eigenvalues.tobytes() == vals[order].tobytes()
         assert (pairs.ground_state[1:-1].tobytes()
                 == (ground / ground[np.argmax(np.abs(ground))]).tobytes())
 
