@@ -9,26 +9,25 @@ acceptance suite.
 __version__ = "0.1.0"
 
 from .asymptotics import (erf_profile, front_loc_largec, front_loc_negc,
-                          left_tail, right_tail)
+                          left_tail)
 from .bvp import (FrontProfile, default_grid, fit_tail_coefficients, jacobian,
                   residual)
 from .continuation import Branch, continue_branch, reinterpolate, solve_front
 from .diagnostics import admissibility, crossings, front_position
 from .evolve import EvolveConfig, EvolveResult, ImexStepper, compare_inner_scaling
-from .grid import BandedMatrix, Grid, d1_apply, d2_apply, make_grid
-from .newton import SolveReport, SolverConfig, banded_lu_solve, solve
+from .grid import BandedMatrix, Grid, make_grid
+from .newton import SolveReport, banded_lu_solve, solve
 from .spectrum import SpectrumReport, build_potential, leading_eigenvalues
 
 __all__ = [
     "__version__",
     "BandedMatrix", "Branch", "EvolveConfig", "EvolveResult",
-    "FrontProfile", "Grid", "ImexStepper", "SolveReport",
-    "SolverConfig", "SpectrumReport",
+    "FrontProfile", "Grid", "ImexStepper", "SolveReport", "SpectrumReport",
     "admissibility", "banded_lu_solve", "build_potential",
     "compare_inner_scaling", "continue_branch",
-    "crossings", "d1_apply", "d2_apply", "default_grid", "erf_profile",
+    "crossings", "default_grid", "erf_profile",
     "fit_tail_coefficients", "front_loc_largec", "front_loc_negc",
     "front_position", "jacobian", "leading_eigenvalues", "left_tail",
-    "make_grid", "reinterpolate", "residual", "right_tail", "solve",
+    "make_grid", "reinterpolate", "residual", "solve",
     "solve_front",
 ]

@@ -18,7 +18,6 @@ __all__ = [
     "erf_profile_vec",
     "front_loc_largec",
     "front_loc_negc",
-    "right_tail",
     "left_tail",
     "right_tail_log_derivative",
     "erf_front_position",
@@ -66,17 +65,10 @@ def front_loc_negc(c: float) -> float:
     return math.sqrt(-c)
 
 
-def right_tail(x: float, c: float, alpha_plus: float) -> float:
-    """Leading right-tail term
-    alpha_+ exp(-(2/3)(x + c^2/4)^{3/2} - c x/2) x^{-1/4}."""
-    if not x > max(0.0, -c * c / 4.0) + 1.0:
-        raise ValueError(f"right tail needs x > max(0, -c^2/4) + 1, got x={x}")
-    expo = -(2.0 / 3.0) * (x + c * c / 4.0) ** 1.5 - 0.5 * c * x
-    return alpha_plus * math.exp(expo) * x ** -0.25
-
-
 def right_tail_log_derivative(x: float, c: float) -> float:
-    """d/dx log(right_tail) = -sqrt(x + c^2/4) - c/2 - 1/(4x)."""
+    """d/dx log of the leading right-tail term
+    alpha_+ exp(-(2/3)(x + c^2/4)^{3/2} - c x/2) x^{-1/4}:
+    -sqrt(x + c^2/4) - c/2 - 1/(4x)."""
     return -math.sqrt(x + c * c / 4.0) - 0.5 * c - 0.25 / x
 
 

@@ -73,6 +73,8 @@ def default_domain(c: float) -> tuple[float, float]:
     causes (and the subgrid wiggle it excites in the drift-dominated
     boundary layer) is below admissibility tolerances.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"drift speed must be finite, got c={c}")
     if c >= 0:
         x_min = -max(25.0, c * c / 4.0 + 30.0)
         x_max = max(15.0, math.sqrt(abs(c)) + 15.0)

@@ -176,14 +176,13 @@ def _grid_for(cfg: RunConfig, c: float) -> Grid:
 
 
 def _solve(cfg: RunConfig, c: float) -> FrontProfile:
-    solver_cfg = newton.SolverConfig(tol_residual=cfg.tol)
     g = _grid_for(cfg, c)
     if cfg.seed_file:
         seed = continuation.reinterpolate(load_profile(cfg.seed_file), g)
         seed = FrontProfile(c=c, grid=g, u=seed.u)
-        profile, _ = newton.solve(seed, cfg=solver_cfg)
+        profile, _ = newton.solve(seed, cfg.tol)
         return profile
-    return continuation.solve_front(c, grid=g, cfg=solver_cfg, h=cfg.h)
+    return continuation.solve_front(c, grid=g, tol=cfg.tol, h=cfg.h)
 
 
 def _grid_header(g: Grid) -> dict:
@@ -224,22 +223,18 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_branch(cfg: RunConfig) -> int:
-    if cfg.cmin >= cfg.cmax:
+    if not cfg.cmin < cfg.cmax:
         raise ValueError(f"need cmin < cmax, got [{cfg.cmin}, {cfg.cmax}]")
-    solver_cfg = newton.SolverConfig(tol_residual=cfg.tol)
-    anchor = continuation.solve_front(0.0, cfg=solver_cfg, h=cfg.h)
-    points: list[tuple[float, FrontProfile]] = []
+    anchor = continuation.solve_front(0.0, tol=cfg.tol, h=cfg.h)
+    # each side's branch starts at the c = 0 anchor and keeps only its own side
+    points = [(0.0, anchor)]
     failures: list[tuple[float, str]] = []
-    if cfg.cmin < 0:
-        br = continuation.continue_branch(anchor, cfg.cmin, cfg.dc, solver_cfg, h=cfg.h)
-        points += br.points
-        failures += br.failures
-    if cfg.cmax > 0:
-        br = continuation.continue_branch(anchor, cfg.cmax, cfg.dc, solver_cfg, h=cfg.h)
-        points += [(c, p) for c, p in br.points if c > 0]
-        failures += br.failures
-    if not (cfg.cmin <= 0 <= cfg.cmax):
-        points = [(c, p) for c, p in points if cfg.cmin - 1e-12 <= c <= cfg.cmax + 1e-12]
+    for side, target in ((-1.0, cfg.cmin), (1.0, cfg.cmax)):
+        if side * target > 0:
+            br = continuation.continue_branch(anchor, target, cfg.dc, cfg.tol, cfg.h)
+            points += [(c, p) for c, p in br.points if side * c > 0]
+            failures += br.failures
+    points = [(c, p) for c, p in points if cfg.cmin - 1e-12 <= c <= cfg.cmax + 1e-12]
     points.sort(key=lambda t: t[0])
 
     cs, u0s, xds, counts, lam0s, alphas, log_alphas = [], [], [], [], [], [], []

@@ -17,12 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bvp, newton
+from . import bvp, grid, newton
 from .bvp import FrontProfile
-from .grid import Grid, UniformSpline, d1_apply
+from .grid import Grid, UniformSpline
 
 DC_MIN = 1e-4
 TARGET_ITERATIONS = 5   # Newton iterations per step the step controller aims at
+POINT_TOL = 1e-9        # |c - c_point| within which Branch.profile_at matches
+# pointwise_c_ordering_gap compares adjacent fronts at ORDER_SAMPLES points
+# at least ORDER_MARGIN inside their common domain (the Dirichlet closures
+# are only asymptotically consistent near the edges), where the lower front
+# exceeds ORDER_FLOOR (below it the ordering sits under roundoff)
+ORDER_SAMPLES = 200
+ORDER_MARGIN = 5.0
+ORDER_FLOOR = 1e-12
 
 
 @dataclass
@@ -35,9 +43,9 @@ class Branch:
     def cs(self) -> np.ndarray:
         return np.array([c for c, _ in self.points])
 
-    def profile_at(self, c: float, tol: float = 1e-9) -> FrontProfile:
+    def profile_at(self, c: float) -> FrontProfile:
         for cc, p in self.points:
-            if abs(cc - c) <= tol:
+            if abs(cc - c) <= POINT_TOL:
                 return p
         raise KeyError(f"no branch point at c={c}")
 
@@ -74,7 +82,9 @@ def _tangent(p: FrontProfile, sgn: float) -> np.ndarray:
     (``sgn``).
     """
     g = p.grid
-    rhs = -d1_apply(g, p.u, int(np.sign(p.c)))   # boundary rows of D1 are 0
+    # grid.d1_band is looked up at call time, so a wrapper installed on the
+    # module (a tracer's) sees this call too; boundary rows of D1 are 0
+    rhs = -grid.d1_band(g, int(np.sign(p.c))).matvec(p.u)
     c1, c2 = p.c + sgn * DC_MIN, p.c + 2.0 * sgn * DC_MIN
     rhs[0] = (bvp.left_value(c2, g.x_min, p.eps)
               - bvp.left_value(c1, g.x_min, p.eps)) / (c2 - c1)
@@ -104,27 +114,31 @@ def _predict(current: FrontProfile, tangent: np.ndarray | None, c_next: float,
 
 
 def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
-                    cfg: newton.SolverConfig | None = None,
-                    h: float = bvp.DEFAULT_H) -> Branch:
+                    tol: float = 1e-10, h: float = bvp.DEFAULT_H) -> Branch:
     """Continue an admissible seed toward c_target, recording every converged
-    point (seed included).  The first step is dc_init; each accepted step
-    scales the next by clamp(TARGET_ITERATIONS / Newton iterations, 0.5, 2),
-    and each failed step is halved, down to DC_MIN.  Domains and the c > 2
-    predictor are those of the linear ramp, so a tanh-ramp seed is refused."""
+    point (seed included), each Newton-solved to residual ``tol``.  The first
+    step is dc_init > 0; each accepted step scales the next by
+    clamp(TARGET_ITERATIONS / Newton iterations, 0.5, 2), and each failed
+    step is halved, down to DC_MIN.  Domains and the c > 2 predictor are
+    those of the linear ramp, so a tanh-ramp seed is refused."""
     if not seed.converged:
         raise ValueError("continuation seed must be a converged profile")
     if seed.eps is not None:
         raise ValueError("continuation follows the linear ramp; got a tanh-ramp seed")
-    cfg = cfg or newton.SolverConfig()
+    if not dc_init > 0:
+        raise ValueError(f"continuation step dc must be positive, got dc={dc_init}")
     branch = Branch(points=[(seed.c, seed)])
 
     sgn = 1.0 if c_target >= seed.c else -1.0
     current = seed
     c = seed.c
-    dc = abs(dc_init)
+    dc = dc_init
     while sgn * (c_target - c) > 1e-12:
         applied = min(dc, abs(c_target - c))
         c_next = c + sgn * applied
+        if c_next == c:
+            raise ValueError(f"continuation step dc={applied:g} leaves c={c:.17g} "
+                             f"unchanged")
         g_target = current.grid
         if not bvp.domain_ok(g_target, c_next):
             g_target = bvp.default_grid(c_next, h)
@@ -132,7 +146,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
             tangent = None if c > 2.0 and c_next > 2.0 else _tangent(current, sgn)
             trial = FrontProfile(c=c_next, grid=g_target,
                                  u=_predict(current, tangent, c_next, g_target))
-            solved, report = newton.solve(trial, cfg)
+            solved, report = newton.solve(trial, tol)
             if not (report.positive and report.decreasing):
                 raise newton.SolverError("converged to a non-admissible profile")
         except newton.SolverError as exc:
@@ -150,16 +164,14 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
     return branch
 
 
-def solve_front(c: float, grid: Grid | None = None,
-                cfg: newton.SolverConfig | None = None,
+def solve_front(c: float, grid: Grid | None = None, tol: float = 1e-10,
                 h: float = bvp.DEFAULT_H) -> FrontProfile:
-    """Solve for the admissible front at one c.
+    """Solve for the admissible front at one c to Newton residual ``tol``.
 
     Tries Newton from the heuristic seed first; if that fails (possible for
     intermediate positive c where no closed-form seed exists), falls back to
     continuation from the well-conditioned c = 0 anchor (SolverError if it stops short).
     """
-    cfg = cfg or newton.SolverConfig()
     g = grid or bvp.default_grid(c, h)
     anchor_grid = bvp.default_grid(0.0, h)
     # on the anchor problem itself the fallback would repeat this very
@@ -167,7 +179,7 @@ def solve_front(c: float, grid: Grid | None = None,
     is_anchor = c == 0.0 and g == anchor_grid
     try:
         seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
-        profile, report = newton.solve(seed, cfg)
+        profile, report = newton.solve(seed, tol)
         if is_anchor or (report.positive and report.decreasing):
             return profile
     except newton.SolverError:
@@ -175,8 +187,8 @@ def solve_front(c: float, grid: Grid | None = None,
             raise
     anchor_seed = FrontProfile(c=0.0, grid=anchor_grid,
                                u=bvp.initial_guess(anchor_grid, 0.0))
-    anchor, _ = newton.solve(anchor_seed, cfg)
-    branch = continue_branch(anchor, c, cfg=cfg, h=h)
+    anchor, _ = newton.solve(anchor_seed, tol)
+    branch = continue_branch(anchor, c, tol=tol, h=h)
     try:
         profile = branch.profile_at(c)
     except KeyError:   # the step underflowed right after the last real failure
@@ -189,33 +201,29 @@ def solve_front(c: float, grid: Grid | None = None,
     if grid is not None and (profile.grid.n != grid.n
                              or profile.grid.x_min != grid.x_min):
         reseeded = reinterpolate(profile, grid)
-        profile, _ = newton.solve(reseeded, cfg)
+        profile, _ = newton.solve(reseeded, tol)
     return profile
 
 
-def pointwise_c_ordering_gap(branch: Branch, n_samples: int = 200,
-                             boundary_margin: float = 5.0,
-                             floor: float = 1e-12) -> float:
+def pointwise_c_ordering_gap(branch: Branch) -> float:
     """Smallest value of u(x; c_j) - u(x; c_{j+1}) over adjacent branch pairs
-    (c_j < c_{j+1}) on their common x-range.
+    (c_j < c_{j+1}) on their common x-range, sampled as ORDER_SAMPLES,
+    ORDER_MARGIN and ORDER_FLOOR say.
 
     A correct branch returns a positive margin; a negative value flags an
-    ordering violation.  The comparison window stays ``boundary_margin``
-    inside the common domain (Dirichlet closures are only asymptotically
-    consistent near the edges) and skips points where the lower profile has
-    decayed below ``floor``, where the ordering sits under roundoff.
+    ordering violation.
     """
     worst = math.inf
     for (c_lo, p_lo), (c_hi, p_hi) in zip(branch.points, branch.points[1:]):
         assert c_lo < c_hi
-        x_lo = max(p_lo.grid.x_min, p_hi.grid.x_min) + boundary_margin
-        x_hi = min(p_lo.grid.x_max, p_hi.grid.x_max) - boundary_margin
+        x_lo = max(p_lo.grid.x_min, p_hi.grid.x_min) + ORDER_MARGIN
+        x_hi = min(p_lo.grid.x_max, p_hi.grid.x_max) - ORDER_MARGIN
         if x_hi <= x_lo:
             continue
-        xs = np.linspace(x_lo, x_hi, n_samples)
+        xs = np.linspace(x_lo, x_hi, ORDER_SAMPLES)
         v_lo = UniformSpline(p_lo.grid.x_min, p_lo.grid.h, p_lo.u)(xs)
         v_hi = UniformSpline(p_hi.grid.x_min, p_hi.grid.h, p_hi.u)(xs)
-        mask = v_lo > floor
+        mask = v_lo > ORDER_FLOOR
         if np.any(mask):
             worst = min(worst, float(np.min(v_lo[mask] - v_hi[mask])))
     return worst

@@ -11,6 +11,7 @@ from .bvp import FrontProfile, shape_violations
 from .grid import UniformSpline
 
 DEFAULT_DELTA = 0.1
+REFINE_TOL = 1e-10   # relative tolerance in x of each root that crossings bisects
 
 
 @dataclass
@@ -44,7 +45,7 @@ def front_position(p: FrontProfile, delta: float = DEFAULT_DELTA) -> float:
     return float(x[i] + frac * p.grid.h)
 
 
-def crossings(p: FrontProfile, refine_tol: float = 1e-10) -> list[float]:
+def crossings(p: FrontProfile) -> list[float]:
     """Roots with x < 0 of g(x) = x u + u^3 (equivalently u = sqrt(-x)).
 
     Since g = u (u^2 + x) and u > 0, the roots are those of
@@ -54,7 +55,7 @@ def crossings(p: FrontProfile, refine_tol: float = 1e-10) -> list[float]:
     with u = 0 are skipped).  The last interval is closed at the x = 0 node,
     taken as the nearest node as in ``u_at_zero``, where f = +inf because
     u(0) > 0.  Each sign change is bisected in t = ln(-x) on the cubic
-    spline of u, to relative tolerance ``refine_tol`` in x.
+    spline of u, to relative tolerance REFINE_TOL in x.
 
     A root in the last interval sits at -u(0)^2 (1 + O(c u(0)^2)).  Its
     bracket is closed at t = 2 ln u(0) - 1, where f >= 1 because u >= u(0)
@@ -92,7 +93,7 @@ def crossings(p: FrontProfile, refine_tol: float = 1e-10) -> list[float]:
         left_negative = f[i] < 0
         t_hi = math.log(-x[a])
         t_lo = 2.0 * math.log(u[b]) - 1.0 if b == i0 and closed else math.log(-x[b])
-        while t_hi - t_lo > refine_tol:
+        while t_hi - t_lo > REFINE_TOL:
             mid = 0.5 * (t_lo + t_hi)
             f_mid = 2.0 * math.log(float(spline(-math.exp(mid)))) - mid
             if (f_mid < 0) == left_negative:

@@ -172,8 +172,7 @@ def measured_rate(history: list[tuple[float, float]], plateau: float) -> float:
 
 
 def solve_tanh_front(eps: float, c: float, g: Grid | None = None,
-                     guess: np.ndarray | None = None,
-                     cfg: newton.SolverConfig | None = None) -> FrontProfile:
+                     guess: np.ndarray | None = None) -> FrontProfile:
     """Steady front of the tanh-ramp equation: ``newton.solve`` on the
     profile with ramp tanh(eps x), by default on [-300, 300] from a
     local-equilibrium seed cut off at the inner-scaled interface."""
@@ -193,14 +192,12 @@ def solve_tanh_front(eps: float, c: float, g: Grid | None = None,
         guess = (np.sqrt(np.maximum(np.tanh(-eps * x), 0.0))
                  * 0.5 * (1.0 - np.tanh(e13 * (x - interface))))
         guess = np.maximum(guess, 0.0)
-    front, _ = newton.solve(FrontProfile(c=c, grid=g, u=guess, eps=eps), cfg)
+    front, _ = newton.solve(FrontProfile(c=c, grid=g, u=guess, eps=eps))
     return front
 
 
 @dataclass
 class InnerScalingReport:
-    eps: float
-    c: float
     c_scaled: float
     grid: Grid              # the tanh front's grid
     xs: np.ndarray
@@ -212,33 +209,28 @@ class InnerScalingReport:
     interface_gap: float
 
 
-def compare_inner_scaling(eps: float, c_unscaled: float, delta: float = 0.1,
-                          window_half: float | None = None) -> InnerScalingReport:
+def compare_inner_scaling(eps: float, c_unscaled: float,
+                          delta: float = 0.1) -> InnerScalingReport:
     """Compare the tanh-ramp front with the rescaled linear-ramp front.
 
     The linear-ramp solution at c_scaled = eps^{-1/3} c, rescaled by
     u -> eps^{1/3} u(eps^{1/3} x), should reproduce the tanh front on
-    |x| <= eps^{-1/3}; interface positions use the level delta (inner) and
-    delta * eps^{1/3} (tanh).
+    |x| <= eps^{-1/3}, the window compared; interface positions use the
+    level delta (inner) and delta * eps^{1/3} (tanh).  The rescaled front,
+    extended by the tanh ramp's closure, seeds the tanh solve.
     """
     e13 = eps ** (1.0 / 3.0)
     c_scaled = c_unscaled / e13
     inner = continuation.solve_front(c_scaled)
-    tanh_guess_grid = make_grid(-TANH_DOMAIN_HALF, TANH_DOMAIN_HALF, TANH_H)
-    spline_inner = UniformSpline(inner.grid.x_min, inner.grid.h, inner.u)
+    g = inner.grid
+    rescaled = FrontProfile(c=c_unscaled, grid=Grid(g.x_min / e13, g.x_max / e13, g.n),
+                            u=e13 * inner.u, eps=eps)
+    tanh_grid = make_grid(-TANH_DOMAIN_HALF, TANH_DOMAIN_HALF, TANH_H)
+    front = solve_tanh_front(eps, c_unscaled, tanh_grid,
+                             continuation.reinterpolate(rescaled, tanh_grid).u)
 
-    xg = tanh_guess_grid.nodes()
-    guess = np.empty(tanh_guess_grid.n)
-    scaled_x = e13 * xg
-    inside = (scaled_x >= inner.grid.x_min) & (scaled_x <= inner.grid.x_max)
-    guess[inside] = e13 * spline_inner(scaled_x[inside])
-    left = scaled_x < inner.grid.x_min
-    guess[left] = np.sqrt(np.maximum(np.tanh(-eps * xg[left]), 0.0))
-    guess[scaled_x > inner.grid.x_max] = 0.0
-    guess = np.maximum(guess, 0.0)
-    front = solve_tanh_front(eps, c_unscaled, tanh_guess_grid, guess)
-
-    half = window_half if window_half is not None else 1.0 / e13
+    half = 1.0 / e13
+    spline_inner = UniformSpline(g.x_min, g.h, inner.u)
     xs = np.linspace(-half, half, max(201, int(20 * half) + 1))
     u_tanh = UniformSpline(front.grid.x_min, front.grid.h, front.u)(xs)
     u_inner_scaled = e13 * spline_inner(e13 * xs)
@@ -248,7 +240,7 @@ def compare_inner_scaling(eps: float, c_unscaled: float, delta: float = 0.1,
     xd_inner = diagnostics.front_position(inner, delta) / e13
 
     return InnerScalingReport(
-        eps=eps, c=c_unscaled, c_scaled=c_scaled, grid=front.grid, xs=xs,
+        c_scaled=c_scaled, grid=front.grid, xs=xs,
         u_tanh=u_tanh, u_inner_scaled=u_inner_scaled, sup_gap=sup_gap,
         x_delta_tanh=xd_tanh, x_delta_inner_scaled=xd_inner,
         interface_gap=abs(xd_tanh - xd_inner))

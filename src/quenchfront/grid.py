@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +86,10 @@ class Grid:
 def make_grid(x_min: float, x_max: float, h_target: float = 0.01) -> Grid:
     """Grid with spacing <= h_target, endpoints snapped outward to multiples
     of h_target so that x = 0 is a node whenever it lies inside the domain."""
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
+    if not 0.0 < h_target < math.inf:
+        raise ValueError(f"grid spacing must be positive and finite, got h={h_target}")
     # the 1e-9 nudges absorb roundoff when x/h is already an integer
     k_lo = int(np.floor(x_min / h_target + 1e-9))
     k_hi = int(np.ceil(x_max / h_target - 1e-9))
@@ -271,14 +276,3 @@ def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     return _frozen_band(n, *[(rows[lo == o], starts[lo == o],
                               _stencil(tuple(range(o, o + 5)), 1) * scale)
                              for o in sorted(set(lo.tolist()))])
-
-
-def d2_apply(g: Grid, u: np.ndarray) -> np.ndarray:
-    """Fourth-order second derivative at interior nodes (boundary rows 0)."""
-    return d2_band(g).matvec(np.asarray(u, dtype=float))
-
-
-def d1_apply(g: Grid, u: np.ndarray, upwind_sign: int = 0) -> np.ndarray:
-    """Fourth-order first derivative at interior nodes, biased against the
-    characteristic direction when upwind_sign = sign(c) is nonzero."""
-    return d1_band(g, int(np.sign(upwind_sign))).matvec(np.asarray(u, dtype=float))

@@ -38,25 +38,12 @@ MIN_STEP = 2.0 ** -20     # smallest damping factor tried; taken if none passes
 # a full correction below ROUNDOFF_STEP * max(1, max|u|) that does not lower
 # the residual means Newton sits at the roundoff floor of the residual
 ROUNDOFF_STEP = 1e-12
-
-
-@dataclass
-class SolverConfig:
-    tol_residual: float = 1e-10   # max-norm of the residual
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+MAX_ITERATIONS = 50
 
 
 @dataclass
 class SolveReport:
-    converged: bool
     iterations: int
-    final_residual: float
     residual_norms: list[float] = field(default_factory=list)
     positive: bool = False
     decreasing: bool = False
@@ -85,17 +72,19 @@ def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def solve(initial: FrontProfile,
-          cfg: SolverConfig | None = None) -> tuple[FrontProfile, SolveReport]:
+          tol: float = 1e-10) -> tuple[FrontProfile, SolveReport]:
     """Newton-solve the stationary equation of ``initial`` (its c, ramp and
-    closure) from its nodal values, with Armijo backtracking.
+    closure) from its nodal values, with Armijo backtracking, until the
+    max-norm of the residual is at most ``tol``.
 
     Positivity and monotonicity of the result are recorded in the report,
     not enforced; admissibility is verified post hoc so that a defective
     solve is visible rather than masked.  A solve stalled at the roundoff
-    floor above ``tol_residual`` raises MaxIterationsError at once rather
-    than backtracking through the remaining iterations.
+    floor above ``tol`` raises MaxIterationsError at once rather than
+    backtracking through the remaining iterations.
     """
-    cfg = cfg or SolverConfig()
+    if not tol > 0:
+        raise ValueError(f"Newton tolerance must be positive, got tol={tol}")
     g: Grid = initial.grid
     c = initial.c
     r = ramp(g, initial.eps)
@@ -103,11 +92,10 @@ def solve(initial: FrontProfile,
     u = np.asarray(initial.u, dtype=float).copy()
     f = stationary_residual(g, u, c, r, gl)
     res = float(np.abs(f).max())
-    report = SolveReport(converged=False, iterations=0, final_residual=res,
-                         residual_norms=[res])
+    report = SolveReport(iterations=0, residual_norms=[res])
 
-    for it in range(1, cfg.max_iter + 1):
-        if res <= cfg.tol_residual:
+    for it in range(1, MAX_ITERATIONS + 1):
+        if res <= tol:
             break
         jac = stationary_jacobian(g, u, c, r)
         step = banded_lu_solve(jac, -f)
@@ -124,7 +112,7 @@ def solve(initial: FrontProfile,
                 raise MaxIterationsError(
                     f"Newton stalled at the roundoff floor at c={c:g}, "
                     f"h={g.h:g}, n={g.n}: iteration {it}, residual {res:.3e} "
-                    f"> tol {cfg.tol_residual:g}, full step {step_norm:.3e}")
+                    f"> tol {tol:g}, full step {step_norm:.3e}")
             t *= BACKTRACK_FACTOR
         else:
             t = MIN_STEP
@@ -136,20 +124,16 @@ def solve(initial: FrontProfile,
         report.iterations = it
         report.residual_norms.append(res)
         if len(report.residual_norms) > 5 and res > 10.0 * report.residual_norms[-6]:
-            report.final_residual = res
             raise DivergenceError(
                 f"residual grew 10x over 5 iterations (now {res:.3e})")
 
-    report.final_residual = res
-    report.converged = res <= cfg.tol_residual
-    if not report.converged:
+    if res > tol:
         raise MaxIterationsError(
-            f"no convergence in {cfg.max_iter} iterations, residual {res:.3e}")
+            f"no convergence in {MAX_ITERATIONS} iterations, residual {res:.3e}")
 
     nonpositive, rises = shape_violations(u)
     report.positive = not nonpositive.size
     report.decreasing = not rises.size
     profile = FrontProfile(c=c, grid=g, u=u, eps=initial.eps,
-                           residual_norm=report.final_residual,
-                           converged=report.converged)
+                           residual_norm=res, converged=True)
     return profile, report

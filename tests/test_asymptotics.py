@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from quenchfront import bvp, continuation
 from quenchfront.asymptotics import (OMEGA0, erf_front_position, erf_profile,
                                      erf_profile_vec, front_loc_largec,
-                                     front_loc_negc, left_tail, right_tail,
+                                     front_loc_negc, left_tail,
                                      right_tail_log_derivative)
 
 
@@ -84,18 +84,15 @@ class TestFrontLocations:
 
 class TestRightTail:
     def test_log_derivative_consistency(self):
+        def right_tail(x, c, alpha_plus):
+            # alpha_+ exp(-(2/3)(x + c^2/4)^{3/2} - c x/2) x^{-1/4}
+            return alpha_plus * math.exp(-(2.0 / 3.0) * (x + c * c / 4.0) ** 1.5
+                                         - 0.5 * c * x) * x ** -0.25
+
         c, x, dx = 1.0, 7.0, 1e-3
         ratio = right_tail(x + dx, c, 0.4) / right_tail(x, c, 0.4)
         assert math.log(ratio) / dx == pytest.approx(
             right_tail_log_derivative(x + dx / 2, c), rel=1e-5)
-
-    def test_faster_decay_with_positive_c(self):
-        for x in (2.0, 5.0, 8.0):
-            assert right_tail(x, 1.0, 0.4) < right_tail(x, 0.0, 0.4)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            right_tail(0.5, 0.0, 1.0)
 
 
 class TestLeftTail:
@@ -179,8 +176,6 @@ class TestPredict:
                 fn(0.0, 1.0) if fn is not front_loc_negc else fn(1.0)
         with pytest.raises(ValueError):
             front_loc_largec(-1.0)
-        with pytest.raises(ValueError):
-            right_tail(0.0, 0.0, 1.0)
 
 
 class TestErfProfileOracle:

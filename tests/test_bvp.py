@@ -79,8 +79,8 @@ class TestResidual:
         from quenchfront.grid import Grid
         from quenchfront.bvp import initial_guess
         g = Grid(-15.0, 10.0, 2501)
-        p, report = solve(FrontProfile(c=0.0, grid=g, u=initial_guess(g, 0.0)))
-        assert report.converged
+        p, _ = solve(FrontProfile(c=0.0, grid=g, u=initial_guess(g, 0.0)))
+        assert p.converged
         assert np.abs(residual(p)).max() < 1e-10
 
     def test_non_finite_rejected(self):

@@ -94,6 +94,16 @@ class TestSolveCommand:
         run(["solve", "--c", "0", "--out", str(out2)])
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--c", "0", "--h", "0"], "h=0.0"), (["--c", "0", "--h", "nan"], "h=nan"),
+        (["--c", "nan"], "c=nan"), (["--c", "inf"], "c=inf")])
+    def test_non_finite_input_rejected(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["solve", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and named in err
+        assert not out.exists()
+
     def test_margin_validation_error(self, tmp_path, capsys):
         code = run(["solve", "--c", "0", "--xmax", "2",
                     "--out", str(tmp_path / "x.csv")])
@@ -170,6 +180,16 @@ class TestBranchCommand:
         assert np.all(np.isfinite(cols["log_alpha_plus"]))
         assert np.allclose(np.exp(cols["log_alpha_plus"]), cols["alpha_plus"],
                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cmin, cmax", [("0", "1"), ("-1", "0")])
+    def test_keeps_the_anchor_at_an_end_of_the_range(self, cmin, cmax, tmp_path):
+        out = tmp_path / "branch.csv"
+        assert run(["branch", "--cmin", cmin, "--cmax", cmax, "--dc", "0.5",
+                    "--h", "0.04", "--out", str(out)]) == 0
+        _, cols = read_csv(out)
+        assert np.count_nonzero(cols["c"] == 0.0) == 1
+        assert cols["c"].min() == pytest.approx(float(cmin))
+        assert cols["c"].max() == pytest.approx(float(cmax))
 
     def test_rejects_bad_range(self, capsys):
         assert run(["branch", "--cmin", "2", "--cmax", "-2"]) == 2
@@ -267,6 +287,14 @@ class TestOtherCommands:
         printed = capsys.readouterr().out
         assert "PASS  9" in printed and "PASS 11" in printed
         assert out.read_text().count("PASS") == 2
+
+
+@pytest.mark.parametrize("criteria", ["99", "0", "1,12"])
+def test_validate_rejects_unknown_criterion(criteria, capsys):
+    assert run(["validate", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert "error kind=ValueError" in captured.err and "numbered 1-11" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_cold_import_loads_no_interpolate_optimize_or_special(tmp_path):

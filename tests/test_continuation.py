@@ -55,6 +55,18 @@ class TestContinueBranch:
         assert diagnostics.u_at_zero(p) == pytest.approx(
             200.0 ** 0.25 / np.pi ** 0.25, rel=0.02)
 
+    @pytest.mark.parametrize("dc", [0.0, -0.25, np.nan])
+    def test_step_must_be_positive(self, hm_profile, dc):
+        with pytest.raises(ValueError, match="dc="):
+            continue_branch(hm_profile, 1.0, dc_init=dc)
+
+    def test_step_that_leaves_c_unchanged_is_refused(self, hm_profile):
+        # -1 + 1e-17 == -1: the sweep would re-solve the same c forever
+        seed = FrontProfile(c=-1.0, grid=hm_profile.grid, u=hm_profile.u,
+                            converged=True)
+        with pytest.raises(ValueError, match="dc=1e-17 leaves c=-1 unchanged"):
+            continue_branch(seed, 0.0, dc_init=1e-17)
+
     def test_seed_must_be_converged(self, hm_profile):
         bad = FrontProfile(c=0.0, grid=hm_profile.grid, u=hm_profile.u)
         with pytest.raises(ValueError):
@@ -107,9 +119,8 @@ class TestReinterpolate:
         q = reinterpolate(hm_profile, g2)
         # the assembly roundoff floor scales like eps/h^2, so the refined
         # grid cannot reach the default 1e-10 residual target
-        cfg = newton.SolverConfig(tol_residual=1e-9)
-        _, report = newton.solve(FrontProfile(c=0.0, grid=g2, u=q.u), cfg=cfg)
-        assert report.converged and report.iterations <= 5
+        p, report = newton.solve(FrontProfile(c=0.0, grid=g2, u=q.u), tol=1e-9)
+        assert p.converged and report.iterations <= 5
 
     def test_left_extension_matches_closure(self, hm_profile):
         g2 = make_grid(hm_profile.grid.x_min - 20.0, hm_profile.grid.x_max, 0.01)
@@ -152,9 +163,9 @@ class TestSolveFront:
 
         monkeypatch.setattr(newton, "solve", counting_solve)
         # an unreachable tolerance makes the c = 0 anchor solve fail quickly
-        cfg = newton.SolverConfig(tol_residual=1e-16, max_iter=2)
+        monkeypatch.setattr(newton, "MAX_ITERATIONS", 2)
         with pytest.raises(newton.MaxIterationsError):
-            solve_front(0.0, cfg=cfg)
+            solve_front(0.0, tol=1e-16)
         assert calls == [0.0]
 
     def test_respects_requested_grid(self):

@@ -209,7 +209,7 @@ class TestInnerScaling:
             rep.x_delta_inner_scaled, abs=0.5)
 
     def test_report_arrays_consistent(self):
-        rep = compare_inner_scaling(1e-2, 0.0, window_half=3.0)
+        rep = compare_inner_scaling(1e-2, 0.0)
         assert rep.xs.shape == rep.u_tanh.shape == rep.u_inner_scaled.shape
         assert np.abs(rep.u_tanh - rep.u_inner_scaled).max() == pytest.approx(
             rep.sup_gap)

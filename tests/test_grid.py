@@ -4,7 +4,7 @@ from scipy.interpolate import CubicSpline
 
 from quenchfront import bvp
 from quenchfront.grid import (BandedLU, BandedMatrix, Grid, SingularMatrixError,
-                              UniformSpline, d1_apply, d1_band, d2_apply, d2_band,
+                              UniformSpline, d1_band, d2_band,
                               fd_weights, make_grid)
 
 
@@ -33,6 +33,17 @@ def test_grid_validation():
         Grid(1.0, 0.0, 20)
 
 
+@pytest.mark.parametrize("args, named", [
+    ((np.nan, 1.0, 0.1), "[nan, 1.0]"), ((-np.inf, 1.0, 0.1), "[-inf, 1.0]"),
+    ((0.0, np.inf, 0.1), "[0.0, inf]"), ((0.0, 1.0, 0.0), "h=0.0"),
+    ((0.0, 1.0, -0.1), "h=-0.1"), ((0.0, 1.0, np.nan), "h=nan"),
+    ((0.0, 1.0, np.inf), "h=inf")])
+def test_make_grid_rejects_non_finite_bounds_and_bad_spacing(args, named):
+    with pytest.raises(ValueError) as exc:
+        make_grid(*args)
+    assert named in str(exc.value)
+
+
 def test_make_grid_snaps_zero_onto_grid():
     g = make_grid(-25.0, 15.3, 0.01)
     assert g.h <= 0.01 + 1e-12
@@ -52,34 +63,34 @@ class TestDerivativeOperators:
     def test_annihilate_constants(self):
         g = make_grid(-2.0, 3.0, 0.05)
         u = np.full(g.n, 2.7)
-        assert np.abs(d2_apply(g, u)[1:-1]).max() <= 1e-10
+        assert np.abs(d2_band(g).matvec(u)[1:-1]).max() <= 1e-10
         for s in (-1, 0, 1):
-            assert np.abs(d1_apply(g, u, s)[1:-1]).max() <= 1e-10
+            assert np.abs(d1_band(g, s).matvec(u)[1:-1]).max() <= 1e-10
 
     def test_d2_exact_on_quadratic(self):
         g = make_grid(-2.0, 2.0, 0.05)
         x = g.nodes()
-        out = d2_apply(g, x ** 2)
+        out = d2_band(g).matvec(x ** 2)
         assert np.abs(out[1:-1] - 2.0).max() <= 1e-10
 
     def test_d2_exact_through_degree_five(self):
         g = make_grid(-1.0, 1.0, 0.1)
         x = g.nodes()
-        out = d2_apply(g, x ** 5)
+        out = d2_band(g).matvec(x ** 5)
         assert np.abs(out[1:-1] - 20.0 * x[1:-1] ** 3).max() <= 1e-9
 
     def test_d1_exact_on_cubic(self):
         g = make_grid(-1.5, 1.5, 0.05)
         x = g.nodes()
         for s in (-1, 0, 1):
-            out = d1_apply(g, x ** 3, s)
+            out = d1_band(g, s).matvec(x ** 3)
             assert np.abs(out[1:-1] - 3.0 * x[1:-1] ** 2).max() <= 1e-10
 
     def test_d1_exact_through_degree_four(self):
         g = make_grid(-1.0, 1.0, 0.1)
         x = g.nodes()
         for s in (-1, 0, 1):
-            out = d1_apply(g, x ** 4, s)
+            out = d1_band(g, s).matvec(x ** 4)
             assert np.abs(out[1:-1] - 4.0 * x[1:-1] ** 3).max() <= 1e-9
 
     @pytest.mark.parametrize("upwind", [-1, 0, 1])
@@ -88,7 +99,7 @@ class TestDerivativeOperators:
         for h in (0.05, 0.025):
             g = make_grid(-1.0, 1.0, h)
             x = g.nodes()
-            out = d1_apply(g, np.exp(x), upwind)
+            out = d1_band(g, upwind).matvec(np.exp(x))
             errs.append(np.abs(out - np.exp(x))[1:-1].max())
         order = np.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
@@ -98,7 +109,7 @@ class TestDerivativeOperators:
         for h in (0.05, 0.025):
             g = make_grid(-1.0, 1.0, h)
             x = g.nodes()
-            out = d2_apply(g, np.sin(x))
+            out = d2_band(g).matvec(np.sin(x))
             errs.append(np.abs(out + np.sin(x))[1:-1].max())
         order = np.log2(errs[0] / errs[1])
         assert 3.7 <= order <= 4.3
@@ -109,19 +120,19 @@ class TestDerivativeOperators:
         e = []
         for g in (g1, g2):
             x = g.nodes()
-            e.append(np.abs(d2_apply(g, np.sin(x)) + np.sin(x))[1:-1].max())
+            e.append(np.abs(d2_band(g).matvec(np.sin(x)) + np.sin(x))[1:-1].max())
         assert e[0] / e[1] == pytest.approx(16.0, rel=0.35)
 
     def test_length_mismatch_raises(self):
         g = make_grid(0.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            d2_apply(g, np.zeros(g.n + 1))
+            d2_band(g).matvec(np.zeros(g.n + 1))
         with pytest.raises(ValueError):
-            d1_apply(g, np.zeros(g.n - 1), 0)
+            d1_band(g, 0).matvec(np.zeros(g.n - 1))
 
     def test_boundary_rows_untouched(self):
         g = make_grid(-1.0, 1.0, 0.1)
-        out = d2_apply(g, np.sin(g.nodes()))
+        out = d2_band(g).matvec(np.sin(g.nodes()))
         assert out[0] == 0.0 and out[-1] == 0.0
 
     def test_band_rows_sum_to_zero(self):

@@ -9,8 +9,7 @@ from quenchfront.bvp import FrontProfile
 from quenchfront.continuation import solve_front
 from quenchfront.grid import BandedMatrix
 from quenchfront.newton import (DivergenceError, MaxIterationsError,
-                                SingularJacobianError, SolverConfig,
-                                banded_lu_solve, solve)
+                                SingularJacobianError, banded_lu_solve, solve)
 
 
 class TestBandedSolve:
@@ -114,7 +113,7 @@ def shooting_oracle_c0():
 class TestSolve:
     def test_fixed_point_converges_immediately(self, hm_profile):
         p, report = solve(hm_profile)
-        assert report.converged and report.iterations <= 2
+        assert p.converged and report.iterations <= 2
         assert np.abs(p.u - hm_profile.u).max() <= 1e-9
 
     def test_ramp_guess_converges_to_front(self, hm_profile):
@@ -123,7 +122,7 @@ class TestSolve:
         g = hm_profile.grid
         seed = FrontProfile(c=0.0, grid=g, u=bvp.initial_guess(g, 0.0))
         p, report = solve(seed)
-        assert report.converged and report.decreasing and report.positive
+        assert p.converged and report.decreasing and report.positive
         i0 = int(np.argmin(np.abs(g.nodes())))
         assert abs(p.u[i0] - 0.52) <= 0.05
         assert p.u[i0] == pytest.approx(u0_oracle, abs=1e-4)
@@ -142,8 +141,8 @@ class TestSolve:
         c = -200.0
         g = bvp.default_grid(c)
         u_init = bvp.initial_guess(g, c)
-        p, report = solve(FrontProfile(c=c, grid=g, u=u_init))
-        assert report.converged
+        p, _ = solve(FrontProfile(c=c, grid=g, u=u_init))
+        assert p.converged and p.residual_norm <= 1e-10
         rel = np.abs(u_init - p.u).max() / np.abs(p.u).max()
         assert rel <= 0.05
 
@@ -166,11 +165,12 @@ class TestSolve:
         pb, _ = solve(seed_b)
         assert np.abs(pa.u - pb.u).max() <= 1e-8
 
-    def test_failure_reports_max_iterations(self, hm_profile):
+    def test_failure_reports_max_iterations(self, hm_profile, monkeypatch):
+        monkeypatch.setattr(newton, "MAX_ITERATIONS", 2)
         g = hm_profile.grid
         seed = FrontProfile(c=0.0, grid=g, u=bvp.initial_guess(g, 0.0))
         with pytest.raises((MaxIterationsError, DivergenceError)):
-            solve(seed, cfg=SolverConfig(max_iter=2))
+            solve(seed)
 
     def test_stall_at_roundoff_floor_raises_at_once(self, monkeypatch):
         # at h = 0.005 the residual's roundoff floor (~2e-10) lies above the
@@ -191,8 +191,7 @@ class TestSolve:
             solve(seed)
         assert len(evaluations) <= 20   # was 917 over 50 iterations
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol_residual=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
+    def test_config_validation(self, hm_profile):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol="):
+                solve(hm_profile, tol=tol)
