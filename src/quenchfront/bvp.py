@@ -115,7 +115,9 @@ def default_grid(c: float, h: float = DEFAULT_H) -> Grid:
     return make_grid(x_min, x_max, h)
 
 
-@lru_cache(maxsize=32)
+# A continuation step reads two: the accepted point's, for the tangent (again
+# after each rejected step), and the trial point's, for Newton
+@lru_cache(maxsize=2)
 def _drift_diffusion_band(g: Grid, c: float) -> BandedMatrix:
     """D2 + c*D1 upwinded by sign(c), boundary rows zero; read-only (copy it)."""
     band = d2_band(g).copy()

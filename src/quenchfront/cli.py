@@ -102,6 +102,10 @@ class RunConfig:
 def write_csv(path: str | Path, kind: str, header: dict, columns: dict,
               cfg: RunConfig, trailing_comments: list[str] | None = None) -> None:
     names = list(columns)
+    cols = [np.atleast_1d(np.asarray(columns[n], dtype=float)).tolist() for n in names]
+    if len({len(col) for col in cols}) > 1:
+        raise ValueError("CSV columns differ in length: " + ", ".join(
+            f"{n}={len(col)}" for n, col in zip(names, cols)))
     lines = [f"# schema_version={SCHEMA_VERSION}",
              f"# kind={kind}",
              f"# generated_by=quenchfront {__version__}"]
@@ -110,8 +114,7 @@ def write_csv(path: str | Path, kind: str, header: dict, columns: dict,
     lines.append(",".join(names))
     # "%.17g" prints a float exactly as _fmt does, one row per template
     row = ",".join(["%.17g"] * len(names))
-    lines += [row % cells for cells in zip(
-        *(np.atleast_1d(np.asarray(columns[n], dtype=float)).tolist() for n in names))]
+    lines += [row % cells for cells in zip(*cols)]
     lines += trailing_comments or []
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -21,6 +21,9 @@ from pathlib import Path
 import numpy as np
 
 MAX_BANDWIDTH = 4  # widest clamped stencil reaches 4 nodes off-diagonal
+# 40x the largest grid in use (about 24,000 nodes at c = -200, h = 0.005);
+# it keeps a mistyped spacing or drift speed from allocating gigabytes
+MAX_NODES = 10 ** 6
 
 
 def _load_flapack():
@@ -74,6 +77,10 @@ class Grid:
             raise ValueError(f"need n >= 9 for biased 4th-order stencils, got {self.n}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if self.n > MAX_NODES:
+            raise ValueError(f"grid of n={self.n} nodes (h={self.h:g} on "
+                             f"[{self.x_min:g}, {self.x_max:g}]) exceeds "
+                             f"the {MAX_NODES} node limit")
 
     @property
     def h(self) -> float:
@@ -231,35 +238,40 @@ def fd_weights(z: float, xs: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
+@lru_cache(maxsize=None)   # the bands use eight windows in all
 def _stencil(offsets: tuple[int, ...], m: int) -> np.ndarray:
-    return fd_weights(0.0, np.array(offsets, dtype=float), m)
+    """Weights of the m-th derivative on nodes at ``offsets`` (unit
+    spacing); memoised, so read-only."""
+    w = fd_weights(0.0, np.array(offsets, dtype=float), m)
+    w.flags.writeable = False
+    return w
 
 
-def _frozen_band(n: int, *groups) -> BandedMatrix:
-    """Read-only band with weights[k] at (rows[r], starts[r] + k) per group;
-    filled one stencil column at a time to keep the temporaries O(n)."""
+def _frozen_band(n: int, m: int, scale: float, windows) -> BandedMatrix:
+    """Read-only band of m-th derivative weights times ``scale``: each row i
+    in [r0, r1) of a window (r0, r1, offsets) gets weights on nodes
+    i + offsets, filled one diagonal slice per offset."""
     band = BandedMatrix(n, MAX_BANDWIDTH)
-    for rows, starts, weights in groups:
-        for k, wk in enumerate(weights):
-            band.data[MAX_BANDWIDTH + rows - starts - k, starts + k] += wk
+    for r0, r1, offsets in windows:
+        for o, w in zip(offsets, _stencil(offsets, m) * scale):
+            band.data[MAX_BANDWIDTH - o, r0 + o:r1 + o] = w
     band.data.flags.writeable = False
     return band
 
 
-@lru_cache(maxsize=64)
+# Bounded to the working set: a continuation sweep walks its grids in one
+# direction, so only the current grid and the one before it are read again.
+@lru_cache(maxsize=2)
 def d2_band(g: Grid) -> BandedMatrix:
     """Banded second-derivative operator; boundary rows are zero.  Cached
     and read-only: callers that modify it must take a ``copy()``."""
-    n, scale = g.n, 1.0 / g.h ** 2
-    interior = np.arange(2, n - 2)
-    return _frozen_band(
-        n, (interior, interior - 2, _stencil((-2, -1, 0, 1, 2), 2) * scale),
-        (np.array([1]), np.array([0]), _stencil((-1, 0, 1, 2, 3, 4), 2) * scale),
-        (np.array([n - 2]), np.array([n - 6]),
-         _stencil((-4, -3, -2, -1, 0, 1), 2) * scale))
+    n = g.n
+    return _frozen_band(n, 2, 1.0 / g.h ** 2, [
+        (1, 2, (-1, 0, 1, 2, 3, 4)), (2, n - 2, (-2, -1, 0, 1, 2)),
+        (n - 2, n - 1, (-4, -3, -2, -1, 0, 1))])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2)
 def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     """Banded first-derivative operator; boundary rows are zero.
 
@@ -269,10 +281,10 @@ def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     boundaries; all variants use 5 points and stay fourth order.  Cached and
     read-only: callers that modify it must take a ``copy()``.
     """
-    n, scale = g.n, 1.0 / g.h
-    rows = np.arange(1, n - 1)
-    starts = np.clip(rows - 2 + int(np.sign(upwind_sign)), 0, n - 5)
-    lo = starts - rows   # window offset; only the clamped rows differ
-    return _frozen_band(n, *[(rows[lo == o], starts[lo == o],
-                              _stencil(tuple(range(o, o + 5)), 1) * scale)
-                             for o in sorted(set(lo.tolist()))])
+    n = g.n
+    lo = int(np.sign(upwind_sign)) - 2   # window offset of unclamped rows
+    windows = [(-lo, n - 4 - lo, lo)]    # rows i with 0 <= i + lo <= n - 5
+    windows += [(i, i + 1, min(max(i + lo, 0), n - 5) - i)
+                for i in [*range(1, -lo), *range(n - 4 - lo, n - 1)]]
+    return _frozen_band(n, 1, 1.0 / g.h, [(r0, r1, tuple(range(o, o + 5)))
+                                          for r0, r1, o in windows])

@@ -59,6 +59,13 @@ class TestCsvRoundTrip:
         rows = path.read_text().splitlines()[-len(a):]
         assert rows == [f"{x:.17g},{float(y):.17g}" for x, y in zip(a, b)]
 
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="x=3, u=2"):
+            write_csv(path, "profile", {}, {"x": [0.0, 1.0, 2.0], "u": [3.0, 4.0]},
+                      RunConfig())
+        assert not path.exists()
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# schema_version=99\nx,u\n0,1\n")
@@ -102,6 +109,15 @@ class TestSolveCommand:
         assert run(["solve", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error kind=ValueError" in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--c", "0", "--h", "1e-8"], "n=4500000001"), (["--c", "1e4"], "n=2500014501")])
+    def test_grid_over_node_limit_rejected(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["solve", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and named in err and "node limit" in err
         assert not out.exists()
 
     def test_margin_validation_error(self, tmp_path, capsys):

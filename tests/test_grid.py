@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from quenchfront import bvp
-from quenchfront.grid import (BandedLU, BandedMatrix, Grid, SingularMatrixError,
-                              UniformSpline, d1_band, d2_band,
-                              fd_weights, make_grid)
+from quenchfront import bvp, continuation
+from quenchfront.grid import (MAX_NODES, BandedLU, BandedMatrix, Grid,
+                              SingularMatrixError, UniformSpline, _stencil,
+                              d1_band, d2_band, fd_weights, make_grid)
 
 
 def banded_to_dense(a: BandedMatrix) -> np.ndarray:
@@ -42,6 +42,17 @@ def test_make_grid_rejects_non_finite_bounds_and_bad_spacing(args, named):
     with pytest.raises(ValueError) as exc:
         make_grid(*args)
     assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: make_grid(-25.0, 15.0, 1e-8), ["n=4000000001", "h=1e-08", "[-25, 15]"]),
+    (lambda: bvp.default_grid(1e4), ["n=2500014501", "h=0.01", "115]"])],
+    ids=["make_grid", "default_grid"])
+def test_grid_over_node_limit_rejected(build, named):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert all(s in str(exc.value) for s in named)
+    assert Grid(0.0, 1.0, MAX_NODES).n == MAX_NODES
 
 
 def test_make_grid_snaps_zero_onto_grid():
@@ -234,6 +245,41 @@ class TestCachedBandsReadOnly:
         band = d2_band(g).copy()
         band.add_diagonal(np.ones(g.n))
         assert band.data[4, 3] == d2_band(g).data[4, 3] + 1.0
+
+
+class TestBoundedBandCaches:
+    CACHES = (d2_band, d1_band, bvp._drift_diffusion_band)
+
+    def test_sweep_assembles_each_grid_once(self, hm_profile):
+        for cache in self.CACHES:
+            cache.cache_clear()
+        branch = continuation.continue_branch(hm_profile, -60.0)
+        grids = {p.grid for _, p in branch.points}
+        assert len(grids) >= 4   # the sweep regrids several times
+        assert all(c.cache_info().currsize <= 2 for c in self.CACHES)
+        # one d2 band per grid; d1 adds the centred band of the c = 0 tangent
+        assert d2_band.cache_info().misses == len(grids)
+        assert d1_band.cache_info().misses == len(grids) + 1
+
+    def test_band_rebuilt_after_eviction_is_bitwise_equal(self):
+        g = make_grid(-1.0, 1.0, 0.1)
+        first = [d2_band(g).data.tobytes(), d1_band(g, 1).data.tobytes(),
+                 bvp._drift_diffusion_band(g, 0.5).data.tobytes()]
+        for h in (0.05, 0.025, 0.0125):   # more grids than any cache keeps
+            other = make_grid(-1.0, 1.0, h)
+            d2_band(other), d1_band(other, 1), bvp._drift_diffusion_band(other, 0.5)
+        misses = [c.cache_info().misses for c in self.CACHES]
+        again = [d2_band(g).data.tobytes(), d1_band(g, 1).data.tobytes(),
+                 bvp._drift_diffusion_band(g, 0.5).data.tobytes()]
+        assert [c.cache_info().misses for c in self.CACHES] == [m + 1 for m in misses]
+        assert again == first
+
+    def test_memoised_stencil_is_read_only(self):
+        w = _stencil((-2, -1, 0, 1, 2), 2)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        fresh = fd_weights(0.0, np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), 2)
+        assert _stencil((-2, -1, 0, 1, 2), 2).tobytes() == fresh.tobytes()
 
 
 class TestBandedLU:
