@@ -125,7 +125,7 @@ def read_csv(path: str | Path) -> tuple[dict, dict]:
     header: dict[str, str] = {}
     names: list[str] | None = None
     rows: list[list[float]] = []
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -137,8 +137,14 @@ def read_csv(path: str | Path) -> tuple[dict, dict]:
             continue
         if names is None:
             names = [t.strip() for t in line.split(",")]
-        else:
-            rows.append([float(t) for t in line.split(",")])
+            continue
+        cells = line.split(",")
+        try:
+            if len(cells) != len(names):
+                raise ValueError(f"{len(cells)} cells for {len(names)} columns")
+            rows.append([float(t) for t in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if header.get("schema_version") != str(SCHEMA_VERSION):
         raise ValueError(f"{path}: missing or unsupported schema_version "
                          f"(want {SCHEMA_VERSION}, got {header.get('schema_version')!r})")
@@ -292,6 +298,7 @@ def _refuse_grid_keys(cfg: RunConfig, command: str) -> None:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme)
     if cfg.ramp == "linear":
         p = _solve(cfg, cfg.c)
     elif cfg.ramp == "tanh":
@@ -299,7 +306,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
         p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c)
     else:
         raise ValueError(f"unknown ramp {cfg.ramp!r}")
-    ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme)
     x = p.grid.nodes()
     bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p, cfg.delta)) ** 2)
     result = evolve_mod.evolve(p, p.u + bump, ecfg)

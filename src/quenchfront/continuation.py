@@ -1,13 +1,13 @@
 """Continuation of admissible fronts in the drift speed c.
 
 Each step predicts the front at the next c and corrects the prediction
-with Newton.  For c <= 2 the predictor is the tangent u + dc du/dc, where
-du/dc solves J du/dc = -dF/dc at the accepted point.  For c > 2 the front
-translates by -(c_next^2 - c^2)/4, which no linear predictor follows, so
-the previous front is shifted by that displacement instead.  The step is
-driven by Newton: after an accepted step dc <- dc clamp(5 / iterations,
-0.5, 2), and a failed step is halved down to DC_MIN.  There are no folds
-in c, so no arclength machinery is needed.
+with Newton.  The predictor is one tangent rule in the frame x + c+^2/4
+(c+ = max(c, 0)), which moves with the delayed interface of c > 0: the
+co-moving derivative du/dc - (c+/2) u', du/dc from J du/dc = -dF/dc at the
+accepted point, steps the shape, and the front moves by -(c_next+^2 -
+c+^2)/4; for c <= 0 this is the plain tangent u + dc du/dc.  After an
+accepted step dc <- dc clamp(5 / iterations, 0.5, 2); a failed step is
+halved down to DC_MIN.  There are no folds in c, so no arclength is needed.
 """
 
 from __future__ import annotations
@@ -73,41 +73,34 @@ def reinterpolate(p: FrontProfile, g_new: Grid) -> FrontProfile:
 
 
 def _tangent(p: FrontProfile, sgn: float) -> np.ndarray:
-    """du/dc at a converged point, from J du/dc = -dF/dc.
+    """Co-moving derivative du/dc - (c+/2) D1 u at a converged point, where
+    c+ = max(c, 0) and du/dc solves J du/dc = -dF/dc.
 
     dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F),
     minus the slope in c of the left closure value on row 0, and 0 on row
     n-1.  The closure is affine in c on either side of c = 0 and jumps at
     c = 0, so its slope is differenced on the side the branch moves to
-    (``sgn``).
+    (``sgn``).  For c <= 0 the frame term vanishes and this is du/dc.
     """
     g = p.grid
     # grid.d1_band is looked up at call time, so a wrapper installed on the
     # module (a tracer's) sees this call too; boundary rows of D1 are 0
-    rhs = -grid.d1_band(g, int(np.sign(p.c))).matvec(p.u)
+    d1u = grid.d1_band(g, int(np.sign(p.c))).matvec(p.u)
+    rhs = -d1u
     c1, c2 = p.c + sgn * DC_MIN, p.c + 2.0 * sgn * DC_MIN
     rhs[0] = (bvp.left_value(c2, g.x_min, p.eps)
               - bvp.left_value(c1, g.x_min, p.eps)) / (c2 - c1)
-    return newton.banded_lu_solve(bvp.jacobian(p), rhs)
+    return newton.banded_lu_solve(bvp.jacobian(p), rhs) - 0.5 * max(p.c, 0.0) * d1u
 
 
-def _predict(current: FrontProfile, tangent: np.ndarray | None, c_next: float,
+def _predict(current: FrontProfile, tangent: np.ndarray, c_next: float,
              g_target: Grid) -> np.ndarray:
-    """Initial guess for the next continuation step on g_target.
-
-    With a tangent: u + (c_next - c) du/dc, clipped at zero.  Without one
-    (c > 2): the previous front shifted by its displacement
-    -(c_next^2 - c^2)/4, which lies far beyond the Newton basin of a
-    steep-tailed profile.  Either is re-interpolated when the grid changes.
-    """
+    """Initial guess on g_target: u + (c_next - c) tangent, clipped at zero,
+    translated by -(c_next+^2 - c+^2)/4 and re-interpolated if need be."""
     g = current.grid
-    if tangent is None:
-        shift = -(c_next ** 2 - current.c ** 2) / 4.0
-        moved = FrontProfile(c=c_next, grid=Grid(g.x_min + shift, g.x_max + shift, g.n),
-                             u=current.u)
-    else:
-        moved = FrontProfile(c=c_next, grid=g, u=np.maximum(
-            current.u + (c_next - current.c) * tangent, 0.0))
+    shift = -(max(c_next, 0.0) ** 2 - max(current.c, 0.0) ** 2) / 4.0
+    moved = FrontProfile(c=c_next, grid=Grid(g.x_min + shift, g.x_max + shift, g.n),
+                         u=np.maximum(current.u + (c_next - current.c) * tangent, 0.0))
     if moved.grid == g_target:
         return moved.u
     return reinterpolate(moved, g_target).u
@@ -119,8 +112,8 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
     point (seed included), each Newton-solved to residual ``tol``.  The first
     step is dc_init > 0; each accepted step scales the next by
     clamp(TARGET_ITERATIONS / Newton iterations, 0.5, 2), and each failed
-    step is halved, down to DC_MIN.  Domains and the c > 2 predictor are
-    those of the linear ramp, so a tanh-ramp seed is refused."""
+    step is halved, down to DC_MIN.  Domains and the moving frame of the
+    predictor are those of the linear ramp, so a tanh-ramp seed is refused."""
     if not seed.converged:
         raise ValueError("continuation seed must be a converged profile")
     if seed.eps is not None:
@@ -143,9 +136,8 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         if not bvp.domain_ok(g_target, c_next):
             g_target = bvp.default_grid(c_next, h)
         try:
-            tangent = None if c > 2.0 and c_next > 2.0 else _tangent(current, sgn)
-            trial = FrontProfile(c=c_next, grid=g_target,
-                                 u=_predict(current, tangent, c_next, g_target))
+            trial = FrontProfile(c=c_next, grid=g_target, u=_predict(
+                current, _tangent(current, sgn), c_next, g_target))
             solved, report = newton.solve(trial, tol)
             if not (report.positive and report.decreasing):
                 raise newton.SolverError("converged to a non-admissible profile")

@@ -43,8 +43,9 @@ class EvolveConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not (self.dt > 0 and 0.5 < self.t_end / self.dt < math.inf):
+            raise ValueError(f"dt={self.dt:g} and t_end={self.t_end:g} must be positive, "
+                             f"with t_end/dt finite and rounding to at least one step")
         if self.scheme not in ("imex_euler", "imex_cn"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:

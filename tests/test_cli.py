@@ -66,6 +66,21 @@ class TestCsvRoundTrip:
                       RunConfig())
         assert not path.exists()
 
+    @pytest.mark.parametrize("row, named", [
+        ("1,2,3", "line 6: 3 cells for 2 columns"),
+        ("1,abc", "line 6: could not convert string to float: 'abc'")])
+    def test_malformed_row_located(self, row, named, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# schema_version=1\n# kind=profile\n# c=0\nx,u\n0,1\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv, {named}"):
+            read_csv(path)
+        out = tmp_path / "x.csv"
+        assert run(["solve", "--c", "0", "--h", "0.04", "--seed-file", str(path),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and f"bad.csv, {named}" in err
+        assert not out.exists()
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# schema_version=99\nx,u\n0,1\n")
@@ -227,6 +242,16 @@ class TestOtherCommands:
         header, cols = read_csv(out)
         assert float(header["measured_rate"]) < -1.0
         assert cols["deviation"][-1] < cols["deviation"][0]
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--t-end", "inf"], "t_end=inf"), (["--dt", "nan"], "dt=nan"),
+        (["--dt", "inf"], "dt=inf"), (["--dt", "0.5", "--t-end", "0.2"], "dt=0.5 and t_end=0.2")])
+    def test_evolve_unrunnable_time_settings_rejected(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--c", "0", "--h", "0.04", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and named in err
+        assert not out.exists()
 
     def test_evolve_tanh_perturbs_the_tanh_front(self, tmp_path):
         out = tmp_path / "et.csv"

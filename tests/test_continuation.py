@@ -5,7 +5,7 @@ from quenchfront import bvp, continuation, diagnostics, newton
 from quenchfront.bvp import FrontProfile, left_value
 from quenchfront.continuation import (continue_branch, pointwise_c_ordering_gap,
                                       reinterpolate, solve_front)
-from quenchfront.grid import make_grid
+from quenchfront.grid import UniformSpline, make_grid
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ class TestContinueBranch:
         br = continue_branch(hm_profile, 12.0)
         assert not br.failures
         assert br.cs()[-1] == pytest.approx(12.0)
-        assert len(br.points) <= 21
+        assert len(br.points) <= 11
 
     def test_tangent_matches_central_difference(self, hm_profile):
         c, d = -1.0, 1e-2
@@ -98,6 +98,30 @@ class TestContinueBranch:
         up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
         um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
         assert np.abs(tangent - (up.u - um.u) / (2 * d)).max() <= 1e-4
+
+    def test_comoving_tangent_matches_central_difference(self):
+        # in the frame x + c^2/4 the fronts at c +- d, read through their
+        # splines at x + (c^2 - (c +- d)^2)/4, difference to the tangent on
+        # the c = 6 nodes whose frame points both lie on the grid
+        c, d = 6.0, 1e-2
+        p = solve_front(c)
+        tangent = continuation._tangent(p, 1.0)
+        x = p.grid.nodes()
+        framed, inside = [], np.ones(x.size, dtype=bool)
+        for cc in (c + d, c - d):
+            q, _ = newton.solve(FrontProfile(c=cc, grid=p.grid, u=p.u))
+            xs = x + (c * c - cc * cc) / 4.0
+            inside &= (xs >= x[0]) & (xs <= x[-1])
+            framed.append(UniformSpline(x[0], p.grid.h, q.u)(np.clip(xs, x[0], x[-1])))
+        central = (framed[0] - framed[1]) / (2 * d)
+        assert np.abs(tangent - central)[inside].max() <= 1e-4
+
+    def test_prediction_for_negative_c_is_the_plain_tangent(self, hm_profile):
+        c, dc = -3.0, -0.5
+        p = continue_branch(hm_profile, c).profile_at(c)
+        tangent = continuation._tangent(p, -1.0)
+        guess = continuation._predict(p, tangent, c + dc, p.grid)
+        assert guess.tobytes() == np.maximum(p.u + dc * tangent, 0.0).tobytes()
 
     def test_downward_direction(self, hm_profile):
         br = continue_branch(hm_profile, -1.0, dc_init=0.5)
