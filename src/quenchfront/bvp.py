@@ -236,15 +236,14 @@ def smooth_sqrt_ramp(x: np.ndarray, interface: float = 0.0,
 
 
 def initial_guess(g: Grid, c: float) -> np.ndarray:
-    """Heuristic Newton seed: closed-form profile for c <= -3, a sqrt ramp
-    with the interface placed by the delay formula for c > 2, and a plain
-    ramp near c = 0."""
+    """Newton seed: the closed-form profile for c <= -3, a plain sqrt ramp
+    for -3 < c <= 2, and for c > 2 a sqrt ramp cut off at the delay-formula
+    interface whose tail decays like the leading edge e^{-cx/2} Ai(x + c^2/4)."""
     x = g.nodes()
     if c <= -3.0:
         return asymptotics.erf_profile_vec(x, c)
     if c > 2.0:
-        # gentle interface slope: steep seeds fall into a spurious
-        # sign-changing Newton attractor at moderate positive c
+        # slope s = c/4: the cut-off decays like e^{-2s x}, at the edge's rate c/2
         return smooth_sqrt_ramp(x, interface=asymptotics.front_loc_largec(c),
-                                steepness=0.7)
+                                steepness=c / 4.0)
     return smooth_sqrt_ramp(x)

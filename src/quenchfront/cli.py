@@ -155,15 +155,27 @@ def read_csv(path: str | Path) -> tuple[dict, dict]:
 
 
 def load_profile(path: str | Path) -> FrontProfile:
+    """A profile CSV as a front on the uniform grid from its first to its
+    last x; what is missing or off that grid is a ValueError naming the file."""
     header, cols = read_csv(path)
     if header.get("kind") != "profile":
         raise ValueError(f"{path}: not a profile file")
+    for key, table, what in (("c", header, "'# c=' header line"),
+                             ("x", cols, "'x' column"), ("u", cols, "'u' column")):
+        if key not in table:
+            raise ValueError(f"{path}: no {what}")
     x = cols["x"]
-    g = Grid(x_min=float(x[0]), x_max=float(x[-1]), n=len(x))
-    p = FrontProfile(c=float(header["c"]), grid=g, u=cols["u"].copy(),
-                     residual_norm=float(header.get("residual_norm", "inf")),
-                     converged=True)
-    return p
+    try:
+        g = Grid(x_min=float(x[0]), x_max=float(x[-1]), n=len(x))
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: x column gives no grid: {exc}") from None
+    # the written nodes and the rebuilt ones differ by roundoff at most
+    off = np.flatnonzero(np.abs(x - g.nodes()) > 1e-9 * g.h)
+    if off.size:
+        raise ValueError(f"{path}: x leaves the uniform increasing grid at data "
+                         f"row {off[0] + 1}: x={x[off[0]]:.17g}")
+    return FrontProfile(c=float(header["c"]), grid=g, u=cols["u"].copy(), converged=True,
+                        residual_norm=float(header.get("residual_norm", "inf")))
 
 
 class MarginError(ValueError):
@@ -435,8 +447,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.given.add(key)
         return _COMMANDS[args.command](cfg)
     except (ValueError, newton.SolverError, evolve_mod.BlowUpError,
-            bvp.TailFitError, spectrum.EigenIterationError, KeyError,
-            OSError) as exc:
+            bvp.TailFitError, spectrum.EigenIterationError, OSError) as exc:
         print(f"error kind={type(exc).__name__} detail={exc}", file=sys.stderr)
         return 2
 

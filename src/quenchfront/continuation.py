@@ -158,42 +158,17 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
 
 def solve_front(c: float, grid: Grid | None = None, tol: float = 1e-10,
                 h: float = bvp.DEFAULT_H) -> FrontProfile:
-    """Solve for the admissible front at one c to Newton residual ``tol``.
-
-    Tries Newton from the heuristic seed first; if that fails (possible for
-    intermediate positive c where no closed-form seed exists), falls back to
-    continuation from the well-conditioned c = 0 anchor (SolverError if it stops short).
-    """
+    """The admissible front at c on ``grid`` (default: c's default grid at
+    mesh h): one Newton solve from ``bvp.initial_guess`` to residual ``tol``.
+    Newton's failures propagate, and a converged profile that is not
+    positive and decreasing is a SolverError naming c and the grid."""
     g = grid or bvp.default_grid(c, h)
-    anchor_grid = bvp.default_grid(0.0, h)
-    # on the anchor problem itself the fallback would repeat this very
-    # solve, so its outcome stands
-    is_anchor = c == 0.0 and g == anchor_grid
-    try:
-        seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
-        profile, report = newton.solve(seed, tol)
-        if is_anchor or (report.positive and report.decreasing):
-            return profile
-    except newton.SolverError:
-        if is_anchor:
-            raise
-    anchor_seed = FrontProfile(c=0.0, grid=anchor_grid,
-                               u=bvp.initial_guess(anchor_grid, 0.0))
-    anchor, _ = newton.solve(anchor_seed, tol)
-    branch = continue_branch(anchor, c, tol=tol, h=h)
-    try:
-        profile = branch.profile_at(c)
-    except KeyError:   # the step underflowed right after the last real failure
-        reached = branch.cs()[0 if c < 0 else -1]
-        last_c, why = branch.failures[-2]
+    profile, report = newton.solve(
+        FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)), tol)
+    if not (report.positive and report.decreasing):
         raise newton.SolverError(
-            f"continuation toward c={c:g} on grid h={g.h:g} x_min={g.x_min:g} "
-            f"x_max={g.x_max:g} n={g.n} stopped at c={reached:.6g}; last failure "
-            f"at c={last_c:.6g}: {why}") from None
-    if grid is not None and (profile.grid.n != grid.n
-                             or profile.grid.x_min != grid.x_min):
-        reseeded = reinterpolate(profile, grid)
-        profile, _ = newton.solve(reseeded, tol)
+            f"converged to a non-admissible profile at c={c:g} on grid "
+            f"h={g.h:g} x_min={g.x_min:g} x_max={g.x_max:g} n={g.n}")
     return profile
 
 

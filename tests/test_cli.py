@@ -81,6 +81,26 @@ class TestCsvRoundTrip:
         assert "error kind=ValueError" in err and f"bad.csv, {named}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda t: t.replace("# c=0\n", ""), "no '# c=' header line"),
+        (lambda t: t.replace("x,u\n", "x,v\n"), "no 'u' column"),
+        (lambda t: t.replace("\n5,", "\n5.5,"), "leaves the uniform increasing grid "
+                                                "at data row 6: x=5.5"),
+        (lambda t: t.split("\n5,")[0] + "\n", "x column gives no grid: need n >= 9")],
+        ids=["no_c", "no_u", "x_off_grid", "too_few_rows"])
+    def test_unusable_profile_named(self, edit, named, tmp_path, capsys):
+        path = tmp_path / "seed.csv"
+        rows = "".join(f"{i},{1.0 / (i + 1)}\n" for i in range(12))
+        path.write_text(edit(f"# schema_version=1\n# kind=profile\n# c=0\nx,u\n{rows}"))
+        with pytest.raises(ValueError, match=f"seed.csv: .*{named}"):
+            load_profile(path)
+        out = tmp_path / "x.csv"
+        assert run(["solve", "--c", "0", "--h", "0.04", "--seed-file", str(path),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and "seed.csv: " in err and named in err
+        assert not out.exists()
+
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# schema_version=99\nx,u\n0,1\n")
@@ -142,21 +162,30 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "error kind=MarginError" in err
 
-    def test_stalled_fallback_reports_where_it_stopped(self, tmp_path, capsys):
-        # the seed converges to a non-admissible profile and the fallback
-        # continuation from c = 0 stalls near c = -103.0 on this coarse mesh
+    def test_non_admissible_solve_names_its_c_and_grid(self, tmp_path, capsys):
+        # on this coarse mesh Newton converges to a profile whose node next
+        # to the right Dirichlet-zero clamp rises above the true tail
         code = run(["solve", "--c", "-200", "--h", "0.04",
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert "error kind=SolverError" in err
         for part in ("c=-200 ", "h=0.04 ", "x_min=-25 ", "x_max=94.56 ",
-                     "n=2990", "stopped at c=-103.0", "non-admissible"):
+                     "n=2990", "non-admissible"):
             assert part in err
 
-    def test_direct_solve_with_negative_tail_falls_back(self, tmp_path):
-        # Newton from the heuristic seed leaves non-positive nodes (~ -1e-100)
-        # in the decayed right tail here; continuation from c = 0 takes over
+    def test_past_the_u_form_reach_fails_without_writing(self, tmp_path, capsys):
+        # the converged u(x) underflows to exact zeros in the right tail
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--spectrum", "--c", "13.15", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for part in ("error kind=SolverError", "non-admissible", "c=13.15 ", "n=9188"):
+            assert part in err
+        assert not out.exists()
+
+    def test_direct_solve_at_large_c_is_admissible(self, tmp_path):
+        # the seed's cut-off decays at the leading edge's rate c/2, so one
+        # Newton solve lands on the positive, decreasing front here
         out = tmp_path / "p.csv"
         assert run(["solve", "--c", "10.23", "--out", str(out)]) == 0
         header, _ = read_csv(out)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quenchfront import bvp, continuation, diagnostics, newton
-from quenchfront.bvp import FrontProfile, left_value
+from quenchfront.bvp import FrontProfile, fit_tail_coefficients, left_value
 from quenchfront.continuation import (continue_branch, pointwise_c_ordering_gap,
                                       reinterpolate, solve_front)
 from quenchfront.grid import UniformSpline, make_grid
@@ -171,26 +171,56 @@ class TestReinterpolate:
             reinterpolate(hm_profile, g_far)
 
 
+def _count_newton_solves(monkeypatch):
+    calls = []
+    real_solve = newton.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0].c)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(newton, "solve", counting_solve)
+    return calls
+
+
 class TestSolveFront:
-    def test_positive_c_with_fallback(self):
+    def test_positive_c_direct(self):
         p = solve_front(4.0)
         assert p.converged
         assert diagnostics.admissibility(p).admissible
 
     def test_failed_anchor_solve_is_not_repeated(self, monkeypatch):
-        calls = []
-        real_solve = newton.solve
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args[0].c)
-            return real_solve(*args, **kwargs)
-
-        monkeypatch.setattr(newton, "solve", counting_solve)
-        # an unreachable tolerance makes the c = 0 anchor solve fail quickly
+        calls = _count_newton_solves(monkeypatch)
+        # an unreachable tolerance makes the c = 0 solve fail quickly, and
+        # its error is the command's
         monkeypatch.setattr(newton, "MAX_ITERATIONS", 2)
         with pytest.raises(newton.MaxIterationsError):
             solve_front(0.0, tol=1e-16)
         assert calls == [0.0]
+
+    @pytest.mark.parametrize("h, cs", [
+        (0.04, np.arange(2.0, 13.0 + 1e-9, 0.25)),
+        (0.01, [2.01, 2.1, 2.2, 8.6, 10.23, 12.0, 13.0])])
+    def test_one_newton_solve_for_positive_c(self, h, cs, monkeypatch):
+        # the c/4 cut-off of the seed reaches the admissible front directly,
+        # also just above c = 2 and up to c = 13
+        calls = _count_newton_solves(monkeypatch)
+        for c in cs:
+            del calls[:]
+            p = solve_front(float(c), h=h)
+            assert calls == [float(c)] and p.grid.h == pytest.approx(h)
+
+    def test_tail_amplitude_matches_continued_front(self, hm_profile):
+        # the front continued from c = 0 and re-solved on solve_front's grid
+        # is the same solution: log alpha_+ is its most sensitive scalar
+        p = hm_profile
+        for c in (3.0, 6.0, 8.6, 10.0, 12.0):
+            p = continue_branch(p, c).profile_at(c)
+            direct = solve_front(c)
+            continued, _ = newton.solve(reinterpolate(p, direct.grid))
+            assert (fit_tail_coefficients(direct).log_alpha_plus
+                    == pytest.approx(fit_tail_coefficients(continued).log_alpha_plus,
+                                     rel=0.0, abs=1e-9))
 
     def test_respects_requested_grid(self):
         g = make_grid(-26.0, 14.0, 0.02)
