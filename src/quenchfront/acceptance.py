@@ -1,10 +1,10 @@
 """Quantitative validation suite.
 
 Each criterion is a function of a shared AcceptanceContext (which lazily
-computes and caches the continuation branches) returning a CriterionResult;
-``run_all`` executes the requested subset in order on a fresh context.  The
-same functions back both the ``validate`` CLI command and the acceptance
-test module.
+computes and caches fronts, spectra and continuation branches) returning a
+CriterionResult; ``run_all`` executes the requested subset in order on a
+fresh context.  The same functions back both the ``validate`` CLI command
+and the acceptance test module.
 """
 
 from __future__ import annotations
@@ -46,44 +46,26 @@ class AcceptanceContext:
     """Shared, lazily computed artifacts for the criteria."""
 
     def __init__(self):
-        self._anchor: FrontProfile | None = None
         self._branch_down: continuation.Branch | None = None
         self._branch_up: continuation.Branch | None = None
         self._profiles: dict[float, FrontProfile] = {}
         self._spectra: dict[float, spectrum.SpectrumReport] = {}
 
-    def anchor(self) -> FrontProfile:
-        if self._anchor is None:
-            self._anchor = continuation.solve_front(0.0)
-        return self._anchor
-
     def branch_down(self) -> continuation.Branch:
         if self._branch_down is None:
-            self._branch_down = continuation.continue_branch(self.anchor(), -200.0)
+            self._branch_down = continuation.continue_branch(self.profile(0.0), -200.0)
         return self._branch_down
 
     def branch_up(self) -> continuation.Branch:
         if self._branch_up is None:
-            self._branch_up = continuation.continue_branch(self.anchor(), 12.0)
+            self._branch_up = continuation.continue_branch(self.profile(0.0), 12.0)
         return self._branch_up
 
     def profile(self, c: float) -> FrontProfile:
-        """Front at exactly c, continued from the nearest branch point."""
-        if c in self._profiles:
-            return self._profiles[c]
-        if c == 0.0:
-            p = self.anchor()
-        else:
-            branch = self.branch_down() if c < 0 else self.branch_up()
-            try:
-                p = branch.profile_at(c)
-            except KeyError:
-                cs = branch.cs()
-                near = branch.points[int(np.argmin(np.abs(cs - c)))][1]
-                p = continuation.continue_branch(
-                    near, c, dc_init=abs(c - near.c)).profile_at(c)
-        self._profiles[c] = p
-        return p
+        """The admissible front at c on its default grid: ``solve_front(c)``."""
+        if c not in self._profiles:
+            self._profiles[c] = continuation.solve_front(c)
+        return self._profiles[c]
 
     def spectrum_at(self, c: float) -> spectrum.SpectrumReport:
         """lambda0 and the ground state (the criteria read nothing else)."""
@@ -105,8 +87,7 @@ def _timed(fn):
 @_timed
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     """u(0; c) vs (-c)^{1/4} at c = -50, -51, ..., -200: slope within 0.01
-    of pi^{-1/4}.  The sample is fixed, so the fit does not depend on where
-    the continuation steps land."""
+    of pi^{-1/4}, each front solved directly at its c."""
     cs = -np.arange(50.0, 201.0)
     xs = (-cs) ** 0.25
     ys = np.array([diagnostics.u_at_zero(ctx.profile(float(c))) for c in cs])
@@ -160,7 +141,8 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
         details="the fixed-level (delta=0.1) crossing tracks the Gaussian "
                 "tail at ~sqrt(2|c| ln(u(0)/delta)) rather than sqrt(-c); the "
                 "closed-form profile (x_delta_erf) and an independent "
-                "collocation solver both give the same crossing")
+                "collocation solver (tests/test_collocation_oracle.py) both "
+                "give the same crossing")
 
 
 @_timed
@@ -224,13 +206,13 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
 
 @_timed
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
-    """Monotonicity suite: profiles decrease in x, branches order in c,
-    and two independent seeds agree at c in {0, 3}."""
+    """Monotonicity suite: every branch point passes the admissibility
+    verdict, branches order in c, and two independent seeds agree at c in
+    {0, 3}."""
     measured = {}
     ok = True
     for name, branch in (("down", ctx.branch_down()), ("up", ctx.branch_up())):
-        bad = sum(not diagnostics.admissibility(p).strictly_decreasing
-                  for _, p in branch.points)
+        bad = sum(bool(diagnostics.admissibility(p)) for _, p in branch.points)
         gap = continuation.pointwise_c_ordering_gap(branch)
         measured[f"nonmonotone_{name}"] = bad
         measured[f"c_order_gap_{name}"] = gap
@@ -363,7 +345,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     ok &= rel <= 1e-5
 
     for c in (0.0, 5.0):
-        base = ctx.profile(c) if c == 0.0 else continuation.solve_front(c)
+        base = ctx.profile(c)
         lo, hi = base.grid.x_min, base.grid.x_max
         big = make_grid(2 * lo, 2 * hi, bvp.DEFAULT_H)
         seed = continuation.reinterpolate(base, big)

@@ -25,7 +25,6 @@ from .grid import BandedMatrix, Grid, d1_band, d2_band, make_grid
 
 DEFAULT_H = 0.01          # mesh size used throughout, matching dx = 0.01
 FRONT_MARGIN = 10.0       # minimum gap between front interface and boundary
-NOISE_REL = 1e-12         # monotonicity floor relative to max(1, max|u|)
 
 
 @dataclass
@@ -158,16 +157,6 @@ def stationary_jacobian(g: Grid, u: np.ndarray, c: float,
     jac.set_identity_row(0)
     jac.set_identity_row(g.n - 1)
     return jac
-
-
-def shape_violations(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where u fails to be an admissible front shape: the interior nodes
-    with u <= 0, and the steps i -> i+1 where u rises by more than the
-    roundoff floor NOISE_REL max(1, max|u|).  Both are empty for a positive,
-    decreasing profile."""
-    scale = max(1.0, float(np.abs(u).max()))
-    return (np.nonzero(u[1:-1] <= 0.0)[0] + 1,
-            np.nonzero(np.diff(u) > NOISE_REL * scale)[0])
 
 
 def residual(p: FrontProfile) -> np.ndarray:

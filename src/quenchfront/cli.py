@@ -200,9 +200,8 @@ def _solve(cfg: RunConfig, c: float) -> FrontProfile:
     g = _grid_for(cfg, c)
     if cfg.seed_file:
         seed = continuation.reinterpolate(load_profile(cfg.seed_file), g)
-        seed = FrontProfile(c=c, grid=g, u=seed.u)
-        profile, _ = newton.solve(seed, cfg.tol)
-        return profile
+        return continuation.admissible_solve(
+            FrontProfile(c=c, grid=g, u=seed.u), cfg.tol)[0]
     return continuation.solve_front(c, grid=g, tol=cfg.tol, h=cfg.h)
 
 
@@ -222,7 +221,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
         "u_at_zero": diagnostics.u_at_zero(p),
         "crossing_count": len(roots),
         "crossing_points": ";".join(_fmt(r) for r in roots) or "none",
-        "admissible": diagnostics.admissibility(p).admissible,
+        "admissible": not diagnostics.admissibility(p),
     }
     if cfg.spectrum:
         rep = spectrum.leading_eigenvalues(p, k=1)

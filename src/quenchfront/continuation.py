@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bvp, grid, newton
+from . import bvp, diagnostics, grid, newton
 from .bvp import FrontProfile
 from .grid import Grid, UniformSpline
 
 DC_MIN = 1e-4
 TARGET_ITERATIONS = 5   # Newton iterations per step the step controller aims at
-POINT_TOL = 1e-9        # |c - c_point| within which Branch.profile_at matches
 # pointwise_c_ordering_gap compares adjacent fronts at ORDER_SAMPLES points
 # at least ORDER_MARGIN inside their common domain (the Dirichlet closures
 # are only asymptotically consistent near the edges), where the lower front
@@ -39,15 +38,6 @@ class Branch:
 
     points: list[tuple[float, FrontProfile]] = field(default_factory=list)
     failures: list[tuple[float, str]] = field(default_factory=list)
-
-    def cs(self) -> np.ndarray:
-        return np.array([c for c, _ in self.points])
-
-    def profile_at(self, c: float) -> FrontProfile:
-        for cc, p in self.points:
-            if abs(cc - c) <= POINT_TOL:
-                return p
-        raise KeyError(f"no branch point at c={c}")
 
     def sort(self) -> None:
         self.points.sort(key=lambda item: item[0])
@@ -108,9 +98,9 @@ def _predict(current: FrontProfile, tangent: np.ndarray, c_next: float,
 
 def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
                     tol: float = 1e-10, h: float = bvp.DEFAULT_H) -> Branch:
-    """Continue an admissible seed toward c_target, recording every converged
-    point (seed included), each Newton-solved to residual ``tol``.  The first
-    step is dc_init > 0; each accepted step scales the next by
+    """Continue an admissible seed toward c_target, recording every point
+    (seed included) that ``admissible_solve`` accepts at residual ``tol``.
+    The first step is dc_init > 0; each accepted step scales the next by
     clamp(TARGET_ITERATIONS / Newton iterations, 0.5, 2), and each failed
     step is halved, down to DC_MIN.  Domains and the moving frame of the
     predictor are those of the linear ramp, so a tanh-ramp seed is refused."""
@@ -138,9 +128,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         try:
             trial = FrontProfile(c=c_next, grid=g_target, u=_predict(
                 current, _tangent(current, sgn), c_next, g_target))
-            solved, report = newton.solve(trial, tol)
-            if not (report.positive and report.decreasing):
-                raise newton.SolverError("converged to a non-admissible profile")
+            solved, report = admissible_solve(trial, tol)
         except newton.SolverError as exc:
             branch.failures.append((c_next, str(exc)))
             dc = 0.5 * applied
@@ -156,20 +144,29 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
     return branch
 
 
+def admissible_solve(trial: FrontProfile,
+                     tol: float) -> tuple[FrontProfile, newton.SolveReport]:
+    """``newton.solve`` from ``trial``, then ``diagnostics.admissibility``: a
+    converged profile with a problem is a SolverError naming c, the grid and
+    the first problem."""
+    profile, report = newton.solve(trial, tol)
+    problems = diagnostics.admissibility(profile)
+    if problems:
+        g = profile.grid
+        raise newton.SolverError(
+            f"converged to a non-admissible profile at c={profile.c:g} on grid "
+            f"h={g.h:g} x_min={g.x_min:g} x_max={g.x_max:g} n={g.n}: {problems[0]}")
+    return profile, report
+
+
 def solve_front(c: float, grid: Grid | None = None, tol: float = 1e-10,
                 h: float = bvp.DEFAULT_H) -> FrontProfile:
     """The admissible front at c on ``grid`` (default: c's default grid at
-    mesh h): one Newton solve from ``bvp.initial_guess`` to residual ``tol``.
-    Newton's failures propagate, and a converged profile that is not
-    positive and decreasing is a SolverError naming c and the grid."""
+    mesh h): one ``admissible_solve`` from ``bvp.initial_guess`` to residual
+    ``tol``.  Newton's failures and the verdict's refusal propagate."""
     g = grid or bvp.default_grid(c, h)
-    profile, report = newton.solve(
-        FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)), tol)
-    if not (report.positive and report.decreasing):
-        raise newton.SolverError(
-            f"converged to a non-admissible profile at c={c:g} on grid "
-            f"h={g.h:g} x_min={g.x_min:g} x_max={g.x_max:g} n={g.n}")
-    return profile
+    return admissible_solve(
+        FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)), tol)[0]
 
 
 def pointwise_c_ordering_gap(branch: Branch) -> float:

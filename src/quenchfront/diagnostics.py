@@ -1,32 +1,17 @@
-"""Quantitative front descriptors and admissibility verdicts."""
+"""Quantitative front descriptors and the admissibility verdict."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import FrontProfile, shape_violations
+from .bvp import FrontProfile
 from .grid import UniformSpline
 
 DEFAULT_DELTA = 0.1
 REFINE_TOL = 1e-10   # relative tolerance in x of each root that crossings bisects
-
-
-@dataclass
-class AdmissibilityVerdict:
-    positive: bool
-    strictly_decreasing: bool
-    left_limit_ok: bool
-    right_limit_ok: bool
-    violation_location: float | None = None
-    messages: list[str] = field(default_factory=list)
-
-    @property
-    def admissible(self) -> bool:
-        return (self.positive and self.strictly_decreasing
-                and self.left_limit_ok and self.right_limit_ok)
+NOISE_REL = 1e-12    # monotonicity floor relative to max(1, max|u|)
 
 
 def front_position(p: FrontProfile, delta: float = DEFAULT_DELTA) -> float:
@@ -112,53 +97,47 @@ def u_at_zero(p: FrontProfile) -> float:
     return float(UniformSpline(p.grid.x_min, p.grid.h, p.u)(0.0))
 
 
-def admissibility(p: FrontProfile) -> AdmissibilityVerdict:
-    """Bundle of admissibility checks; never raises.
+def admissibility(p: FrontProfile) -> list[str]:
+    """The ways ``p`` fails to be an admissible front, one message each;
+    empty when it is admissible.  Never raises.
 
-    Positivity and monotonicity are those of ``bvp.shape_violations``, the
-    test Newton records and continuation accepts by: interior values
-    strictly positive, increases allowed only below a roundoff floor.
+    Interior values must be strictly positive, and u may rise from one node
+    to the next only below the roundoff floor NOISE_REL max(1, max|u|);
+    without such a rise the interface (0.1 to 0.9 of max u) must fall
+    strictly.  u[0] must match the ramp's left limit (sqrt(-x_min) for
+    r = x, sqrt(tanh(-eps x_min)) for the tanh ramp) to within twice the
+    first neglected sqrt(-x) tail term, and u[-1] must be ~0.
     """
     u = p.u
     x = p.grid.nodes()
-    verdict = AdmissibilityVerdict(positive=True, strictly_decreasing=True,
-                                   left_limit_ok=True, right_limit_ok=True)
+    problems = []
 
-    nonpositive, rises = shape_violations(u)
+    nonpositive = np.nonzero(u[1:-1] <= 0.0)[0] + 1
     if nonpositive.size:
-        verdict.positive = False
-        verdict.violation_location = float(x[nonpositive[0]])
-        verdict.messages.append(f"non-positive value at x={x[nonpositive[0]]:.4g}")
+        problems.append(f"non-positive value at x={x[nonpositive[0]]:.4g}")
 
     du = np.diff(u)
-    if rises.size:
-        i = int(np.argmax(du))
-        verdict.strictly_decreasing = False
-        verdict.violation_location = float(x[i])
-        verdict.messages.append(f"increase at x={x[i]:.4g}")
+    if np.any(du > NOISE_REL * max(1.0, float(np.abs(u).max()))):
+        problems.append(f"increase at x={x[int(np.argmax(du))]:.4g}")
     else:
         umax = u.max()
         interface = (u >= 0.1 * umax) & (u <= 0.9 * umax)
         idx = np.nonzero(interface[:-1])[0]
         if idx.size and np.max(du[idx] / p.grid.h) >= -1e-12:
-            verdict.strictly_decreasing = False
-            verdict.messages.append("interface slope not strictly negative")
+            problems.append("interface slope not strictly negative")
 
     s = -p.grid.x_min
     if s <= 0:
-        verdict.left_limit_ok = False
-        verdict.messages.append("domain does not reach x < 0")
+        problems.append("domain does not reach x < 0")
     else:
         tol = 2.0 * max(abs(p.c) / (4.0 * s * s),
                         1.0 / (8.0 * s ** 3)) * math.sqrt(s) + 1e-10
-        gap = abs(u[0] - math.sqrt(s))
+        limit = math.sqrt(s if p.eps is None else math.tanh(p.eps * s))
+        gap = abs(u[0] - limit)
         if gap > tol:
-            verdict.left_limit_ok = False
-            verdict.messages.append(
+            problems.append(
                 f"left boundary gap {gap:.3g} exceeds closure tolerance {tol:.3g}")
 
     if abs(u[-1]) > 1e-8:
-        verdict.right_limit_ok = False
-        verdict.messages.append(f"right boundary value {u[-1]:.3g} not ~0")
-
-    return verdict
+        problems.append(f"right boundary value {u[-1]:.3g} not ~0")
+    return problems

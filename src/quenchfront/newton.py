@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import (FrontProfile, left_value, ramp, shape_violations,
-                  stationary_jacobian, stationary_residual)
+from .bvp import (FrontProfile, left_value, ramp, stationary_jacobian,
+                  stationary_residual)
 from .grid import BandedLU, BandedMatrix, Grid, SingularMatrixError
 
 
@@ -45,8 +45,6 @@ MAX_ITERATIONS = 50
 class SolveReport:
     iterations: int
     residual_norms: list[float] = field(default_factory=list)
-    positive: bool = False
-    decreasing: bool = False
 
 
 def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
@@ -77,11 +75,11 @@ def solve(initial: FrontProfile,
     closure) from its nodal values, with Armijo backtracking, until the
     max-norm of the residual is at most ``tol``.
 
-    Positivity and monotonicity of the result are recorded in the report,
-    not enforced; admissibility is verified post hoc so that a defective
-    solve is visible rather than masked.  A solve stalled at the roundoff
-    floor above ``tol`` raises MaxIterationsError at once rather than
-    backtracking through the remaining iterations.
+    The shape of the result is not graded: a converged profile is returned
+    whether or not it is an admissible front (``continuation.admissible_solve``
+    adds that verdict).  A solve stalled at the roundoff floor above ``tol``
+    raises MaxIterationsError at once rather than backtracking through the
+    remaining iterations.  Every failure message names c, h and n.
     """
     if not tol > 0:
         raise ValueError(f"Newton tolerance must be positive, got tol={tol}")
@@ -93,6 +91,7 @@ def solve(initial: FrontProfile,
     f = stationary_residual(g, u, c, r, gl)
     res = float(np.abs(f).max())
     report = SolveReport(iterations=0, residual_norms=[res])
+    where = f"at c={c:g}, h={g.h:g}, n={g.n}"
 
     for it in range(1, MAX_ITERATIONS + 1):
         if res <= tol:
@@ -110,9 +109,9 @@ def solve(initial: FrontProfile,
                 break
             if at_roundoff:
                 raise MaxIterationsError(
-                    f"Newton stalled at the roundoff floor at c={c:g}, "
-                    f"h={g.h:g}, n={g.n}: iteration {it}, residual {res:.3e} "
-                    f"> tol {tol:g}, full step {step_norm:.3e}")
+                    f"Newton stalled at the roundoff floor {where}: iteration "
+                    f"{it}, residual {res:.3e} > tol {tol:g}, full step "
+                    f"{step_norm:.3e}")
             t *= BACKTRACK_FACTOR
         else:
             t = MIN_STEP
@@ -125,15 +124,13 @@ def solve(initial: FrontProfile,
         report.residual_norms.append(res)
         if len(report.residual_norms) > 5 and res > 10.0 * report.residual_norms[-6]:
             raise DivergenceError(
-                f"residual grew 10x over 5 iterations (now {res:.3e})")
+                f"residual grew 10x over 5 iterations {where} (now {res:.3e})")
 
     if res > tol:
         raise MaxIterationsError(
-            f"no convergence in {MAX_ITERATIONS} iterations, residual {res:.3e}")
+            f"no convergence in {MAX_ITERATIONS} iterations {where}, "
+            f"residual {res:.3e}")
 
-    nonpositive, rises = shape_violations(u)
-    report.positive = not nonpositive.size
-    report.decreasing = not rises.size
     profile = FrontProfile(c=c, grid=g, u=u, eps=initial.eps,
                            residual_norm=res, converged=True)
     return profile, report

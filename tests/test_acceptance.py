@@ -6,9 +6,10 @@ well-understood reasons.  The measured front-delay offset decays like
 ~4.1 ln(c)/c (1.11/0.94/0.81 at c = 8/10/12, against a 0.5 budget), and
 the fixed-level spill-over interface follows the Gaussian tail at
 ~sqrt(2|c| ln(u(0)/delta)) rather than sqrt(-c).  Both measurements are
-corroborated by an independent collocation solver and by the closed-form
-profile, so the failures are reported honestly rather than the tolerances
-being adjusted.  Criterion 8 passes: the sqrt-branch crossing at
+corroborated by an independent collocation solver (scipy's solve_bvp in
+tests/test_collocation_oracle.py agrees on x_delta at c = 8, 10, 12, -100
+and -200 to 1e-4) and by the closed-form profile, so the failures are
+reported honestly rather than the tolerances being adjusted.  Criterion 8 passes: the sqrt-branch crossing at
 -u(0;c)^2 is located by the sign of 2 ln u - ln(-x), which does not
 underflow where x u + u^3 does (c >~ 10.6).
 """

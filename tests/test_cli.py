@@ -174,6 +174,33 @@ class TestSolveCommand:
                      "n=2990", "non-admissible"):
             assert part in err
 
+    def test_non_admissible_seed_file_solve_fails_without_writing(self, tmp_path,
+                                                                  capsys):
+        # a good h = 0.01 front seeds the same coarse-mesh solve as above:
+        # the seeded path is judged by the same verdict
+        seed = tmp_path / "seed.csv"
+        assert run(["solve", "--c", "-200", "--out", str(seed)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", "-200", "--h", "0.04", "--seed-file", str(seed),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        for part in ("error kind=SolverError", "non-admissible", "c=-200 ",
+                     "n=2990: increase at x=94.48"):
+            assert part in err
+        assert not out.exists()
+
+    def test_newton_failure_names_its_c_and_grid(self, tmp_path, capsys):
+        # perfbench's worker keeps the last 500 characters of stderr and
+        # looks for the error class there
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", "30", "--h", "0.04", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error kind=MaxIterationsError detail=no convergence "
+                              "in 50 iterations at c=30, h=0.04, n=6888, residual ")
+        assert len(err) < 300
+        assert not out.exists()
+
     def test_past_the_u_form_reach_fails_without_writing(self, tmp_path, capsys):
         # the converged u(x) underflows to exact zeros in the right tail
         out = tmp_path / "p.csv"

@@ -13,6 +13,10 @@ def small_branch(hm_profile):
     return continue_branch(hm_profile, 2.0, dc_init=0.25)
 
 
+def _cs(branch):
+    return np.array([c for c, _ in branch.points])
+
+
 class TestContinueBranch:
     def test_trivial_branch_is_seed(self, hm_profile):
         br = continue_branch(hm_profile, hm_profile.c)
@@ -20,7 +24,7 @@ class TestContinueBranch:
         assert br.points[0][1] is hm_profile
 
     def test_reaches_target_with_converged_points(self, small_branch):
-        cs = small_branch.cs()
+        cs = _cs(small_branch)
         assert cs[0] == 0.0 and cs[-1] == pytest.approx(2.0)
         assert np.all(np.diff(cs) > 0)
         assert not small_branch.failures
@@ -30,7 +34,7 @@ class TestContinueBranch:
 
     def test_profiles_admissible(self, small_branch):
         for _, p in small_branch.points:
-            assert diagnostics.admissibility(p).admissible
+            assert diagnostics.admissibility(p) == []
 
     def test_pointwise_ordering_in_c(self, small_branch):
         assert pointwise_c_ordering_gap(small_branch) > 0.0
@@ -79,21 +83,32 @@ class TestContinueBranch:
         with pytest.raises(ValueError, match="linear ramp"):
             continue_branch(seed, 1.0)
 
+    def test_non_admissible_step_is_rejected_by_name(self):
+        # on the coarse h = 0.04 mesh the step to c = -100 converges to a
+        # profile whose node next to the right Dirichlet-zero clamp rises
+        br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
+        c, message = br.failures[0]
+        assert c == -100.0
+        assert message.startswith(
+            "converged to a non-admissible profile at c=-100 on grid h=0.04 ")
+        assert message.endswith(": increase at x=64.96")
+
     def test_stepper_reaches_minus_200_in_few_points(self, hm_profile):
         br = continue_branch(hm_profile, -200.0)
         assert not br.failures
-        assert br.cs()[0] == pytest.approx(-200.0)
+        assert br.points[0][0] == pytest.approx(-200.0)
         assert len(br.points) <= 50
 
     def test_stepper_reaches_12_in_few_points(self, hm_profile):
         br = continue_branch(hm_profile, 12.0)
         assert not br.failures
-        assert br.cs()[-1] == pytest.approx(12.0)
+        assert br.points[-1][0] == pytest.approx(12.0)
         assert len(br.points) <= 11
 
     def test_tangent_matches_central_difference(self, hm_profile):
-        c, d = -1.0, 1e-2
-        p = continue_branch(hm_profile, c).profile_at(c)
+        d = 1e-2
+        p = continue_branch(hm_profile, -1.0).points[0][1]
+        c = p.c
         tangent = continuation._tangent(p, -1.0)
         up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
         um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
@@ -117,18 +132,19 @@ class TestContinueBranch:
         assert np.abs(tangent - central)[inside].max() <= 1e-4
 
     def test_prediction_for_negative_c_is_the_plain_tangent(self, hm_profile):
-        c, dc = -3.0, -0.5
-        p = continue_branch(hm_profile, c).profile_at(c)
+        dc = -0.5
+        p = continue_branch(hm_profile, -3.0).points[0][1]
         tangent = continuation._tangent(p, -1.0)
-        guess = continuation._predict(p, tangent, c + dc, p.grid)
+        guess = continuation._predict(p, tangent, p.c + dc, p.grid)
         assert guess.tobytes() == np.maximum(p.u + dc * tangent, 0.0).tobytes()
 
     def test_downward_direction(self, hm_profile):
         br = continue_branch(hm_profile, -1.0, dc_init=0.5)
         # a downward sweep still comes back sorted: target first, seed last
-        assert np.all(np.diff(br.cs()) > 0)
-        assert br.cs()[0] == pytest.approx(-1.0)
-        assert br.cs()[-1] == hm_profile.c
+        cs = _cs(br)
+        assert np.all(np.diff(cs) > 0)
+        assert cs[0] == pytest.approx(-1.0)
+        assert cs[-1] == hm_profile.c
         assert not br.failures
 
 
@@ -187,7 +203,7 @@ class TestSolveFront:
     def test_positive_c_direct(self):
         p = solve_front(4.0)
         assert p.converged
-        assert diagnostics.admissibility(p).admissible
+        assert diagnostics.admissibility(p) == []
 
     def test_failed_anchor_solve_is_not_repeated(self, monkeypatch):
         calls = _count_newton_solves(monkeypatch)
@@ -215,7 +231,7 @@ class TestSolveFront:
         # is the same solution: log alpha_+ is its most sensitive scalar
         p = hm_profile
         for c in (3.0, 6.0, 8.6, 10.0, 12.0):
-            p = continue_branch(p, c).profile_at(c)
+            p = continue_branch(p, c).points[-1][1]
             direct = solve_front(c)
             continued, _ = newton.solve(reinterpolate(p, direct.grid))
             assert (fit_tail_coefficients(direct).log_alpha_plus

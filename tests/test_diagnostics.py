@@ -6,6 +6,7 @@ import pytest
 from quenchfront.bvp import FrontProfile
 from quenchfront.diagnostics import (admissibility, crossings, front_position,
                                      u_at_zero)
+from quenchfront.evolve import solve_tanh_front
 from quenchfront.grid import UniformSpline, make_grid
 
 
@@ -90,30 +91,31 @@ class TestAdmissibility:
     def test_zero_state_rejected(self):
         g = make_grid(-20.0, 10.0, 0.01)
         p = FrontProfile(c=0.0, grid=g, u=np.zeros(g.n), converged=True)
-        v = admissibility(p)
-        assert not v.admissible
-        assert not v.left_limit_ok
+        problems = admissibility(p)
+        assert any(m.startswith("left boundary gap 4.47 ") for m in problems)
 
     def test_converged_front_admissible(self, hm_profile):
-        v = admissibility(hm_profile)
-        assert v.admissible
-        assert v.messages == []
+        assert admissibility(hm_profile) == []
 
     def test_perturbed_profile_rejected_with_location(self, hm_profile):
         u = hm_profile.u.copy()
         i = int(np.argmin(np.abs(hm_profile.grid.nodes() + 3.0)))
         u[i] -= 0.3  # carve a non-monotone notch
         p = FrontProfile(c=0.0, grid=hm_profile.grid, u=u, converged=True)
-        v = admissibility(p)
-        assert not v.strictly_decreasing
-        assert v.violation_location == pytest.approx(-3.0, abs=0.1)
+        assert admissibility(p) == ["increase at x=-3"]
 
     def test_negative_dip_rejected(self, hm_profile):
         u = hm_profile.u.copy()
         i = int(np.argmin(np.abs(hm_profile.grid.nodes() - 5.0)))
         u[i] = -1e-3
         p = FrontProfile(c=0.0, grid=hm_profile.grid, u=u, converged=True)
-        assert not admissibility(p).positive
+        assert "non-positive value at x=5" in admissibility(p)
+
+    @pytest.mark.parametrize("eps", [0.001, 0.01])
+    def test_tanh_front_admissible(self, eps):
+        # u[0] is pinned to the tanh ramp's own limit sqrt(tanh(-eps x_min)),
+        # far below the linear ramp's sqrt(-x_min) = 17.3
+        assert admissibility(solve_tanh_front(eps, 0.0)) == []
 
 
 class TestUAtZero:
@@ -134,7 +136,7 @@ class TestBundle:
     """The front scalars a profile header reports, one function each."""
 
     def test_compute_diagnostics_fields(self, hm_profile):
-        assert admissibility(hm_profile).strictly_decreasing
+        assert admissibility(hm_profile) == []
         assert np.diff(hm_profile.u).max() <= 0.0  # flat only where the tail underflowed
         assert u_at_zero(hm_profile) == pytest.approx(0.5191034, abs=1e-5)
         assert len(crossings(hm_profile)) == 1

@@ -149,7 +149,7 @@ class TestEvolveRuns:
         # the same c = 1 front reached directly and by continuation from
         # c = 0: different grids and Newton residuals, one decay rate
         direct = continuation.solve_front(1.0)
-        continued = continuation.continue_branch(hm_profile, 1.0).profile_at(1.0)
+        continued = continuation.continue_branch(hm_profile, 1.0).points[-1][1]
         assert direct.grid != continued.grid
         cfg = EvolveConfig(dt=0.01, t_end=25.0, scheme="imex_cn", record_every=25)
         rates = []
