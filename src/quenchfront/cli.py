@@ -324,7 +324,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
     header = {"c": cfg.c, **_grid_header(p.grid), "dt": cfg.dt,
               "t_end": cfg.t_end, "scheme": cfg.scheme,
               "measured_rate": result.measured_rate,
-              "final_deviation": result.deviation_history[-1][1]}
+              "final_deviation": result.deviation_history[-1][1],
+              "peak_growth": result.peak_growth, "steps": result.steps,
+              "step_s": result.step_s}
     write_csv(out, "evolve", header,
               {"t": [t for t, _ in result.deviation_history],
                "deviation": [d for _, d in result.deviation_history]}, cfg)

@@ -5,8 +5,9 @@ with Newton.  The predictor is one tangent rule in the frame x + c+^2/4
 (c+ = max(c, 0)), which moves with the delayed interface of c > 0: the
 co-moving derivative du/dc - (c+/2) u', du/dc from J du/dc = -dF/dc at the
 accepted point, steps the shape, and the front moves by -(c_next+^2 -
-c+^2)/4; for c <= 0 this is the plain tangent u + dc du/dc.  After an
-accepted step dc <- dc clamp(5 / iterations, 0.5, 2); a failed step is
+c+^2)/4; for c <= 0 this is the plain tangent u + dc du/dc.  A step that
+fails on the carried grid is retried once on c_next's default grid.  After
+an accepted step dc <- dc clamp(5 / iterations, 0.5, 2); a failed step is
 halved down to DC_MIN.  There are no folds in c, so no arclength is needed.
 """
 
@@ -122,15 +123,17 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         if c_next == c:
             raise ValueError(f"continuation step dc={applied:g} leaves c={c:.17g} "
                              f"unchanged")
-        g_target = current.grid
-        if not bvp.domain_ok(g_target, c_next):
-            g_target = bvp.default_grid(c_next, h)
-        try:
-            trial = FrontProfile(c=c_next, grid=g_target, u=_predict(
-                current, _tangent(current, sgn), c_next, g_target))
-            solved, report = admissible_solve(trial, tol)
-        except newton.SolverError as exc:
-            branch.failures.append((c_next, str(exc)))
+        g_default = bvp.default_grid(c_next, h)
+        carried = current.grid != g_default and bvp.domain_ok(current.grid, c_next)
+        for g_target in ([current.grid, g_default] if carried else [g_default]):
+            try:
+                trial = FrontProfile(c=c_next, grid=g_target, u=_predict(
+                    current, _tangent(current, sgn), c_next, g_target))
+                solved, report = admissible_solve(trial, tol)
+                break
+            except newton.SolverError as exc:
+                branch.failures.append((c_next, str(exc)))
+        else:
             dc = 0.5 * applied
             if dc < DC_MIN:
                 branch.failures.append((c_next, "step size underflow"))

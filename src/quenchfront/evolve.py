@@ -6,8 +6,9 @@ spatial operator (diffusion, drift, and the ramp coefficient r(x), which is
 stiff for large |x|) is the Newton Jacobian at u = 0; it is implicit and
 LU-factored once per stepper, so each step only back-substitutes.  The cubic
 reaction is explicit.  Two schemes: IMEX Euler and Crank-Nicolson with
-Adams-Bashforth-2 on the reaction.  Since the spatial operator is the one
-Newton uses, Newton solutions are exact discrete fixed points.
+Adams-Bashforth-2 on the reaction (Ascher, Ruuth & Wetton 1995), whose
+explicit half is carried from the last solve.  Since the spatial operator
+is the one Newton uses, Newton solutions are exact discrete fixed points.
 
 The tanh-ramp variant (r = tanh(eps x)) is the full slow-quench model; its
 steady fronts are compared against inner rescalings of the linear-ramp
@@ -17,13 +18,14 @@ fronts, u ~ eps^{1/3} u_lin(eps^{1/3} x; eps^{-1/3} c).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import asymptotics, bvp, continuation, diagnostics, newton
 from .bvp import FrontProfile
-from .grid import BandedLU, Grid, UniformSpline, make_grid
+from .grid import BandedLU, BandedMatrix, Grid, UniformSpline, make_grid
 
 TANH_DOMAIN_HALF = 300.0   # solve domain for the tanh-ramp equation
 TANH_H = 0.05
@@ -31,7 +33,7 @@ TANH_H = 0.05
 # they level off at; a plateau P shifts ln(dev) by about P / dev
 PLATEAU_MARGIN = 1e4
 # the stepper's own roundoff level, below which no plateau is taken
-# (measured plateaus: 1.5e-13 to 2.6e-13 at h = 0.01, dt = 0.01)
+# (measured plateaus: 3.5e-13 to 4.6e-13 at c in {-1, 0, 1}, h = dt = 0.01)
 ROUNDOFF_PLATEAU = 1e-12
 
 
@@ -57,6 +59,9 @@ class EvolveResult:
     final: FrontProfile
     deviation_history: list[tuple[float, float]] = field(default_factory=list)
     measured_rate: float = math.nan
+    steps: int = 0
+    step_s: float = math.nan         # mean wall time per step
+    peak_growth: float = math.nan    # largest recorded deviation over the initial one
 
 
 class BlowUpError(RuntimeError):
@@ -67,11 +72,18 @@ class ImexStepper:
     """One-step integrator for the equation of ``front``, holding the LU
     factors of its implicit systems.
 
+    A step solves (I - theta A) u_{n+1} = R_n, A = D2 + c D1 - r, N = -u^3:
+    Euler has theta = dt; CN/AB2 has theta = dt/2 and
+    R_n = (I + dt/2 A) u_n + dt (3/2 N_n - 1/2 N_{n-1}).  The last solve's
+    interior rows make (I + dt/2 A) u_n = (1 + k) u_n - k R_{n-1},
+    k = (dt/2) / theta, so no step applies A, and from its second call on
+    ``step`` takes only the array it last returned (else a ValueError).
+
     Boundary rows of every implicit solve are identity rows pinning the
     state to the front's Dirichlet values.  The Crank-Nicolson scheme
     starts with two implicit-Euler steps (Rannacher smoothing): CN alone is
     not L-stable and rings for many time units when the initial data has
-    under-resolved features.
+    under-resolved features; they also give the first CN step R and N.
     """
 
     STARTUP_EULER_STEPS = 2
@@ -81,16 +93,15 @@ class ImexStepper:
         self.cfg = cfg
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
         # D2 + c D1 - r; the implicit systems replace its boundary rows
-        self._a = bvp.stationary_jacobian(g, np.zeros(g.n), front.c,
-                                          bvp.ramp(g, front.eps))
+        a = bvp.stationary_jacobian(g, np.zeros(g.n), front.c, bvp.ramp(g, front.eps))
 
-        self._lu_euler = self._factor(cfg.dt)
-        self._lu_cn = self._factor(0.5 * cfg.dt) if cfg.scheme == "imex_cn" else None
-        self._n_prev: np.ndarray | None = None
+        self._lu_euler = self._factor(a, cfg.dt)
+        self._lu_cn = self._factor(a, 0.5 * cfg.dt) if cfg.scheme == "imex_cn" else None
+        self._last: tuple | None = None   # output, right-hand side, theta, N of the last step
         self._steps_taken = 0
 
-    def _factor(self, weight: float) -> BandedLU:
-        lhs = self._a.copy()
+    def _factor(self, a: BandedMatrix, weight: float) -> BandedLU:
+        lhs = a.copy()
         lhs.data *= -weight
         lhs.add_diagonal(np.ones(self.grid.n))
         lhs.set_identity_row(0)
@@ -99,20 +110,21 @@ class ImexStepper:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         cfg = self.cfg
+        if self._last is not None and u is not self._last[0]:
+            raise ValueError("ImexStepper.step continues from the array its last "
+                             "step returned; start a new stepper for other data")
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            n_cur = -u ** 3
-        use_euler = (cfg.scheme == "imex_euler"
-                     or self._steps_taken < self.STARTUP_EULER_STEPS)
-        if use_euler:
-            lu = self._lu_euler
-            rhs = u + cfg.dt * n_cur
-        else:
-            lu = self._lu_cn
-            n_old = self._n_prev if self._n_prev is not None else n_cur
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs = (u + 0.5 * cfg.dt * self._a.matvec(u)
-                       + cfg.dt * (1.5 * n_cur - 0.5 * n_old))
+            n_cur = -(u * u * u)
+            if cfg.scheme == "imex_euler" or self._steps_taken < self.STARTUP_EULER_STEPS:
+                lu, theta = self._lu_euler, cfg.dt
+                rhs = u + cfg.dt * n_cur
+            else:
+                lu, theta = self._lu_cn, 0.5 * cfg.dt
+                _, rhs_prev, theta_prev, n_prev = self._last
+                k = 0.5 * cfg.dt / theta_prev
+                rhs = ((1.0 + k) * u - k * rhs_prev
+                       + cfg.dt * (1.5 * n_cur - 0.5 * n_prev))
         rhs[0] = self.boundary[0]
         rhs[-1] = self.boundary[1]
         if not np.all(np.isfinite(rhs)):
@@ -120,7 +132,7 @@ class ImexStepper:
         out = lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise BlowUpError("non-finite state after implicit solve")
-        self._n_prev = n_cur
+        self._last = (out, rhs, theta, n_cur)
         self._steps_taken += 1
         return out
 
@@ -134,18 +146,24 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
     u = np.asarray(u0, dtype=float).copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
     history = [(0.0, float(np.abs(u - front.u).max()))]
+    start = time.perf_counter()
     for k in range(1, n_steps + 1):
         try:
             u = stepper.step(u)
         except BlowUpError as exc:
-            raise BlowUpError(f"blow-up at step {k} (t={k * cfg.dt:.4g})") from exc
+            raise BlowUpError(f"blow-up at step {k} (t={k * cfg.dt:.4g}) at c={front.c:g}, "
+                              f"dt={cfg.dt:g}, scheme={cfg.scheme}, h={front.grid.h:g}, "
+                              f"n={front.grid.n}: {exc}") from exc
         if k % cfg.record_every == 0 or k == n_steps:
             history.append((k * cfg.dt, float(np.abs(u - front.u).max())))
+    step_s = (time.perf_counter() - start) / n_steps
 
     final = FrontProfile(c=front.c, grid=front.grid, u=u, eps=front.eps)
     final.residual_norm = float(np.abs(bvp.residual(final)).max())
-    return EvolveResult(final=final, deviation_history=history,
-                        measured_rate=measured_rate(history, plateau))
+    d0 = history[0][1]
+    return EvolveResult(final=final, deviation_history=history, steps=n_steps, step_s=step_s,
+                        measured_rate=measured_rate(history, plateau),
+                        peak_growth=max(d for _, d in history) / d0 if d0 > 0 else math.nan)
 
 
 def deviation_plateau(front: FrontProfile) -> float:

@@ -298,6 +298,8 @@ class TestOtherCommands:
         header, cols = read_csv(out)
         assert float(header["measured_rate"]) < -1.0
         assert cols["deviation"][-1] < cols["deviation"][0]
+        assert int(header["steps"]) == 500 and float(header["step_s"]) > 0.0
+        assert float(header["peak_growth"]) == max(cols["deviation"]) / cols["deviation"][0]
 
     @pytest.mark.parametrize("flags, named", [
         (["--t-end", "inf"], "t_end=inf"), (["--dt", "nan"], "dt=nan"),
@@ -307,6 +309,16 @@ class TestOtherCommands:
         assert run(["evolve", "--c", "0", "--h", "0.04", *flags, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error kind=ValueError" in err and named in err
+        assert not out.exists()
+
+    def test_evolve_blow_up_names_its_run(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--c", "8", "--t-end", "25", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=BlowUpError" in err and "blow-up at step" in err
+        for named in ("c=8,", "dt=0.01,", "scheme=imex_cn,", "h=0.01,", "n=6384"):
+            assert named in err
+        assert len(err) < 300
         assert not out.exists()
 
     def test_evolve_tanh_perturbs_the_tanh_front(self, tmp_path):

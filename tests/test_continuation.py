@@ -93,6 +93,14 @@ class TestContinueBranch:
             "converged to a non-admissible profile at c=-100 on grid h=0.04 ")
         assert message.endswith(": increase at x=64.96")
 
+    def test_failed_step_on_a_carried_grid_is_retried_on_the_default_grid(self):
+        # the carried grid [-25, 65.04] still passes domain_ok at c = -100 but
+        # fails there; c = -100's default grid [-25, 67.2] solves it
+        br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
+        c, p = br.points[0]
+        assert c == -100.0 and p.grid == bvp.default_grid(-100.0, 0.04)
+        assert [c for c, _ in br.failures] == [-100.0]
+
     def test_stepper_reaches_minus_200_in_few_points(self, hm_profile):
         br = continue_branch(hm_profile, -200.0)
         assert not br.failures

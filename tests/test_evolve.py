@@ -8,7 +8,7 @@ from quenchfront.bvp import FrontProfile
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
                                 compare_inner_scaling, measured_rate,
                                 solve_tanh_front)
-from quenchfront.grid import BandedLU, d2_band, make_grid
+from quenchfront.grid import BandedLU, BandedMatrix, d2_band, make_grid
 
 
 class SolveBandedEachStep:
@@ -21,6 +21,43 @@ class SolveBandedEachStep:
     def solve(self, b):
         p = self.a.bandwidth
         return scipy.linalg.solve_banded((p, p), self.a.data, b)
+
+
+class MatvecImexStepper:
+    """Reference CN/AB2 stepper with the textbook right-hand side
+    u + dt/2 A u + dt (3/2 N_n - 1/2 N_{n-1}), A applied by a matvec at
+    every step, after ImexStepper's implicit-Euler start-up steps."""
+
+    def __init__(self, front, cfg):
+        g = front.grid
+        self.a = bvp.stationary_jacobian(g, np.zeros(g.n), front.c,
+                                         bvp.ramp(g, front.eps))
+        self.dt = cfg.dt
+        self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
+        self.lu = {w: self._factor(w) for w in (cfg.dt, 0.5 * cfg.dt)}
+        self.n_prev = None
+        self.steps = 0
+
+    def _factor(self, weight):
+        lhs = self.a.copy()
+        lhs.data *= -weight
+        lhs.add_diagonal(np.ones(lhs.n))
+        lhs.set_identity_row(0)
+        lhs.set_identity_row(lhs.n - 1)
+        return BandedLU(lhs)
+
+    def step(self, u):
+        n_cur = -u ** 3
+        if self.steps < ImexStepper.STARTUP_EULER_STEPS:
+            weight, rhs = self.dt, u + self.dt * n_cur
+        else:
+            weight = 0.5 * self.dt
+            rhs = (u + weight * self.a.matvec(u)
+                   + self.dt * (1.5 * n_cur - 0.5 * self.n_prev))
+        rhs[0], rhs[-1] = self.boundary
+        self.n_prev = n_cur
+        self.steps += 1
+        return self.lu[weight].solve(rhs)
 
 
 class TestConfig:
@@ -67,6 +104,38 @@ class TestStepper:
         for _ in range(ImexStepper.STARTUP_EULER_STEPS + 3):
             u, v = factored.step(u), reference.step(v)
             assert u.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    def test_carried_rhs_matches_the_matvec_step(self, c):
+        front = continuation.solve_front(c)
+        x = front.grid.nodes()
+        cfg = EvolveConfig(dt=0.01, t_end=2.0, scheme="imex_cn")
+        carried, reference = ImexStepper(front, cfg), MatvecImexStepper(front, cfg)
+        u = v = front.u + 1e-3 * np.exp(-(x - diagnostics.front_position(front)) ** 2)
+        worst = 0.0
+        for _ in range(200):
+            u, v = carried.step(u), reference.step(v)
+            worst = max(worst, float(np.abs(u - v).max()))
+        assert worst <= 1e-12
+
+    def test_steps_without_a_matvec(self, hm_profile, monkeypatch):
+        def refuse(self, u):
+            raise AssertionError("matvec called")
+
+        monkeypatch.setattr(BandedMatrix, "matvec", refuse)
+        st = ImexStepper(hm_profile, EvolveConfig(dt=0.01, t_end=0.5))
+        u = hm_profile.u + 1e-3
+        for _ in range(50):
+            u = st.step(u)
+        assert np.all(np.isfinite(u))
+
+    def test_step_takes_only_its_last_output(self, hm_profile):
+        st = ImexStepper(hm_profile, EvolveConfig(dt=0.01, t_end=1.0))
+        u = st.step(hm_profile.u.copy())
+        with pytest.raises(ValueError, match="last"):
+            st.step(u.copy())
+        # the refused call changed nothing: the next step is a plain Euler step
+        assert np.array_equal(st.step(u), ImexStepper(hm_profile, st.cfg).step(u))
 
     def test_boundary_values_come_from_the_front(self, hm_profile):
         g = make_grid(-150.0, 150.0, 0.5)
@@ -158,6 +227,14 @@ class TestEvolveRuns:
             bump = 1e-3 * np.exp(-(x - diagnostics.front_position(front)) ** 2)
             rates.append(evolve.evolve(front, front.u + bump, cfg).measured_rate)
         assert rates[0] == pytest.approx(rates[1], rel=1e-6)
+
+    def test_peak_growth_is_over_the_initial_deviation(self, hm_profile):
+        cfg = EvolveConfig(dt=0.01, t_end=0.5, record_every=5)
+        bumped = evolve.evolve(hm_profile, hm_profile.u + 1e-3, cfg)
+        devs = [d for _, d in bumped.deviation_history]
+        assert bumped.peak_growth == max(devs) / devs[0]
+        assert bumped.steps == 50 and bumped.step_s > 0.0
+        assert np.isnan(evolve.evolve(hm_profile, hm_profile.u, cfg).peak_growth)
 
     def test_measured_rate_empty_history(self):
         assert np.isnan(measured_rate([(0.0, 0.0)], evolve.ROUNDOFF_PLATEAU))
