@@ -326,7 +326,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
               "measured_rate": result.measured_rate,
               "final_deviation": result.deviation_history[-1][1],
               "peak_growth": result.peak_growth, "steps": result.steps,
-              "step_s": result.step_s}
+              "step_s": result.step_s, "factor_s": result.factor_s}
     write_csv(out, "evolve", header,
               {"t": [t for t, _ in result.deviation_history],
                "deviation": [d for _, d in result.deviation_history]}, cfg)

@@ -114,7 +114,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
     branch = Branch(points=[(seed.c, seed)])
 
     sgn = 1.0 if c_target >= seed.c else -1.0
-    current = seed
+    current, tangent = seed, None   # tangent at current, computed on its first attempt
     c = seed.c
     dc = dc_init
     while sgn * (c_target - c) > 1e-12:
@@ -127,8 +127,9 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         carried = current.grid != g_default and bvp.domain_ok(current.grid, c_next)
         for g_target in ([current.grid, g_default] if carried else [g_default]):
             try:
-                trial = FrontProfile(c=c_next, grid=g_target, u=_predict(
-                    current, _tangent(current, sgn), c_next, g_target))
+                tangent = _tangent(current, sgn) if tangent is None else tangent
+                trial = FrontProfile(c=c_next, grid=g_target,
+                                     u=_predict(current, tangent, c_next, g_target))
                 solved, report = admissible_solve(trial, tol)
                 break
             except newton.SolverError as exc:
@@ -140,7 +141,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
                 break
             continue
         branch.points.append((c_next, solved))
-        current = solved
+        current, tangent = solved, None
         c = c_next
         dc *= min(2.0, max(0.5, TARGET_ITERATIONS / max(report.iterations, 1)))
     branch.sort()

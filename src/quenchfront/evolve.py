@@ -4,11 +4,11 @@ The front being perturbed defines the problem: its c, its ramp r(x)
 (``FrontProfile.eps``), its grid and its Dirichlet values.  The linear
 spatial operator (diffusion, drift, and the ramp coefficient r(x), which is
 stiff for large |x|) is the Newton Jacobian at u = 0; it is implicit and
-LU-factored once per stepper, so each step only back-substitutes.  The cubic
-reaction is explicit.  Two schemes: IMEX Euler and Crank-Nicolson with
-Adams-Bashforth-2 on the reaction (Ascher, Ruuth & Wetton 1995), whose
-explicit half is carried from the last solve.  Since the spatial operator
-is the one Newton uses, Newton solutions are exact discrete fixed points.
+LU-factored once per stepper without row interchanges, so a step is two
+banded triangular sweeps.  The cubic reaction is explicit.  Two schemes: IMEX
+Euler and Crank-Nicolson with Adams-Bashforth-2 on the reaction (Ascher,
+Ruuth & Wetton 1995), whose explicit half is carried from the last solve.
+Newton's spatial operator is this one, so its solutions are exact fixed points.
 
 The tanh-ramp variant (r = tanh(eps x)) is the full slow-quench model; its
 steady fronts are compared against inner rescalings of the linear-ramp
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import asymptotics, bvp, continuation, diagnostics, newton
 from .bvp import FrontProfile
-from .grid import BandedLU, BandedMatrix, Grid, UniformSpline, make_grid
+from .grid import BandedMatrix, Grid, UniformSpline, UnpivotedBandedLU, make_grid
 
 TANH_DOMAIN_HALF = 300.0   # solve domain for the tanh-ramp equation
 TANH_H = 0.05
@@ -33,7 +33,7 @@ TANH_H = 0.05
 # they level off at; a plateau P shifts ln(dev) by about P / dev
 PLATEAU_MARGIN = 1e4
 # the stepper's own roundoff level, below which no plateau is taken
-# (measured plateaus: 3.5e-13 to 4.6e-13 at c in {-1, 0, 1}, h = dt = 0.01)
+# (measured plateaus: 2.9e-13 to 5.0e-13 at c in {-1, 0, 1}, h = dt = 0.01)
 ROUNDOFF_PLATEAU = 1e-12
 
 
@@ -61,6 +61,7 @@ class EvolveResult:
     measured_rate: float = math.nan
     steps: int = 0
     step_s: float = math.nan         # mean wall time per step
+    factor_s: float = math.nan       # wall time of building the stepper
     peak_growth: float = math.nan    # largest recorded deviation over the initial one
 
 
@@ -100,13 +101,13 @@ class ImexStepper:
         self._last: tuple | None = None   # output, right-hand side, theta, N of the last step
         self._steps_taken = 0
 
-    def _factor(self, a: BandedMatrix, weight: float) -> BandedLU:
+    def _factor(self, a: BandedMatrix, weight: float) -> UnpivotedBandedLU:
         lhs = a.copy()
         lhs.data *= -weight
         lhs.add_diagonal(np.ones(self.grid.n))
         lhs.set_identity_row(0)
         lhs.set_identity_row(self.grid.n - 1)
-        return BandedLU(lhs)
+        return UnpivotedBandedLU(lhs)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -142,7 +143,9 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
     grid and Dirichlet values), recording sup-norm deviations from
     ``front.u`` every ``record_every`` steps."""
     plateau = deviation_plateau(front)
+    start = time.perf_counter()
     stepper = ImexStepper(front, cfg)
+    factor_s = time.perf_counter() - start
     u = np.asarray(u0, dtype=float).copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
     history = [(0.0, float(np.abs(u - front.u).max()))]
@@ -162,7 +165,7 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
     final.residual_norm = float(np.abs(bvp.residual(final)).max())
     d0 = history[0][1]
     return EvolveResult(final=final, deviation_history=history, steps=n_steps, step_s=step_s,
-                        measured_rate=measured_rate(history, plateau),
+                        factor_s=factor_s, measured_rate=measured_rate(history, plateau),
                         peak_growth=max(d for _, d in history) / d0 if d0 > 0 else math.nan)
 
 

@@ -134,18 +134,22 @@ class BandedMatrix:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         if u.shape != (self.n,):
             raise ValueError(f"vector length {u.shape} does not match n={self.n}")
-        out = np.zeros(self.n)
-        p = self.bandwidth
-        for d in range(-p, p + 1):
-            i0 = max(0, d)
-            i1 = self.n + min(0, d)
-            if i1 > i0:
-                out[i0:i1] += self.data[p + d, i0 - d:i1 - d] * u[i0 - d:i1 - d]
-        return out
+        return _band_product(self.data, self.bandwidth, u)
+
+
+def _band_product(data: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
+    """A u for the band ``data`` of half-width p (BandedMatrix layout)."""
+    out = np.zeros(u.size)
+    for d in range(-p, p + 1):
+        i0 = max(0, d)
+        i1 = u.size + min(0, d)
+        if i1 > i0:
+            out[i0:i1] += data[p + d, i0 - d:i1 - d] * u[i0 - d:i1 - d]
+    return out
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A banded LU factorization met an exactly zero pivot."""
+    """A banded LU factorization met an unusable pivot or failed its probe."""
 
 
 class BandedLU:
@@ -168,6 +172,43 @@ class BandedLU:
             raise ValueError(f"vector length {b.shape} does not match n={self.n}")
         p = self.bandwidth
         return flapack.dgbtrs(self._lu, p, p, b, self._piv)[0]
+
+
+class UnpivotedBandedLU:
+    """LU factors of a BandedMatrix without row interchanges, so L and U keep
+    its bandwidth; each ``solve`` is two LAPACK dtbtrs sweeps.  Stable only
+    while growth is small (Higham, Accuracy and Stability, 2nd ed., 9.3): a
+    probe solve must pass ``newton.banded_lu_solve``'s backward-error test."""
+
+    def __init__(self, a: BandedMatrix):
+        p = a.bandwidth
+        n = self.n = a.n
+        w = np.array(np.asarray_chkfinite(a.data), order="F")
+        f = memoryview(w.reshape(-1, order="F"))   # entry (i, j) at p + i + 2p j
+        for k in range(n):
+            d = p + k + 2 * p * k
+            pivot = f[d]
+            if not (pivot != 0.0 and math.isfinite(pivot)):
+                raise SingularMatrixError(f"unpivoted LU, n={n}: pivot {pivot:g} in column {k}")
+            m = min(p, n - 1 - k)
+            for i in range(d + 1, d + m + 1):   # rows k+1..k+m of column k
+                if f[i]:
+                    mult = f[i] = f[i] / pivot
+                    for o in range(2 * p, 2 * p * m + 1, 2 * p):
+                        f[i + o] -= mult * f[d + o]
+        self._upper, self._lower = np.asfortranarray(w[:p + 1]), np.asfortranarray(w[p:])
+        del f, w   # freed before the probe allocates, for a lower peak memory
+        x = self.solve(np.ones(n))
+        backward = np.abs(_band_product(a.data, p, x) - 1.0).max()
+        scale = np.abs(a.data).sum(axis=0).max() * np.abs(x).max() + 1.0
+        if not backward <= 1e-9 * scale:
+            raise SingularMatrixError(f"unpivoted LU, n={n}: backward error {backward / scale:.1e}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if b.shape != (self.n,):
+            raise ValueError(f"vector length {b.shape} does not match n={self.n}")
+        y = flapack.dtbtrs(self._lower, b, uplo="L", diag="U")[0]
+        return flapack.dtbtrs(self._upper, y, overwrite_b=1)[0]
 
 
 class UniformSpline:

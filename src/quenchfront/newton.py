@@ -1,9 +1,9 @@
 """Damped Newton iteration with banded direct linear solves.
 
 The linear solves factor each Jacobian by LAPACK's banded LU with partial
-pivoting (``grid.BandedLU``, the factor-once/solve-many path the time
-stepper also uses); every solve is residual-checked so a silently
-near-singular Jacobian still surfaces as an error.
+pivoting (``grid.BandedLU``; one factor per solve, where dgbtrf beats the
+time stepper's unpivoted Python factor loop); every solve is residual-checked
+so a silently near-singular Jacobian still surfaces as an error.
 """
 
 from __future__ import annotations

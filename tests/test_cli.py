@@ -301,6 +301,14 @@ class TestOtherCommands:
         assert int(header["steps"]) == 500 and float(header["step_s"]) > 0.0
         assert float(header["peak_growth"]) == max(cols["deviation"]) / cols["deviation"][0]
 
+    def test_evolve_header_reports_the_stepper_set_up_time(self, tmp_path):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--c", "0", "--h", "0.04", "--t-end", "0.1",
+                    "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert 0.0 < float(header["factor_s"]) < 10.0
+        assert int(header["steps"]) == 10
+
     @pytest.mark.parametrize("flags, named", [
         (["--t-end", "inf"], "t_end=inf"), (["--dt", "nan"], "dt=nan"),
         (["--dt", "inf"], "dt=inf"), (["--dt", "0.5", "--t-end", "0.2"], "dt=0.5 and t_end=0.2")])

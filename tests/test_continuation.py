@@ -101,6 +101,17 @@ class TestContinueBranch:
         assert c == -100.0 and p.grid == bvp.default_grid(-100.0, 0.04)
         assert [c for c, _ in br.failures] == [-100.0]
 
+    def test_tangent_is_computed_once_per_accepted_point(self, monkeypatch):
+        # the sweep above: one failed attempt on the carried grid, then its
+        # retry on the default grid, both from the same accepted point
+        at = []
+        tangent = continuation._tangent
+        monkeypatch.setattr(continuation, "_tangent",
+                            lambda p, sgn: at.append(p.c) or tangent(p, sgn))
+        br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
+        assert br.failures and br.points[0][0] == -100.0
+        assert at == [c for c, _ in br.points[:0:-1]]   # every point but the last, once
+
     def test_stepper_reaches_minus_200_in_few_points(self, hm_profile):
         br = continue_branch(hm_profile, -200.0)
         assert not br.failures

@@ -1,14 +1,38 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from quenchfront import bvp, continuation, diagnostics, evolve, spectrum
+from quenchfront import bvp, continuation, diagnostics, evolve, grid, spectrum
 from quenchfront.bvp import FrontProfile
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
                                 compare_inner_scaling, measured_rate,
                                 solve_tanh_front)
-from quenchfront.grid import BandedLU, BandedMatrix, d2_band, make_grid
+from quenchfront.grid import (BandedLU, BandedMatrix, UnpivotedBandedLU, d2_band,
+                              make_grid)
+
+
+def implicit_matrix(a, weight):
+    """I - weight A with identity boundary rows, as ImexStepper factors it."""
+    lhs = a.copy()
+    lhs.data *= -weight
+    lhs.add_diagonal(np.ones(lhs.n))
+    lhs.set_identity_row(0)
+    lhs.set_identity_row(lhs.n - 1)
+    return lhs
+
+
+class RefactorEachStep:
+    """Reference implicit solve: UnpivotedBandedLU re-run on the unfactored
+    left-hand side at every call."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def solve(self, b):
+        return UnpivotedBandedLU(self.a).solve(b)
 
 
 class SolveBandedEachStep:
@@ -34,17 +58,9 @@ class MatvecImexStepper:
                                          bvp.ramp(g, front.eps))
         self.dt = cfg.dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        self.lu = {w: self._factor(w) for w in (cfg.dt, 0.5 * cfg.dt)}
+        self.lu = {w: BandedLU(implicit_matrix(self.a, w)) for w in (cfg.dt, 0.5 * cfg.dt)}
         self.n_prev = None
         self.steps = 0
-
-    def _factor(self, weight):
-        lhs = self.a.copy()
-        lhs.data *= -weight
-        lhs.add_diagonal(np.ones(lhs.n))
-        lhs.set_identity_row(0)
-        lhs.set_identity_row(lhs.n - 1)
-        return BandedLU(lhs)
 
     def step(self, u):
         n_cur = -u ** 3
@@ -92,18 +108,69 @@ class TestStepper:
 
     @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cn"])
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
-    def test_factored_step_equals_solve_banded_bitwise(self, monkeypatch,
-                                                        scheme, c):
+    def test_factored_step_equals_refactored_step_bitwise(self, monkeypatch,
+                                                           scheme, c):
         g = bvp.default_grid(c, 0.05)
         front = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
         cfg = EvolveConfig(dt=0.01, t_end=1.0, scheme=scheme)
         factored = ImexStepper(front, cfg)
-        monkeypatch.setattr(evolve, "BandedLU", SolveBandedEachStep)
+        monkeypatch.setattr(evolve, "UnpivotedBandedLU", RefactorEachStep)
         reference = ImexStepper(front, cfg)
         u = v = front.u
         for _ in range(ImexStepper.STARTUP_EULER_STEPS + 3):
             u, v = factored.step(u), reference.step(v)
             assert u.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "imex_cn"])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    def test_step_matches_pivoted_solve_banded(self, monkeypatch, scheme, c):
+        # unpivoted and pivoted LU round differently; measured gap ~1e-15
+        g = bvp.default_grid(c, 0.05)
+        front = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
+        cfg = EvolveConfig(dt=0.01, t_end=1.0, scheme=scheme)
+        factored = ImexStepper(front, cfg)
+        monkeypatch.setattr(evolve, "UnpivotedBandedLU", SolveBandedEachStep)
+        reference = ImexStepper(front, cfg)
+        u = v = front.u
+        for _ in range(ImexStepper.STARTUP_EULER_STEPS + 3):
+            u, v = factored.step(u), reference.step(v)
+            assert np.abs(u - v).max() <= 1e-13 * np.abs(v).max()
+
+    def test_step_is_two_triangular_sweeps_and_no_dgbtrs(self, hm_profile, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dgbtrs called")
+
+        sweeps = []
+        dtbtrs = grid.flapack.dtbtrs
+
+        def counted(ab, b, **kwargs):
+            sweeps.append(kwargs.get("uplo", "U"))
+            return dtbtrs(ab, b, **kwargs)
+
+        monkeypatch.setattr(grid.flapack, "dgbtrs", refuse)
+        monkeypatch.setattr(grid.flapack, "dtbtrs", counted)
+        st = ImexStepper(hm_profile, EvolveConfig(dt=0.01, t_end=0.1))
+        sweeps.clear()   # the factors' probe solves
+        u = hm_profile.u + 1e-3
+        for _ in range(10):
+            u = st.step(u)
+        assert sweeps == ["L", "U"] * 10
+
+    @settings(max_examples=20, deadline=None)
+    @given(c=st.floats(-200.0, 13.0), theta=st.floats(5e-4, 5.0),
+           h=st.sampled_from([0.04, 0.02, 0.01]), eps=st.sampled_from([None, 0.001, 0.1]))
+    @example(c=0.0, theta=0.5, h=0.01, eps=None)   # worst of a 405-matrix scan: 7.6e-14
+    @example(c=-200.0, theta=5.0, h=0.01, eps=None)
+    def test_unpivoted_factor_is_backward_stable(self, c, theta, h, eps):
+        # the stepper's matrices on either ramp and at step sizes well past
+        # those in use: without pivoting, stability rests on small growth
+        g = bvp.default_grid(c, h)
+        a = implicit_matrix(bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, eps)),
+                            theta)
+        b = np.random.default_rng(0).standard_normal(g.n)
+        x = UnpivotedBandedLU(a).solve(b)
+        scale = np.abs(a.data).sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
+        assert np.abs(a.matvec(x) - b).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
     def test_carried_rhs_matches_the_matvec_step(self, c):
@@ -162,13 +229,7 @@ class TestStepper:
         # implicit Euler for u_t = u_xx with zero Dirichlet data solves
         # (I - dt D2) u_next = u; D2 annihilates constants, so mass is kept
         g = make_grid(-30.0, 15.0, 0.01)
-        dt = 0.01
-        lhs = d2_band(g).copy()
-        lhs.data *= -dt
-        lhs.add_diagonal(np.ones(g.n))
-        lhs.set_identity_row(0)
-        lhs.set_identity_row(g.n - 1)
-        lu = BandedLU(lhs)
+        lu = BandedLU(implicit_matrix(d2_band(g), 0.01))
         x = g.nodes()
         u = np.exp(-x ** 2)
         before = trapezoid(u, x)

@@ -4,7 +4,8 @@ from scipy.interpolate import CubicSpline
 
 from quenchfront import bvp, continuation
 from quenchfront.grid import (MAX_NODES, BandedLU, BandedMatrix, Grid,
-                              SingularMatrixError, UniformSpline, _stencil,
+                              SingularMatrixError, UniformSpline,
+                              UnpivotedBandedLU, _stencil,
                               d1_band, d2_band, fd_weights, make_grid)
 
 
@@ -312,6 +313,41 @@ class TestBandedLU:
         a.data[1, 3] = np.nan
         with pytest.raises(ValueError):
             BandedLU(a)
+
+
+class TestUnpivotedBandedLU:
+    @staticmethod
+    def swap_first_two_rows(corner):
+        """Tridiagonal 2 on the diagonal, -1 off it, with entry (0, 0) set to
+        ``corner`` and (0, 1) = (1, 0) = 1: nonsingular for any corner."""
+        a = BandedMatrix(6, 1)
+        a.data[:] = [[-1.0], [2.0], [-1.0]]
+        a.data[1, 0], a.data[0, 1], a.data[2, 0] = corner, 1.0, 1.0
+        return a
+
+    def test_zero_pivot_refused_where_pivoting_succeeds(self):
+        a = self.swap_first_two_rows(0.0)
+        b = np.arange(1.0, 7.0)
+        assert np.allclose(a.matvec(BandedLU(a).solve(b)), b, atol=1e-14)
+        with pytest.raises(SingularMatrixError, match=r"n=6: pivot 0 in column 0"):
+            UnpivotedBandedLU(a)
+
+    def test_growth_fails_the_probe(self):
+        # pivot 1e-20 makes the second pivot 1 - 1e20: growth 1e20
+        with pytest.raises(SingularMatrixError, match=r"n=6: backward error"):
+            UnpivotedBandedLU(self.swap_first_two_rows(1e-20))
+
+    def test_matches_pivoted_solve(self):
+        g = make_grid(-1.0, 1.0, 0.1)
+        a = d2_band(g).copy()
+        a.add_diagonal(np.full(g.n, -3.0))
+        a.set_identity_row(0)
+        a.set_identity_row(g.n - 1)
+        b = np.random.default_rng(5).normal(size=g.n)
+        x = UnpivotedBandedLU(a).solve(b)
+        assert np.abs(x - BandedLU(a).solve(b)).max() <= 1e-14 * np.abs(x).max()
+        with pytest.raises(ValueError, match="does not match"):
+            UnpivotedBandedLU(a).solve(b[1:])
 
 
 class TestUniformSpline:
