@@ -43,12 +43,22 @@ def erf_profile(x: float, c: float) -> float:
 
 
 def erf_profile_vec(x: np.ndarray, c: float) -> np.ndarray:
-    """``erf_profile`` at every entry of x."""
+    """``erf_profile`` at every entry of x.  Past z = -x/sqrt(-c) = 26, where
+    erfc(z) nears underflow, e^{x^2/(2c)}/sqrt(erfc(z)) is 1/sqrt(erfcx(z)),
+    from the series sum_{k<=8} (-1)^k (2k-1)!!/(2z^2)^k / (z sqrt(pi)) of
+    erfcx(z) = e^{z^2} erfc(z) (error < 1e-20): finite, tending to sqrt(-x)."""
     if c >= 0:
         raise ValueError(f"erf profile requires c < 0, got c={c}")
     x = np.asarray(x, dtype=float)
-    denom = np.asarray(_erfc(-x / math.sqrt(-c)), dtype=float)
-    return (-c) ** 0.25 * np.exp(x * x / (2.0 * c)) / (_PI_QUARTER * np.sqrt(denom))
+    z = -x / math.sqrt(-c)
+    far, out = z > 26.0, np.empty_like(x)
+    denom = np.asarray(_erfc(z[~far]), dtype=float)
+    out[~far] = (-c) ** 0.25 * np.exp(x[~far] ** 2 / (2.0 * c)) / (_PI_QUARTER * np.sqrt(denom))
+    series = 1.0
+    for k in range(15, 0, -2):
+        series = 1.0 - k * series / (2.0 * z[far] ** 2)
+    out[far] = (-c) ** 0.25 / _PI_QUARTER * np.sqrt(z[far] * math.sqrt(math.pi) / series)
+    return out
 
 
 def front_loc_largec(c: float) -> float:
@@ -73,24 +83,18 @@ def right_tail_log_derivative(x: float, c: float) -> float:
 
 
 def left_tail(x: float, c: float) -> float:
-    """Left-tail expansion: sqrt(-x) times its algebraic series.
+    """Left-tail series sqrt(s) (1 - c/(4 s^2) - 1/(8 s^3)), s = -x.
 
-    The series keeps its first correction.  For c = 0 that is the classical
-    -1/(8(-x)^3).  For c != 0 it is -c/(4 x^2), the dominant balance of
-    u'' + c u' - x u - u^3 = 0 about u = sqrt(-x) (substitute
-    u = sqrt(s)(1 + A/s^2), s = -x: the O(s^{-1/2}) balance forces
-    A = -c/4).  The same coefficient follows from the closed-form
-    large-negative-c profile, whose expansion continues
-    1 - c/(4x^2) - (9/32) c^2/x^4 - ...
+    Substituting u = sqrt(s)(1 + A/s^2 + B/s^3) into u'' + c u' - x u - u^3
+    = 0 and balancing the O(s^{-1/2}) and O(s^{-3/2}) terms gives A = -c/4
+    and B = -1/8 for every c; at c = 0 this is the Hastings-McLeod series.
+    The next term, -(9/32) c^2/s^4, is also the one the closed-form
+    large-negative-c profile continues with.  The value is affine in c.
     """
     if not x < -2.0:
         raise ValueError(f"left tail needs x < -2, got x={x}")
     s = -x
-    if c == 0.0:
-        algebraic = 1.0 - 1.0 / (8.0 * s ** 3)
-    else:
-        algebraic = 1.0 - c / (4.0 * s * s)
-    return math.sqrt(s) * algebraic
+    return math.sqrt(s) * (1.0 - c / (4.0 * s * s) - 1.0 / (8.0 * s ** 3))
 
 
 def erf_front_position(c: float, delta: float = 0.1) -> float:

@@ -51,10 +51,10 @@ def left_value(c: float, x_min: float, eps: float | None = None) -> float:
 
     Tanh ramp (x_min <= 0): the local equilibrium sqrt(tanh(-eps x_min)),
     independent of c.  Linear ramp (x_min < -2): the sqrt(-x) tail series
-    ``asymptotics.left_tail`` with its first correction.  The term after it,
-    -(9/32) c^2/x^4, is negative for either sign of c, so this closure sits
-    slightly above the true solution and never breaks the monotonicity of
-    the solved profile at the boundary node.
+    ``asymptotics.left_tail``, affine in c.  Its remainder (s = -x_min) is
+    led by -(9/32) c^2/s^4 < 0, which keeps the closure above the solution,
+    or for |c| s < 23/9 by -(23/32) c/s^5, far below the profile's drop
+    across one node: neither breaks the profile's monotonicity at the edge.
     """
     if eps is not None:
         return math.sqrt(math.tanh(-eps * x_min))
@@ -126,15 +126,23 @@ def _drift_diffusion_band(g: Grid, c: float) -> BandedMatrix:
     return band
 
 
+def _checked_profile(g: Grid, u: np.ndarray, c: float) -> np.ndarray:
+    """u as floats, refused unless it has g.n entries, all finite."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (g.n,):
+        raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise ValueError(f"non-finite values in profile at c={c:g}, h={g.h:g}, n={g.n}: "
+                         f"first at x={g.x_min + bad[0] * g.h:g} (node {bad[0]})")
+    return u
+
+
 def stationary_residual(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
                         left: float) -> np.ndarray:
     """F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes; boundary rows
     pin u to ``left`` on the left and to zero on the right."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite values in profile")
+    u = _checked_profile(g, u, c)
     out = _drift_diffusion_band(g, c).matvec(u) - r * u - u ** 3
     out[0] = u[0] - left
     out[-1] = u[-1]
@@ -144,16 +152,9 @@ def stationary_residual(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
 def stationary_jacobian(g: Grid, u: np.ndarray, c: float,
                         r: np.ndarray) -> BandedMatrix:
     """D2 + c*D1 - diag(r(x) + 3u^2) on interior rows, identity at the ends."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise ValueError(f"vector length {u.shape} does not match grid n={g.n}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite values in profile")
+    u = _checked_profile(g, u, c)
     jac = _drift_diffusion_band(g, c).copy()
-    diag = -(r + 3.0 * u ** 2)
-    diag[0] = 0.0
-    diag[-1] = 0.0
-    jac.add_diagonal(diag)
+    jac.add_diagonal(-(r + 3.0 * u ** 2))
     jac.set_identity_row(0)
     jac.set_identity_row(g.n - 1)
     return jac

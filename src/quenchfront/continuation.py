@@ -63,24 +63,22 @@ def reinterpolate(p: FrontProfile, g_new: Grid) -> FrontProfile:
     return FrontProfile(c=p.c, grid=g_new, u=u_new, eps=p.eps)
 
 
-def _tangent(p: FrontProfile, sgn: float) -> np.ndarray:
+def _tangent(p: FrontProfile) -> np.ndarray:
     """Co-moving derivative du/dc - (c+/2) D1 u at a converged point, where
     c+ = max(c, 0) and du/dc solves J du/dc = -dF/dc.
 
     dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F),
     minus the slope in c of the left closure value on row 0, and 0 on row
-    n-1.  The closure is affine in c on either side of c = 0 and jumps at
-    c = 0, so its slope is differenced on the side the branch moves to
-    (``sgn``).  For c <= 0 the frame term vanishes and this is du/dc.
+    n-1.  The closure is affine in c, so a unit difference is its exact
+    slope.  For c <= 0 the frame term vanishes and this is du/dc.
     """
     g = p.grid
     # grid.d1_band is looked up at call time, so a wrapper installed on the
     # module (a tracer's) sees this call too; boundary rows of D1 are 0
     d1u = grid.d1_band(g, int(np.sign(p.c))).matvec(p.u)
     rhs = -d1u
-    c1, c2 = p.c + sgn * DC_MIN, p.c + 2.0 * sgn * DC_MIN
-    rhs[0] = (bvp.left_value(c2, g.x_min, p.eps)
-              - bvp.left_value(c1, g.x_min, p.eps)) / (c2 - c1)
+    rhs[0] = (bvp.left_value(p.c + 1.0, g.x_min, p.eps)
+              - bvp.left_value(p.c, g.x_min, p.eps))
     return newton.banded_lu_solve(bvp.jacobian(p), rhs) - 0.5 * max(p.c, 0.0) * d1u
 
 
@@ -127,7 +125,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         carried = current.grid != g_default and bvp.domain_ok(current.grid, c_next)
         for g_target in ([current.grid, g_default] if carried else [g_default]):
             try:
-                tangent = _tangent(current, sgn) if tangent is None else tangent
+                tangent = _tangent(current) if tangent is None else tangent
                 trial = FrontProfile(c=c_next, grid=g_target,
                                      u=_predict(current, tangent, c_next, g_target))
                 solved, report = admissible_solve(trial, tol)

@@ -136,6 +136,13 @@ class BandedMatrix:
             raise ValueError(f"vector length {u.shape} does not match n={self.n}")
         return _band_product(self.data, self.bandwidth, u)
 
+    def backward_error_excess(self, x: np.ndarray, b: np.ndarray) -> tuple | None:
+        """None if the solve of A x = b passes ||A x - b||_inf <= 1e-9 (||A||_1
+        ||x||_inf + ||b||_inf), else those two norms; a NaN fails."""
+        backward = np.abs(_band_product(self.data, self.bandwidth, x) - b).max()
+        scale = np.abs(self.data).sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
+        return None if backward <= 1e-9 * scale else (backward, scale)
+
 
 def _band_product(data: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
     """A u for the band ``data`` of half-width p (BandedMatrix layout)."""
@@ -178,7 +185,7 @@ class UnpivotedBandedLU:
     """LU factors of a BandedMatrix without row interchanges, so L and U keep
     its bandwidth; each ``solve`` is two LAPACK dtbtrs sweeps.  Stable only
     while growth is small (Higham, Accuracy and Stability, 2nd ed., 9.3): a
-    probe solve must pass ``newton.banded_lu_solve``'s backward-error test."""
+    probe solve must pass ``BandedMatrix.backward_error_excess``."""
 
     def __init__(self, a: BandedMatrix):
         p = a.bandwidth
@@ -198,11 +205,9 @@ class UnpivotedBandedLU:
                         f[i + o] -= mult * f[d + o]
         self._upper, self._lower = np.asfortranarray(w[:p + 1]), np.asfortranarray(w[p:])
         del f, w   # freed before the probe allocates, for a lower peak memory
-        x = self.solve(np.ones(n))
-        backward = np.abs(_band_product(a.data, p, x) - 1.0).max()
-        scale = np.abs(a.data).sum(axis=0).max() * np.abs(x).max() + 1.0
-        if not backward <= 1e-9 * scale:
-            raise SingularMatrixError(f"unpivoted LU, n={n}: backward error {backward / scale:.1e}")
+        if excess := a.backward_error_excess(self.solve(np.ones(n)), np.ones(n)):
+            raise SingularMatrixError(
+                f"unpivoted LU, n={n}: backward error {excess[0] / excess[1]:.1e}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if b.shape != (self.n,):

@@ -50,8 +50,8 @@ class SolveReport:
 def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by banded LU with partial pivoting.
 
-    Raises SingularJacobianError on a zero pivot or when the backward error
-    exceeds 1e-9 (||Ax-b|| vs ||A|| ||x|| + ||b||).
+    Raises SingularJacobianError on a zero pivot or when the solve fails
+    the backward-error test of ``BandedMatrix.backward_error_excess``.
     """
     b = np.asarray_chkfinite(b, dtype=float)
     try:
@@ -60,12 +60,9 @@ def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
         raise SingularJacobianError(f"banded LU failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularJacobianError("banded LU produced non-finite solution")
-    norm_a = np.abs(A.data).sum(axis=0).max()
-    backward = np.abs(A.matvec(x) - b).max()
-    scale = norm_a * np.abs(x).max() + np.abs(b).max()
-    if backward > 1e-9 * scale:
+    if excess := A.backward_error_excess(x, b):
         raise SingularJacobianError(
-            f"banded solve residual {backward:.3e} exceeds 1e-9 * {scale:.3e}")
+            f"banded solve residual {excess[0]:.3e} exceeds 1e-9 * {excess[1]:.3e}")
     return x
 
 

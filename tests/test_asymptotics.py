@@ -101,9 +101,9 @@ class TestLeftTail:
             math.sqrt(10.0) * (1.0 - 1.0 / 8000.0), rel=1e-14)
 
     def test_printed_drift_term(self):
-        # dominant balance about sqrt(-x): u = sqrt(-x)(1 - c/(4x^2) + ...)
+        # balance about sqrt(s), s = -x: u = sqrt(s)(1 - c/(4s^2) - 1/(8s^3) + ...)
         x, c = -10.0, 2.0
-        expected = math.sqrt(10.0) * (1.0 - c / (4.0 * x * x))
+        expected = math.sqrt(10.0) * (1.0 - c / (4.0 * x * x) - 1.0 / 8000.0)
         assert left_tail(x, c) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("c", [-3.0, 0.0, 2.0])
@@ -137,6 +137,16 @@ class TestConvergedProfileAgreement:
         w = (x >= -20.0) & (x <= -15.0)
         series = np.array([left_tail(float(t), c) for t in x[w]])
         assert np.abs(p.u[w] - series).max() <= 1e-3
+
+    @pytest.mark.parametrize("c", [-1.0, -0.01, 0.0, 0.01, 1.0])
+    def test_series_error_is_its_next_term_for_small_c(self, c):
+        # with both corrections kept for every c, what is left at s = 20 is
+        # the next term (9/32) c^2/s^4 (relative) plus discretization
+        s = 20.0
+        p = continuation.solve_front(c)
+        i = int(round((-s - p.grid.x_min) / p.grid.h))
+        gap = abs(p.u[i] - left_tail(-s, c)) / math.sqrt(s)
+        assert gap <= 2.0 * (9.0 / 32.0) * c * c / s ** 4 + 1e-7
 
     def test_fitted_log_slope_near_prediction(self, hm_profile):
         x = hm_profile.grid.nodes()
@@ -199,6 +209,16 @@ class TestErfProfileOracle:
         assert np.all(np.abs(got - want) <= 1e-13 * want)
         scalar = np.array([erf_profile(float(t), c) for t in x])
         assert np.all(np.abs(scalar - want) <= 1e-13 * want)
+
+    @pytest.mark.parametrize("c", [-3.0, -10.0])
+    def test_vector_stays_finite_where_erfc_underflows(self, c):
+        # e^{x^2/(2c)} / sqrt(erfc(z)) = 1/sqrt(erfcx(z)), z = -x/sqrt(-c),
+        # which tends to sqrt(-x); erfc(z) underflows past z = 26.5
+        from scipy.special import erfcx
+        z = np.linspace(20.0, 200.0, 3001)
+        got = erf_profile_vec(-z * math.sqrt(-c), c)
+        want = (-c) ** 0.25 / (math.pi ** 0.25 * np.sqrt(erfcx(z)))
+        assert np.all(np.abs(got - want) <= 2e-13 * want)
 
     def test_vector_keeps_shape(self):
         x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)

@@ -20,9 +20,9 @@ class TestBoundaryClosure:
 
     def test_left_value_with_drift(self):
         assert left_value(-2.0, -20.0) == pytest.approx(
-            math.sqrt(20.0) * (1.0 + 2.0 / (4.0 * 400.0)), rel=1e-15)
+            math.sqrt(20.0) * (1.0 + 2.0 / (4.0 * 400.0) - 1.0 / 64000.0), rel=1e-15)
         assert left_value(3.0, -20.0) == pytest.approx(
-            math.sqrt(20.0) * (1.0 - 3.0 / (4.0 * 400.0)), rel=1e-15)
+            math.sqrt(20.0) * (1.0 - 3.0 / (4.0 * 400.0) - 1.0 / 64000.0), rel=1e-15)
 
     def test_left_value_tanh_is_local_equilibrium(self):
         # sqrt(tanh(-eps x_min)) whatever c
@@ -87,8 +87,12 @@ class TestResidual:
         g = make_grid(-10.0, 10.0, 0.1)
         u = np.zeros(g.n)
         u[3] = np.nan
-        with pytest.raises(ValueError):
-            residual(FrontProfile(c=0.0, grid=g, u=u))
+        u[5] = np.inf
+        p = FrontProfile(c=1.5, grid=g, u=u)
+        for assemble in (residual, jacobian):
+            with pytest.raises(ValueError, match=r"at c=1.5, h=0.1, n=201: "
+                                                 r"first at x=-9.7 \(node 3\)"):
+                assemble(p)
 
 
 class TestJacobian:

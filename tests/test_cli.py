@@ -221,6 +221,15 @@ class TestSolveCommand:
         assert header["admissible"] == "True"
         assert run(["solve", "--c", "9.14", "--out", str(tmp_path / "q.csv")]) == 0
 
+    @pytest.mark.parametrize("c, x_min", [("-10", "-100"), ("-3", "-60")])
+    def test_closed_form_seed_on_a_wide_left_domain(self, c, x_min, tmp_path):
+        # the c <= -3 seed stays finite where erfc(-x/sqrt(-c)) underflows
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", c, "--xmin", x_min, "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert float(header["xmin"]) == float(x_min)
+        assert header["admissible"] == "True"
+
     def test_solve_with_spectrum_header(self, tmp_path):
         out = tmp_path / "p.csv"
         assert run(["solve", "--c", "0", "--spectrum", "--out", str(out)]) == 0
@@ -412,6 +421,21 @@ def test_validate_rejects_unknown_criterion(criteria, capsys):
     captured = capsys.readouterr()
     assert "error kind=ValueError" in captured.err and "numbered 1-11" in captured.err
     assert "PASS" not in captured.out
+
+
+def test_spectrum_output_does_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot product or norm sums in an order set by its thread count;
+    # the written file must come out the same under one thread and two
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "quenchfront.cli", "solve", "--spectrum",
+                        "--c", "-200", "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_cold_import_loads_no_interpolate_optimize_or_special(tmp_path):

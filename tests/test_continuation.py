@@ -107,7 +107,7 @@ class TestContinueBranch:
         at = []
         tangent = continuation._tangent
         monkeypatch.setattr(continuation, "_tangent",
-                            lambda p, sgn: at.append(p.c) or tangent(p, sgn))
+                            lambda p: at.append(p.c) or tangent(p))
         br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
         assert br.failures and br.points[0][0] == -100.0
         assert at == [c for c, _ in br.points[:0:-1]]   # every point but the last, once
@@ -128,10 +128,18 @@ class TestContinueBranch:
         d = 1e-2
         p = continue_branch(hm_profile, -1.0).points[0][1]
         c = p.c
-        tangent = continuation._tangent(p, -1.0)
+        tangent = continuation._tangent(p)
         up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
         um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
         assert np.abs(tangent - (up.u - um.u) / (2 * d)).max() <= 1e-4
+
+    @pytest.mark.parametrize("c", [-1e-4, 0.0, 1e-4])
+    def test_tangent_moves_the_closure_by_its_slope(self, c):
+        # row 0 of J is the identity, so the tangent's first entry is the
+        # closure's slope in c, -1/(4 s^{3/2}), s = -x_min, whatever side of 0
+        p = solve_front(c, h=0.04)
+        s = -p.grid.x_min
+        assert continuation._tangent(p)[0] == pytest.approx(-0.25 / s ** 1.5, rel=1e-9)
 
     def test_comoving_tangent_matches_central_difference(self):
         # in the frame x + c^2/4 the fronts at c +- d, read through their
@@ -139,7 +147,7 @@ class TestContinueBranch:
         # the c = 6 nodes whose frame points both lie on the grid
         c, d = 6.0, 1e-2
         p = solve_front(c)
-        tangent = continuation._tangent(p, 1.0)
+        tangent = continuation._tangent(p)
         x = p.grid.nodes()
         framed, inside = [], np.ones(x.size, dtype=bool)
         for cc in (c + d, c - d):
@@ -153,7 +161,7 @@ class TestContinueBranch:
     def test_prediction_for_negative_c_is_the_plain_tangent(self, hm_profile):
         dc = -0.5
         p = continue_branch(hm_profile, -3.0).points[0][1]
-        tangent = continuation._tangent(p, -1.0)
+        tangent = continuation._tangent(p)
         guess = continuation._predict(p, tangent, p.c + dc, p.grid)
         assert guess.tobytes() == np.maximum(p.u + dc * tangent, 0.0).tobytes()
 
