@@ -189,8 +189,7 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     for c in (0.0, 1.0):
         p = ctx.profile(c)
         lam0 = float(ctx.spectrum_at(c).eigenvalues[0])
-        cfg = evolve.EvolveConfig(dt=0.01, t_end=25.0, scheme="imex_cn",
-                                  record_every=25)
+        cfg = evolve.EvolveConfig(dt=0.01, t_end=25.0, record_every=25)
         x = p.grid.nodes()
         bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p)) ** 2)
         result = evolve.evolve(p, p.u + bump, cfg)

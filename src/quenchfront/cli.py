@@ -53,7 +53,7 @@ class RunConfig:
     k: int = 5
     dt: float = 0.01
     t_end: float = 30.0
-    scheme: str = "imex_cn"
+    scheme: str = evolve_mod.SCHEME
     ramp: str = "linear"
     criteria: str | None = None
 
@@ -309,7 +309,7 @@ def _refuse_grid_keys(cfg: RunConfig, command: str) -> None:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end, scheme=cfg.scheme)
+    ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end)
     if cfg.ramp == "linear":
         p = _solve(cfg, cfg.c)
     elif cfg.ramp == "tanh":
@@ -320,10 +320,12 @@ def cmd_evolve(cfg: RunConfig) -> int:
     x = p.grid.nodes()
     bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p, cfg.delta)) ** 2)
     result = evolve_mod.evolve(p, p.u + bump, ecfg)
+    lambda0 = float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0])
     out = cfg.out or f"evolve_c{cfg.c:g}.csv"
     header = {"c": cfg.c, **_grid_header(p.grid), "dt": cfg.dt,
-              "t_end": cfg.t_end, "scheme": cfg.scheme,
-              "measured_rate": result.measured_rate,
+              "t_end": cfg.t_end, "scheme": evolve_mod.SCHEME,
+              "measured_rate": result.measured_rate, "lambda0": lambda0,
+              "rate_rel_gap": abs(result.measured_rate - lambda0) / abs(lambda0),
               "final_deviation": result.deviation_history[-1][1],
               "peak_growth": result.peak_growth, "steps": result.steps,
               "step_s": result.step_s, "factor_s": result.factor_s}
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("evolve", "time-integrate a perturbed front, write deviation history", {
         "--c": dict(type=float), "--dt": dict(type=float),
         "--t-end": dict(type=float, dest="t_end"),
-        "--scheme": dict(choices=["imex_euler", "imex_cn"]),
+        "--scheme": dict(help=f"time-stepping scheme; only {evolve_mod.SCHEME}"),
         "--ramp": dict(choices=["linear", "tanh"]),
         "--eps": dict(type=float), **common})
     # the fronts compared have fixed grids and tolerances: no --h, no --tol
@@ -446,6 +448,8 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             setattr(cfg, key, value)
             cfg.given.add(key)
+        if cfg.scheme != evolve_mod.SCHEME:
+            raise ValueError(f"unknown scheme {cfg.scheme!r}; only {evolve_mod.SCHEME} runs")
         return _COMMANDS[args.command](cfg)
     except (ValueError, newton.SolverError, evolve_mod.BlowUpError,
             bvp.TailFitError, spectrum.EigenIterationError, OSError) as exc:

@@ -3,12 +3,14 @@
 The front being perturbed defines the problem: its c, its ramp r(x)
 (``FrontProfile.eps``), its grid and its Dirichlet values.  The linear
 spatial operator (diffusion, drift, and the ramp coefficient r(x), which is
-stiff for large |x|) is the Newton Jacobian at u = 0; it is implicit and
-LU-factored once per stepper without row interchanges, so a step is two
-banded triangular sweeps.  The cubic reaction is explicit.  Two schemes: IMEX
-Euler and Crank-Nicolson with Adams-Bashforth-2 on the reaction (Ascher,
-Ruuth & Wetton 1995), whose explicit half is carried from the last solve.
-Newton's spatial operator is this one, so its solutions are exact fixed points.
+stiff for large |x|) is the Newton Jacobian at u = 0; it is implicit, and
+its one implicit matrix I - (dt/2) A is LU-factored once per run without row
+interchanges, so a solve is two banded triangular sweeps.  The cubic
+reaction is explicit.  The scheme is Crank-Nicolson with Adams-Bashforth-2
+on the reaction (Ascher, Ruuth & Wetton 1995), whose explicit half is
+carried from the last solve, started by backward-Euler half-steps on the
+same matrix (Rannacher 1984; Giles & Carter 2006).  Newton's spatial
+operator is this one, so its solutions are exact fixed points.
 
 The tanh-ramp variant (r = tanh(eps x)) is the full slow-quench model; its
 steady fronts are compared against inner rescalings of the linear-ramp
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import asymptotics, bvp, continuation, diagnostics, newton
 from .bvp import FrontProfile
-from .grid import BandedMatrix, Grid, UniformSpline, UnpivotedBandedLU, make_grid
+from .grid import Grid, UniformSpline, UnpivotedBandedLU, make_grid
 
 TANH_DOMAIN_HALF = 300.0   # solve domain for the tanh-ramp equation
 TANH_H = 0.05
@@ -35,21 +37,20 @@ PLATEAU_MARGIN = 1e4
 # the stepper's own roundoff level, below which no plateau is taken
 # (measured plateaus: 2.9e-13 to 5.0e-13 at c in {-1, 0, 1}, h = dt = 0.01)
 ROUNDOFF_PLATEAU = 1e-12
+# the one time-stepping scheme, as named by ``evolve --scheme`` and headers
+SCHEME = "imex_cn"
 
 
 @dataclass
 class EvolveConfig:
     dt: float = 0.01
     t_end: float = 200.0
-    scheme: str = "imex_cn"       # "imex_euler" | "imex_cn"
     record_every: int = 10
 
     def __post_init__(self):
         if not (self.dt > 0 and 0.5 < self.t_end / self.dt < math.inf):
             raise ValueError(f"dt={self.dt:g} and t_end={self.t_end:g} must be positive, "
                              f"with t_end/dt finite and rounding to at least one step")
-        if self.scheme not in ("imex_euler", "imex_cn"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -71,69 +72,64 @@ class BlowUpError(RuntimeError):
 
 class ImexStepper:
     """One-step integrator for the equation of ``front``, holding the LU
-    factors of its implicit systems.
+    factors of its one implicit matrix I - (dt/2) A, A = D2 + c D1 - r.
 
-    A step solves (I - theta A) u_{n+1} = R_n, A = D2 + c D1 - r, N = -u^3:
-    Euler has theta = dt; CN/AB2 has theta = dt/2 and
+    A CN/AB2 step solves (I - dt/2 A) u_{n+1} = R_n with N = -u^3 and
     R_n = (I + dt/2 A) u_n + dt (3/2 N_n - 1/2 N_{n-1}).  The last solve's
-    interior rows make (I + dt/2 A) u_n = (1 + k) u_n - k R_{n-1},
-    k = (dt/2) / theta, so no step applies A, and from its second call on
-    ``step`` takes only the array it last returned (else a ValueError).
+    interior rows make (I + dt/2 A) u_n = 2 u_n - R_{n-1}, so no step
+    applies A, and from its second call on ``step`` takes only the array
+    it last returned (else a ValueError).
 
-    Boundary rows of every implicit solve are identity rows pinning the
-    state to the front's Dirichlet values.  The Crank-Nicolson scheme
-    starts with two implicit-Euler steps (Rannacher smoothing): CN alone is
-    not L-stable and rings for many time units when the initial data has
-    under-resolved features; they also give the first CN step R and N.
+    Boundary rows of every solve are identity rows pinning the state to the
+    front's Dirichlet values.  Each of the first STARTUP_EULER_STEPS steps
+    is two backward-Euler half-steps on the same matrix (Rannacher
+    smoothing, in Giles & Carter's half-step form, which keeps second
+    order): CN alone is not L-stable and rings for many time units when the
+    initial data has under-resolved features; they also give the first CN
+    step R and N.
     """
 
     STARTUP_EULER_STEPS = 2
 
     def __init__(self, front: FrontProfile, cfg: EvolveConfig):
-        g = self.grid = front.grid
+        g = front.grid
         self.cfg = cfg
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        # D2 + c D1 - r; the implicit systems replace its boundary rows
-        a = bvp.stationary_jacobian(g, np.zeros(g.n), front.c, bvp.ramp(g, front.eps))
-
-        self._lu_euler = self._factor(a, cfg.dt)
-        self._lu_cn = self._factor(a, 0.5 * cfg.dt) if cfg.scheme == "imex_cn" else None
-        self._last: tuple | None = None   # output, right-hand side, theta, N of the last step
+        # D2 + c D1 - r, made into I - (dt/2) A with identity boundary rows
+        lhs = bvp.stationary_jacobian(g, np.zeros(g.n), front.c, bvp.ramp(g, front.eps))
+        lhs.data *= -0.5 * cfg.dt
+        lhs.add_diagonal(np.ones(g.n))
+        lhs.set_identity_row(0)
+        lhs.set_identity_row(g.n - 1)
+        self._lu = UnpivotedBandedLU(lhs)
+        self._last: tuple | None = None   # output, right-hand side, N of the last step
         self._steps_taken = 0
 
-    def _factor(self, a: BandedMatrix, weight: float) -> UnpivotedBandedLU:
-        lhs = a.copy()
-        lhs.data *= -weight
-        lhs.add_diagonal(np.ones(self.grid.n))
-        lhs.set_identity_row(0)
-        lhs.set_identity_row(self.grid.n - 1)
-        return UnpivotedBandedLU(lhs)
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs[0], rhs[-1] = self.boundary
+        if not np.all(np.isfinite(rhs)):
+            raise BlowUpError("non-finite state entering implicit solve")
+        out = self._lu.solve(rhs)
+        if not np.all(np.isfinite(out)):
+            raise BlowUpError("non-finite state after implicit solve")
+        return out
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
+        half = 0.5 * self.cfg.dt
         if self._last is not None and u is not self._last[0]:
             raise ValueError("ImexStepper.step continues from the array its last "
                              "step returned; start a new stepper for other data")
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             n_cur = -(u * u * u)
-            if cfg.scheme == "imex_euler" or self._steps_taken < self.STARTUP_EULER_STEPS:
-                lu, theta = self._lu_euler, cfg.dt
-                rhs = u + cfg.dt * n_cur
+            if self._steps_taken < self.STARTUP_EULER_STEPS:
+                mid = self._solve(u + half * n_cur)
+                rhs = mid - half * (mid * mid * mid)
             else:
-                lu, theta = self._lu_cn, 0.5 * cfg.dt
-                _, rhs_prev, theta_prev, n_prev = self._last
-                k = 0.5 * cfg.dt / theta_prev
-                rhs = ((1.0 + k) * u - k * rhs_prev
-                       + cfg.dt * (1.5 * n_cur - 0.5 * n_prev))
-        rhs[0] = self.boundary[0]
-        rhs[-1] = self.boundary[1]
-        if not np.all(np.isfinite(rhs)):
-            raise BlowUpError("non-finite state entering implicit solve")
-        out = lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise BlowUpError("non-finite state after implicit solve")
-        self._last = (out, rhs, theta, n_cur)
+                _, rhs_prev, n_prev = self._last
+                rhs = 2.0 * u - rhs_prev + self.cfg.dt * (1.5 * n_cur - 0.5 * n_prev)
+        out = self._solve(rhs)
+        self._last = (out, rhs, n_cur)
         self._steps_taken += 1
         return out
 
@@ -155,7 +151,7 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
             u = stepper.step(u)
         except BlowUpError as exc:
             raise BlowUpError(f"blow-up at step {k} (t={k * cfg.dt:.4g}) at c={front.c:g}, "
-                              f"dt={cfg.dt:g}, scheme={cfg.scheme}, h={front.grid.h:g}, "
+                              f"dt={cfg.dt:g}, scheme={SCHEME}, h={front.grid.h:g}, "
                               f"n={front.grid.n}: {exc}") from exc
         if k % cfg.record_every == 0 or k == n_steps:
             history.append((k * cfg.dt, float(np.abs(u - front.u).max())))

@@ -318,6 +318,41 @@ class TestOtherCommands:
         assert 0.0 < float(header["factor_s"]) < 10.0
         assert int(header["steps"]) == 10
 
+    @pytest.mark.parametrize("flags, t_end, expected", [
+        (["--h", "0.04"], "5", -1.5185), (["--h", "0.04"], "0.1", -1.5185),
+        # the tanh front's lambda0 is the c = 0 one scaled by eps^{2/3}
+        (["--ramp", "tanh", "--eps", "0.01"], "0.1", 0.01 ** (2 / 3) * -1.5185)],
+        ids=["linear", "linear-short", "tanh-short"])
+    def test_evolve_header_compares_the_rate_with_lambda0(self, flags, t_end, expected,
+                                                          tmp_path):
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--c", "0", *flags, "--t-end", t_end, "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        rate, lam0 = float(header["measured_rate"]), float(header["lambda0"])
+        assert lam0 == pytest.approx(expected, rel=2e-3)
+        gap = float(header["rate_rel_gap"])
+        if t_end == "0.1":   # too short a run to fit: the gap stays nan
+            assert np.isnan(rate) and np.isnan(gap)
+        else:
+            assert gap == abs(rate - lam0) / abs(lam0) and gap <= 0.2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_evolve_runs_only_imex_cn(self, source, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        argv = ["evolve", "--c", "0", "--h", "0.04", "--t-end", "0.1", "--out", str(out)]
+        if source == "flag":
+            argv += ["--scheme", "imex_euler"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("scheme=imex_euler\n")
+            argv = ["--config", str(cfg), *argv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "error kind=ValueError" in err and "'imex_euler'" in err and "imex_cn" in err
+        assert not out.exists()
+        assert run([*argv[:-2], "--scheme", "imex_cn", "--out", str(out)]) == 0
+        assert "# scheme=imex_cn" in out.read_text()
+
     @pytest.mark.parametrize("flags, named", [
         (["--t-end", "inf"], "t_end=inf"), (["--dt", "nan"], "dt=nan"),
         (["--dt", "inf"], "dt=inf"), (["--dt", "0.5", "--t-end", "0.2"], "dt=0.5 and t_end=0.2")])
@@ -440,18 +475,21 @@ def test_spectrum_output_does_not_depend_on_blas_threads(tmp_path):
 
 def test_cold_import_loads_no_interpolate_optimize_or_special(tmp_path):
     # a fresh interpreter, so no module imported by the tests counts; two
-    # short solves (c = 0 has no drift term, c = -1 builds the D1 band) then
-    # show that no operation imports them lazily either.  scipy's compiled
+    # short solves (c = 0 has no drift term, c = -1 builds the D1 band) and
+    # a short evolve (the stepper and its lambda0 header) then show that no
+    # operation imports them lazily either.  scipy's compiled
     # LAPACK module (scipy.linalg._flapack) is allowed, the scipy.linalg
     # package and numpy.ma are not
     probe = ("import sys, quenchfront.cli; "
-             "[quenchfront.cli.main(['solve', '--c', c, '--h', '0.04', '--out', sys.argv[1]]) "
-             "for c in ('0', '-1')]; "
-             "print(sorted(m for m in sys.modules "
+             "codes = [quenchfront.cli.main(['solve', '--c', c, '--h', '0.04', "
+             "'--out', sys.argv[1]]) for c in ('0', '-1')]; "
+             "codes.append(quenchfront.cli.main(['evolve', '--c', '0', '--h', '0.04', "
+             "'--t-end', '0.1', '--out', sys.argv[1]])); "
+             "print(codes, sorted(m for m in sys.modules "
              "if m.split('.')[:2] in (['scipy', 'interpolate'], ['scipy', 'optimize'], "
              "['scipy', 'special'], ['decimal'], ['numpy', 'ma']) "
              "or m == 'scipy.linalg'))")
     env = dict(os.environ, PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "p.csv")], env=env,
                          check=True, capture_output=True, text=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
