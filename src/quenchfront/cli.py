@@ -324,7 +324,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     out = cfg.out or f"evolve_c{cfg.c:g}.csv"
     header = {"c": cfg.c, **_grid_header(p.grid), "dt": cfg.dt,
               "t_end": cfg.t_end, "scheme": evolve_mod.SCHEME,
-              "measured_rate": result.measured_rate, "lambda0": lambda0,
+              "measured_rate": result.measured_rate,
+              "rate_samples": result.rate_samples, "lambda0": lambda0,
               "rate_rel_gap": abs(result.measured_rate - lambda0) / abs(lambda0),
               "final_deviation": result.deviation_history[-1][1],
               "peak_growth": result.peak_growth, "steps": result.steps,

@@ -60,6 +60,7 @@ class EvolveResult:
     final: FrontProfile
     deviation_history: list[tuple[float, float]] = field(default_factory=list)
     measured_rate: float = math.nan
+    rate_samples: int = 0            # deviation samples the rate was fitted to; 0: nan rate
     steps: int = 0
     step_s: float = math.nan         # mean wall time per step
     factor_s: float = math.nan       # wall time of building the stepper
@@ -77,8 +78,9 @@ class ImexStepper:
     A CN/AB2 step solves (I - dt/2 A) u_{n+1} = R_n with N = -u^3 and
     R_n = (I + dt/2 A) u_n + dt (3/2 N_n - 1/2 N_{n-1}).  The last solve's
     interior rows make (I + dt/2 A) u_n = 2 u_n - R_{n-1}, so no step
-    applies A, and from its second call on ``step`` takes only the array
-    it last returned (else a ValueError).
+    applies A: R_n = 2 u_n - G - 3 C_n with C = (dt/2) u^3 and the one
+    carried vector G = R_{n-1} - C_{n-1}.  From its second call on ``step``
+    takes only the array it last returned (else a ValueError).
 
     Boundary rows of every solve are identity rows pinning the state to the
     front's Dirichlet values.  Each of the first STARTUP_EULER_STEPS steps
@@ -102,34 +104,32 @@ class ImexStepper:
         lhs.set_identity_row(0)
         lhs.set_identity_row(g.n - 1)
         self._lu = UnpivotedBandedLU(lhs)
-        self._last: tuple | None = None   # output, right-hand side, N of the last step
+        self._last = self._carry = None   # the last step's output, and G (kept in place)
         self._steps_taken = 0
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs[0], rhs[-1] = self.boundary
-        if not np.all(np.isfinite(rhs)):
-            raise BlowUpError("non-finite state entering implicit solve")
         out = self._lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():   # unit L carries any inf or nan of rhs into out
             raise BlowUpError("non-finite state after implicit solve")
         return out
 
     def step(self, u: np.ndarray) -> np.ndarray:
         half = 0.5 * self.cfg.dt
-        if self._last is not None and u is not self._last[0]:
+        if self._last is not None and u is not self._last:
             raise ValueError("ImexStepper.step continues from the array its last "
                              "step returned; start a new stepper for other data")
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            n_cur = -(u * u * u)
+            cube = half * (u * u * u)
             if self._steps_taken < self.STARTUP_EULER_STEPS:
-                mid = self._solve(u + half * n_cur)
+                mid = self._solve(u - cube)
                 rhs = mid - half * (mid * mid * mid)
             else:
-                _, rhs_prev, n_prev = self._last
-                rhs = 2.0 * u - rhs_prev + self.cfg.dt * (1.5 * n_cur - 0.5 * n_prev)
-        out = self._solve(rhs)
-        self._last = (out, rhs, n_cur)
+                rhs = u + u - self._carry - 3.0 * cube
+            out = self._solve(rhs)   # its first sweep copies rhs, which is kept
+            self._carry = np.subtract(rhs, cube, out=self._carry)
+        self._last = out
         self._steps_taken += 1
         return out
 
@@ -160,8 +160,9 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
     final = FrontProfile(c=front.c, grid=front.grid, u=u, eps=front.eps)
     final.residual_norm = float(np.abs(bvp.residual(final)).max())
     d0 = history[0][1]
+    rate, samples = measured_rate(history, plateau)
     return EvolveResult(final=final, deviation_history=history, steps=n_steps, step_s=step_s,
-                        factor_s=factor_s, measured_rate=measured_rate(history, plateau),
+                        factor_s=factor_s, measured_rate=rate, rate_samples=samples,
                         peak_growth=max(d for _, d in history) / d0 if d0 > 0 else math.nan)
 
 
@@ -174,19 +175,19 @@ def deviation_plateau(front: FrontProfile) -> float:
     return max(float(np.abs(correction).max()), ROUNDOFF_PLATEAU)
 
 
-def measured_rate(history: list[tuple[float, float]], plateau: float) -> float:
-    """Log-slope of the deviation tail: least-squares fit of ln(dev) vs t
-    over samples past the initial transient and PLATEAU_MARGIN times above
-    the deviation ``plateau``."""
+def measured_rate(history: list[tuple[float, float]], plateau: float) -> tuple[float, int]:
+    """Log-slope of the deviation tail and the number of samples fitted:
+    least-squares fit of ln(dev) vs t over samples past the initial
+    transient and PLATEAU_MARGIN times above the deviation ``plateau``;
+    (nan, 0) when fewer than 3 samples qualify."""
     t = np.array([h[0] for h in history])
     d = np.array([h[1] for h in history])
     if len(d) < 4 or d[0] == 0:
-        return math.nan
+        return math.nan, 0
     mask = (d > PLATEAU_MARGIN * plateau) & (d < 0.5 * d[0]) & (t > 0)
     if mask.sum() < 3:
-        return math.nan
-    coeffs = np.polyfit(t[mask], np.log(d[mask]), 1)
-    return float(coeffs[0])
+        return math.nan, 0
+    return float(np.polyfit(t[mask], np.log(d[mask]), 1)[0]), int(mask.sum())
 
 
 def solve_tanh_front(eps: float, c: float, g: Grid | None = None,

@@ -183,9 +183,11 @@ class BandedLU:
 
 class UnpivotedBandedLU:
     """LU factors of a BandedMatrix without row interchanges, so L and U keep
-    its bandwidth; each ``solve`` is two LAPACK dtbtrs sweeps.  Stable only
-    while growth is small (Higham, Accuracy and Stability, 2nd ed., 9.3): a
-    probe solve must pass ``BandedMatrix.backward_error_excess``."""
+    its bandwidth.  U is held as D U1 (pivots D, U1 unit upper), so a solve
+    is two unit-diagonal LAPACK dtbtrs sweeps and a scaling by 1/D: no sweep
+    divides.  Stable only while growth is small (Higham, Accuracy and
+    Stability, 2nd ed., 9.3): a probe solve must pass
+    ``BandedMatrix.backward_error_excess``."""
 
     def __init__(self, a: BandedMatrix):
         p = a.bandwidth
@@ -203,6 +205,10 @@ class UnpivotedBandedLU:
                     mult = f[i] = f[i] / pivot
                     for o in range(2 * p, 2 * p * m + 1, 2 * p):
                         f[i + o] -= mult * f[d + o]
+        for s in range(1, p + 1):   # U's row i over its pivot: (i, i + s) is w[p - s, i + s]
+            w[p - s, s:] /= w[p, :n - s]
+        self._dinv = 1.0 / w[p]
+        w[p] = 1.0
         self._upper, self._lower = np.asfortranarray(w[:p + 1]), np.asfortranarray(w[p:])
         del f, w   # freed before the probe allocates, for a lower peak memory
         if excess := a.backward_error_excess(self.solve(np.ones(n)), np.ones(n)):
@@ -213,7 +219,8 @@ class UnpivotedBandedLU:
         if b.shape != (self.n,):
             raise ValueError(f"vector length {b.shape} does not match n={self.n}")
         y = flapack.dtbtrs(self._lower, b, uplo="L", diag="U")[0]
-        return flapack.dtbtrs(self._upper, y, overwrite_b=1)[0]
+        y *= self._dinv
+        return flapack.dtbtrs(self._upper, y, diag="U", overwrite_b=1)[0]
 
 
 class UniformSpline:

@@ -330,11 +330,23 @@ class TestOtherCommands:
         header, _ = read_csv(out)
         rate, lam0 = float(header["measured_rate"]), float(header["lambda0"])
         assert lam0 == pytest.approx(expected, rel=2e-3)
-        gap = float(header["rate_rel_gap"])
+        gap, samples = float(header["rate_rel_gap"]), int(header["rate_samples"])
         if t_end == "0.1":   # too short a run to fit: the gap stays nan
-            assert np.isnan(rate) and np.isnan(gap)
+            assert np.isnan(rate) and np.isnan(gap) and samples == 0
         else:
             assert gap == abs(rate - lam0) / abs(lam0) and gap <= 0.2
+            assert samples >= 3
+
+    def test_evolve_default_run_names_its_fit_window(self, tmp_path):
+        # rate_samples counts the deviation samples measured_rate fitted, out
+        # of the t_end / (dt * record_every) + 1 recorded: the default 30
+        # time units at dt = 0.01 record 301
+        out = tmp_path / "e.csv"
+        assert run(["evolve", "--c", "0", "--out", str(out)]) == 0
+        header, cols = read_csv(out)
+        assert len(cols["t"]) == 301
+        assert 3 <= int(header["rate_samples"]) < 301
+        assert np.isfinite(float(header["measured_rate"]))
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_evolve_runs_only_imex_cn(self, source, tmp_path, capsys):
@@ -458,19 +470,36 @@ def test_validate_rejects_unknown_criterion(criteria, capsys):
     assert "PASS" not in captured.out
 
 
-def test_spectrum_output_does_not_depend_on_blas_threads(tmp_path):
-    # a BLAS dot product or norm sums in an order set by its thread count;
-    # the written file must come out the same under one thread and two
+def _written_under_blas_threads(tmp_path, argv):
+    """The bytes of the file that ``argv`` writes under one BLAS thread and
+    under two, each from a fresh interpreter."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.csv"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
-        subprocess.run([sys.executable, "-m", "quenchfront.cli", "solve", "--spectrum",
-                        "--c", "-200", "--out", str(out)], env=env, check=True,
-                       capture_output=True)
+        subprocess.run([sys.executable, "-m", "quenchfront.cli", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
         written.append(out.read_bytes())
-    assert written[0] == written[1]
+    return written
+
+
+def test_spectrum_output_does_not_depend_on_blas_threads(tmp_path):
+    # a BLAS dot product or norm sums in an order set by its thread count;
+    # the written file must come out the same under one thread and two
+    one, two = _written_under_blas_threads(tmp_path, ["solve", "--spectrum", "--c", "-200"])
+    assert one == two
+
+
+def test_evolve_output_does_not_depend_on_blas_threads(tmp_path):
+    # the stepper's sweeps and arithmetic must not read the thread count
+    # either; only the two wall-time lines may differ
+    one, two = (written.splitlines() for written in _written_under_blas_threads(
+        tmp_path, ["evolve", "--c", "1", "--h", "0.04", "--t-end", "2"]))
+    timed = (b"# step_s=", b"# factor_s=")
+    assert sum(line.startswith(timed) for line in one) == 2
+    assert ([line for line in one if not line.startswith(timed)]
+            == [line for line in two if not line.startswith(timed)])
 
 
 def test_cold_import_loads_no_interpolate_optimize_or_special(tmp_path):

@@ -142,7 +142,7 @@ class TestStepper:
         dtbtrs = grid.flapack.dtbtrs
 
         def counted(ab, b, **kwargs):
-            sweeps.append(kwargs.get("uplo", "U"))
+            sweeps.append((kwargs.get("uplo", "U"), kwargs.get("diag", "N")))
             return dtbtrs(ab, b, **kwargs)
 
         monkeypatch.setattr(grid.flapack, "dgbtrs", refuse)
@@ -152,8 +152,9 @@ class TestStepper:
         u = hm_profile.u + 1e-3
         for _ in range(10):
             u = st.step(u)
-        # each start-up step is two half-step solves
-        assert sweeps == ["L", "U"] * (10 + ImexStepper.STARTUP_EULER_STEPS)
+        # each start-up step is two half-step solves; U is stored with a unit
+        # diagonal, so neither sweep divides
+        assert sweeps == [("L", "U"), ("U", "U")] * (10 + ImexStepper.STARTUP_EULER_STEPS)
 
     def test_one_factor_per_run(self, hm_profile, monkeypatch):
         factors = []
@@ -249,6 +250,18 @@ class TestStepper:
             u = lu.solve(u)
         assert abs(trapezoid(u, x) - before) <= 1e-10 * before
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_carried_state_raises(self, hm_profile, bad):
+        # the one finiteness check is on each solve's output: a non-finite
+        # right-hand side entry must still reach it
+        st = ImexStepper(hm_profile, EvolveConfig(dt=0.01, t_end=1.0))
+        u = hm_profile.u + 1e-3
+        for _ in range(ImexStepper.STARTUP_EULER_STEPS + 2):
+            u = st.step(u)
+        st._carry[hm_profile.grid.n // 2] = bad
+        with pytest.raises(BlowUpError, match="non-finite"):
+            st.step(u)
+
     def test_blow_up_reported_with_step_index(self, hm_profile):
         cfg = EvolveConfig(dt=1.0, t_end=50.0)
         with pytest.raises(BlowUpError, match="step"):
@@ -304,7 +317,9 @@ class TestEvolveRuns:
     def test_measured_rate_skips_the_plateau(self):
         t = np.arange(0.0, 30.0, 0.25)
         history = list(zip(t, 1e-3 * np.exp(-t) + 1e-11))
-        assert measured_rate(history, 1e-11) == pytest.approx(-1.0, rel=1e-5)
+        rate, samples = measured_rate(history, 1e-11)
+        # fitted: t in (ln 2, ln 1e4), where d < d0 / 2 and d > 1e4 * 1e-11
+        assert rate == pytest.approx(-1.0, rel=1e-5) and samples == 34
 
     def test_rate_does_not_depend_on_the_reference_path(self, hm_profile):
         # the same c = 1 front reached directly and by continuation from
@@ -329,7 +344,8 @@ class TestEvolveRuns:
         assert np.isnan(evolve.evolve(hm_profile, hm_profile.u, cfg).peak_growth)
 
     def test_measured_rate_empty_history(self):
-        assert np.isnan(measured_rate([(0.0, 0.0)], evolve.ROUNDOFF_PLATEAU))
+        rate, samples = measured_rate([(0.0, 0.0)], evolve.ROUNDOFF_PLATEAU)
+        assert np.isnan(rate) and samples == 0
 
 
 class TestTanhFront:

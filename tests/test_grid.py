@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from quenchfront import bvp, continuation
@@ -348,6 +349,28 @@ class TestUnpivotedBandedLU:
         assert np.abs(x - BandedLU(a).solve(b)).max() <= 1e-14 * np.abs(x).max()
         with pytest.raises(ValueError, match="does not match"):
             UnpivotedBandedLU(a).solve(b[1:])
+
+    @pytest.mark.parametrize("c, row_scale", [(-200.0, None), (0.0, None), (12.0, None),
+                                              (0.0, (-6.0, 6.0))],
+                             ids=["c-200", "c0", "c12", "c0-rows-scaled"])
+    def test_matches_solve_banded_on_the_stepper_matrix(self, c, row_scale):
+        # I - dt/2 A at dt = 0.01, as evolve factors it; its rows scaled by
+        # 1e-6..1e6 put the pivots of the unit-diagonal U far from 1
+        g = bvp.default_grid(c, 0.01)
+        a = bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, None))
+        a.data *= -0.005
+        a.add_diagonal(np.ones(g.n))
+        a.set_identity_row(0)
+        a.set_identity_row(g.n - 1)
+        p = a.bandwidth
+        if row_scale:
+            rows = np.logspace(*row_scale, g.n)
+            for r in range(2 * p + 1):   # band row r holds entries (j + r - p, j)
+                a.data[r] *= rows[np.clip(np.arange(g.n) + r - p, 0, g.n - 1)]
+        b = np.random.default_rng(6).standard_normal(g.n)
+        x = UnpivotedBandedLU(a).solve(b)
+        reference = scipy.linalg.solve_banded((p, p), a.data, b)
+        assert np.abs(x - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 class TestUniformSpline:
