@@ -173,8 +173,7 @@ def jacobian(p: FrontProfile) -> BandedMatrix:
 
 
 class TailFit(NamedTuple):
-    alpha_plus: float
-    log_alpha_plus: float   # alpha_+ overflows double for c << -1
+    log_alpha_plus: float   # log of the right-tail amplitude alpha_+
     right_residual: float   # max deviation of the log-linear fit
 
 
@@ -191,13 +190,14 @@ def fit_tail_coefficients(p: FrontProfile) -> TailFit:
 
     The mean of log u + (2/3)(x + c^2/4)^{3/2} + (c/2) x + (1/4) log x over
     RIGHT_WINDOW gives log alpha_+ (flat when the profile follows the
-    predicted decay).  alpha_+ itself overflows double precision for
-    c << -1, so the log is returned alongside.  The profile is not modified.
+    predicted decay).  Only the log is returned: alpha_+ itself overflows
+    double precision once c drops below about -22.  The profile is not
+    modified.
     """
     x = p.grid.nodes()
     c = p.c
 
-    lo = max(RIGHT_WINDOW[0], max(0.0, -c * c / 4.0) + 1.0, p.grid.x_min)
+    lo = max(RIGHT_WINDOW[0], p.grid.x_min)
     hi = min(RIGHT_WINDOW[1], p.grid.x_max)
     mask = (x >= lo) & (x <= hi)
     # shrink the window from the right while it contains underflowed values
@@ -212,8 +212,7 @@ def fit_tail_coefficients(p: FrontProfile) -> TailFit:
           + 0.5 * c * xr + 0.25 * np.log(xr))
     log_alpha_plus = float(np.mean(zr))
     right_residual = float(np.max(np.abs(zr - log_alpha_plus)))
-    alpha_plus = math.exp(log_alpha_plus) if log_alpha_plus < 700.0 else math.inf
-    return TailFit(alpha_plus, log_alpha_plus, right_residual)
+    return TailFit(log_alpha_plus, right_residual)
 
 
 def smooth_sqrt_ramp(x: np.ndarray, interface: float = 0.0,
@@ -225,11 +224,27 @@ def smooth_sqrt_ramp(x: np.ndarray, interface: float = 0.0,
     return body * 0.5 * (1.0 - np.tanh(steepness * (x - interface)))
 
 
-def initial_guess(g: Grid, c: float) -> np.ndarray:
-    """Newton seed: the closed-form profile for c <= -3, a plain sqrt ramp
-    for -3 < c <= 2, and for c > 2 a sqrt ramp cut off at the delay-formula
-    interface whose tail decays like the leading edge e^{-cx/2} Ai(x + c^2/4)."""
+def initial_guess(g: Grid, c: float, eps: float | None = None) -> np.ndarray:
+    """Newton seed for the front at c with the ramp of ``eps``.
+
+    Linear ramp: the closed-form profile for c <= -3, a plain sqrt ramp for
+    -3 < c <= 2, and for c > 2 a sqrt ramp cut off at the delay-formula
+    interface whose tail decays like the leading edge e^{-cx/2} Ai(x + c^2/4).
+    Tanh ramp: the local equilibrium sqrt(tanh(-eps x)) cut off at
+    x_f / eps^{1/3}, where x_f is the interface of the linear-ramp front at
+    the inner-scaled speed eps^{-1/3} c (0 where that speed is in [-2, 2])."""
     x = g.nodes()
+    if eps is not None:
+        e13 = eps ** (1.0 / 3.0)
+        c_scaled = c / e13
+        if c_scaled > 2.0:
+            interface = asymptotics.front_loc_largec(c_scaled) / e13
+        elif c_scaled < -2.0:
+            interface = asymptotics.erf_front_position(c_scaled) / e13
+        else:
+            interface = 0.0
+        return (np.sqrt(np.maximum(np.tanh(-eps * x), 0.0))
+                * 0.5 * (1.0 - np.tanh(e13 * (x - interface))))
     if c <= -3.0:
         return asymptotics.erf_profile_vec(x, c)
     if c > 2.0:

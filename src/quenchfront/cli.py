@@ -215,7 +215,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
     roots = diagnostics.crossings(p)
     header = {
         "c": p.c, **_grid_header(p.grid), "residual_norm": p.residual_norm,
-        "alpha_plus": fit.alpha_plus, "log_alpha_plus": fit.log_alpha_plus,
+        "log_alpha_plus": fit.log_alpha_plus,
         "x_delta": diagnostics.front_position(p, cfg.delta),
         "delta": cfg.delta,
         "u_at_zero": diagnostics.u_at_zero(p),
@@ -257,22 +257,20 @@ def cmd_branch(cfg: RunConfig) -> int:
     points = [(c, p) for c, p in points if cfg.cmin - 1e-12 <= c <= cfg.cmax + 1e-12]
     points.sort(key=lambda t: t[0])
 
-    cs, u0s, xds, counts, lam0s, alphas, log_alphas = [], [], [], [], [], [], []
+    cs, u0s, xds, counts, lam0s, log_alphas = [], [], [], [], [], []
     for c, p in points:
         cs.append(c)
         u0s.append(diagnostics.u_at_zero(p))
         xds.append(diagnostics.front_position(p, cfg.delta))
         counts.append(len(diagnostics.crossings(p)))
         lam0s.append(float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0]))
-        fit = bvp.fit_tail_coefficients(p)
-        alphas.append(fit.alpha_plus)
-        log_alphas.append(fit.log_alpha_plus)
+        log_alphas.append(bvp.fit_tail_coefficients(p).log_alpha_plus)
     out = cfg.out or f"branch_{cfg.cmin:g}_{cfg.cmax:g}.csv"
     header = {"cmin": cfg.cmin, "cmax": cfg.cmax, "delta": cfg.delta,
               "points": len(cs), "failures": len(failures)}
     write_csv(out, "branch", header,
               {"c": cs, "u_at_zero": u0s, "x_delta": xds,
-               "crossing_count": counts, "lambda0": lam0s, "alpha_plus": alphas,
+               "crossing_count": counts, "lambda0": lam0s,
                "log_alpha_plus": log_alphas},
               cfg,
               trailing_comments=[f"# failure: c={_fmt(c)} {msg}" for c, msg in failures])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics, bvp, continuation, diagnostics, newton
+from . import bvp, continuation, diagnostics, newton
 from .bvp import FrontProfile
 from .grid import Grid, UniformSpline, UnpivotedBandedLU, make_grid
 
@@ -192,27 +192,16 @@ def measured_rate(history: list[tuple[float, float]], plateau: float) -> tuple[f
 
 def solve_tanh_front(eps: float, c: float, g: Grid | None = None,
                      guess: np.ndarray | None = None) -> FrontProfile:
-    """Steady front of the tanh-ramp equation: ``newton.solve`` on the
-    profile with ramp tanh(eps x), by default on [-300, 300] from a
-    local-equilibrium seed cut off at the inner-scaled interface."""
+    """Steady front of the tanh-ramp equation: ``admissible_solve`` (Newton,
+    then the verdict) on the profile with ramp tanh(eps x), by default on
+    [-300, 300] from ``bvp.initial_guess``."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     g = g or make_grid(-TANH_DOMAIN_HALF, TANH_DOMAIN_HALF, TANH_H)
     if guess is None:
-        x = g.nodes()
-        e13 = eps ** (1.0 / 3.0)
-        c_scaled = c / e13
-        if c_scaled > 2.0:
-            interface = asymptotics.front_loc_largec(c_scaled) / e13
-        elif c_scaled < -2.0:
-            interface = asymptotics.erf_front_position(c_scaled) / e13
-        else:
-            interface = 0.0
-        guess = (np.sqrt(np.maximum(np.tanh(-eps * x), 0.0))
-                 * 0.5 * (1.0 - np.tanh(e13 * (x - interface))))
-        guess = np.maximum(guess, 0.0)
-    front, _ = newton.solve(FrontProfile(c=c, grid=g, u=guess, eps=eps))
-    return front
+        guess = bvp.initial_guess(g, c, eps)
+    return continuation.admissible_solve(
+        FrontProfile(c=c, grid=g, u=guess, eps=eps), 1e-10)[0]
 
 
 @dataclass

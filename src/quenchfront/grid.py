@@ -107,7 +107,7 @@ class BandedMatrix:
     """Square banded matrix, diagonally-indexed storage.
 
     ``data[bandwidth + i - j, j]`` holds entry (i, j), LAPACK's banded
-    layout, which ``BandedLU`` factors.  The sparsity pattern is symmetric
+    layout, which ``solve_banded`` factors.  The sparsity pattern is symmetric
     (same width above and below) although the values need not be.
     """
 
@@ -159,26 +159,20 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A banded LU factorization met an unusable pivot or failed its probe."""
 
 
-class BandedLU:
-    """LU factors of a BandedMatrix with partial pivoting, computed once
-    (LAPACK dgbtrf) and reused by every ``solve`` (dgbtrs)."""
-
-    def __init__(self, a: BandedMatrix):
-        p = self.bandwidth = a.bandwidth
-        self.n = a.n
-        # p extra rows above the band hold U's fill-in; Fortran order avoids a copy
-        ab = np.zeros((3 * p + 1, a.n), order="F")
-        ab[p:] = np.asarray_chkfinite(a.data)
-        self._lu, self._piv, info = flapack.dgbtrf(
-            ab, p, p, overwrite_ab=True)
-        if info > 0:
-            raise SingularMatrixError(f"singular matrix: zero pivot in column {info - 1}")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if b.shape != (self.n,):
-            raise ValueError(f"vector length {b.shape} does not match n={self.n}")
-        p = self.bandwidth
-        return flapack.dgbtrs(self._lu, p, p, b, self._piv)[0]
+def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b by banded LU with partial pivoting, factored for this
+    one solve: one LAPACK dgbsv call (dgbtrf, then dgbtrs).  Raises
+    SingularMatrixError on a zero pivot."""
+    if b.shape != (a.n,):
+        raise ValueError(f"vector length {b.shape} does not match n={a.n}")
+    p = a.bandwidth
+    # p extra rows above the band hold U's fill-in; Fortran order avoids a copy
+    ab = np.zeros((3 * p + 1, a.n), order="F")
+    ab[p:] = np.asarray_chkfinite(a.data)
+    x, info = flapack.dgbsv(p, p, ab, b, overwrite_ab=True)[2:]
+    if info > 0:
+        raise SingularMatrixError(f"singular matrix: zero pivot in column {info - 1}")
+    return x
 
 
 class UnpivotedBandedLU:
@@ -230,8 +224,9 @@ class UniformSpline:
     6 (y[i-1] - 2 y[i] + y[i+1]) / h^2 at the interior nodes.  Not-a-knot
     (one cubic across the first two and across the last two intervals)
     gives M[0] = 2 M[1] - M[2] and its mirror, which reduces the first and
-    last interior rows to 6 M[i] = rhs[i]; the remaining tridiagonal system
-    is solved by BandedLU (de Boor, A Practical Guide to Splines, ch. IV).
+    last interior rows to 6 M[i] = rhs[i]; ``solve_banded`` solves the
+    remaining tridiagonal system (de Boor, A Practical Guide to Splines,
+    ch. IV).
     Points outside the nodes are extrapolated by the end cubics.
     """
 
@@ -245,7 +240,7 @@ class UniformSpline:
         a.data[1, [0, -1]] = 6.0
         a.data[0, 1] = a.data[2, -2] = 0.0   # entries (0, 1) and (n-3, n-4)
         m = np.empty(n)
-        m[1:-1] = BandedLU(a).solve(6.0 / h ** 2 * (y[:-2] - 2.0 * y[1:-1] + y[2:]))
+        m[1:-1] = solve_banded(a, 6.0 / h ** 2 * (y[:-2] - 2.0 * y[1:-1] + y[2:]))
         m[0] = 2.0 * m[1] - m[2]
         m[-1] = 2.0 * m[-2] - m[-3]
         self.h = h

@@ -1,9 +1,10 @@
 """Damped Newton iteration with banded direct linear solves.
 
-The linear solves factor each Jacobian by LAPACK's banded LU with partial
-pivoting (``grid.BandedLU``; one factor per solve, where dgbtrf beats the
-time stepper's unpivoted Python factor loop); every solve is residual-checked
-so a silently near-singular Jacobian still surfaces as an error.
+Each linear solve factors its Jacobian once by LAPACK's banded LU with
+partial pivoting, one dgbsv call (``grid.solve_banded``; for a single solve
+it beats the time stepper's unpivoted Python factor loop); every solve is
+residual-checked so a silently near-singular Jacobian still surfaces as an
+error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .bvp import (FrontProfile, left_value, ramp, stationary_jacobian,
                   stationary_residual)
-from .grid import BandedLU, BandedMatrix, Grid, SingularMatrixError
+from .grid import BandedMatrix, Grid, SingularMatrixError, solve_banded
 
 
 class SolverError(RuntimeError):
@@ -55,7 +56,7 @@ def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
     """
     b = np.asarray_chkfinite(b, dtype=float)
     try:
-        x = BandedLU(A).solve(b)
+        x = solve_banded(A, b)
     except SingularMatrixError as exc:
         raise SingularJacobianError(f"banded LU failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
@@ -110,10 +111,6 @@ def solve(initial: FrontProfile,
                     f"{it}, residual {res:.3e} > tol {tol:g}, full step "
                     f"{step_norm:.3e}")
             t *= BACKTRACK_FACTOR
-        else:
-            t = MIN_STEP
-            trial = u + t * step
-            f_trial = stationary_residual(g, trial, c, r, gl)
 
         u, f = trial, f_trial
         res = float(np.abs(f).max())

@@ -10,8 +10,8 @@ from quenchfront.bvp import FrontProfile
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
                                 compare_inner_scaling, measured_rate,
                                 solve_tanh_front)
-from quenchfront.grid import (BandedLU, BandedMatrix, UnpivotedBandedLU, d2_band,
-                              make_grid)
+from quenchfront.grid import BandedMatrix, UnpivotedBandedLU, d2_band, make_grid
+from quenchfront.newton import SolverError
 
 
 def implicit_matrix(a, weight):
@@ -22,6 +22,21 @@ def implicit_matrix(a, weight):
     lhs.set_identity_row(0)
     lhs.set_identity_row(lhs.n - 1)
     return lhs
+
+
+class PivotedFactor:
+    """Reference pivoted banded LU: scipy's LAPACK dgbtrf once, then dgbtrs
+    at every solve."""
+
+    def __init__(self, a):
+        p = self.p = a.bandwidth
+        ab = np.zeros((3 * p + 1, a.n))   # p extra rows for U's fill-in
+        ab[p:] = a.data
+        self.lu, self.piv, info = scipy.linalg.lapack.dgbtrf(ab, p, p)
+        assert info == 0
+
+    def solve(self, b):
+        return scipy.linalg.lapack.dgbtrs(self.lu, self.p, self.p, b, self.piv)[0]
 
 
 class RefactorEachStep:
@@ -59,7 +74,7 @@ class MatvecImexStepper:
                                          bvp.ramp(g, front.eps))
         self.dt, self.half = cfg.dt, 0.5 * cfg.dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        self.lu = BandedLU(implicit_matrix(self.a, self.half))
+        self.lu = PivotedFactor(implicit_matrix(self.a, self.half))
         self.n_prev = None
         self.steps = 0
 
@@ -136,7 +151,7 @@ class TestStepper:
 
     def test_step_is_two_triangular_sweeps_and_no_dgbtrs(self, hm_profile, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("dgbtrs called")
+            raise AssertionError("pivoted banded solve called")
 
         sweeps = []
         dtbtrs = grid.flapack.dtbtrs
@@ -146,6 +161,7 @@ class TestStepper:
             return dtbtrs(ab, b, **kwargs)
 
         monkeypatch.setattr(grid.flapack, "dgbtrs", refuse)
+        monkeypatch.setattr(grid.flapack, "dgbsv", refuse)
         monkeypatch.setattr(grid.flapack, "dtbtrs", counted)
         st = ImexStepper(hm_profile, EvolveConfig(dt=0.01, t_end=0.1))
         sweeps.clear()   # the factors' probe solves
@@ -241,7 +257,7 @@ class TestStepper:
         # implicit Euler for u_t = u_xx with zero Dirichlet data solves
         # (I - dt D2) u_next = u; D2 annihilates constants, so mass is kept
         g = make_grid(-30.0, 15.0, 0.01)
-        lu = BandedLU(implicit_matrix(d2_band(g), 0.01))
+        lu = PivotedFactor(implicit_matrix(d2_band(g), 0.01))
         x = g.nodes()
         u = np.exp(-x ** 2)
         before = trapezoid(u, x)
@@ -382,6 +398,13 @@ class TestTanhFront:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             solve_tanh_front(1.5, 0.0)
+
+    def test_verdict_refuses_a_non_admissible_front(self, monkeypatch):
+        monkeypatch.setattr(diagnostics, "admissibility", lambda p: ["planted problem"])
+        with pytest.raises(SolverError, match=r"non-admissible profile at c=0.5 on grid "
+                                              r"h=0.05 x_min=-150 x_max=150 n=6001: "
+                                              r"planted problem"):
+            solve_tanh_front(0.01, 0.5, make_grid(-150.0, 150.0, 0.05))
 
 
 class TestInnerScaling:

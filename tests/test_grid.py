@@ -4,10 +4,11 @@ import scipy.linalg
 from scipy.interpolate import CubicSpline
 
 from quenchfront import bvp, continuation
-from quenchfront.grid import (MAX_NODES, BandedLU, BandedMatrix, Grid,
+from quenchfront.grid import (MAX_NODES, BandedMatrix, Grid,
                               SingularMatrixError, UniformSpline,
                               UnpivotedBandedLU, _stencil,
-                              d1_band, d2_band, fd_weights, make_grid)
+                              d1_band, d2_band, fd_weights, make_grid,
+                              solve_banded)
 
 
 def banded_to_dense(a: BandedMatrix) -> np.ndarray:
@@ -284,7 +285,7 @@ class TestBoundedBandCaches:
         assert _stencil((-2, -1, 0, 1, 2), 2).tobytes() == fresh.tobytes()
 
 
-class TestBandedLU:
+class TestSolveBanded:
     def test_zero_row_raises_singular(self):
         rng = np.random.default_rng(3)
         n, p = 30, 4
@@ -294,26 +295,27 @@ class TestBandedLU:
         a.set_identity_row(17)
         a.data[p, 17] = 0.0   # row 17 is now all zero
         with pytest.raises(SingularMatrixError):
-            BandedLU(a)
+            solve_banded(a, np.ones(n))
 
-    def test_factor_once_solve_many(self):
+    def test_solves_each_right_hand_side(self):
         g = make_grid(-1.0, 1.0, 0.1)
         a = d2_band(g).copy()
         a.add_diagonal(np.full(g.n, -3.0))
         a.set_identity_row(0)
         a.set_identity_row(g.n - 1)
-        lu = BandedLU(a)
         rng = np.random.default_rng(4)
         for _ in range(3):
             b = rng.normal(size=g.n)
-            assert np.allclose(a.matvec(lu.solve(b)), b, atol=1e-12)
+            assert np.allclose(a.matvec(solve_banded(a, b)), b, atol=1e-12)
+        with pytest.raises(ValueError, match="does not match"):
+            solve_banded(a, b[1:])
 
     def test_non_finite_matrix_rejected(self):
         a = BandedMatrix(10, 1)
         a.add_diagonal(np.ones(10))
         a.data[1, 3] = np.nan
         with pytest.raises(ValueError):
-            BandedLU(a)
+            solve_banded(a, np.ones(10))
 
 
 class TestUnpivotedBandedLU:
@@ -329,7 +331,8 @@ class TestUnpivotedBandedLU:
     def test_zero_pivot_refused_where_pivoting_succeeds(self):
         a = self.swap_first_two_rows(0.0)
         b = np.arange(1.0, 7.0)
-        assert np.allclose(a.matvec(BandedLU(a).solve(b)), b, atol=1e-14)
+        x = scipy.linalg.solve_banded((1, 1), a.data, b)
+        assert np.allclose(a.matvec(x), b, atol=1e-14)
         with pytest.raises(SingularMatrixError, match=r"n=6: pivot 0 in column 0"):
             UnpivotedBandedLU(a)
 
@@ -346,7 +349,8 @@ class TestUnpivotedBandedLU:
         a.set_identity_row(g.n - 1)
         b = np.random.default_rng(5).normal(size=g.n)
         x = UnpivotedBandedLU(a).solve(b)
-        assert np.abs(x - BandedLU(a).solve(b)).max() <= 1e-14 * np.abs(x).max()
+        reference = scipy.linalg.solve_banded((a.bandwidth, a.bandwidth), a.data, b)
+        assert np.abs(x - reference).max() <= 1e-14 * np.abs(x).max()
         with pytest.raises(ValueError, match="does not match"):
             UnpivotedBandedLU(a).solve(b[1:])
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from quenchfront import bvp, diagnostics, newton
@@ -63,6 +64,16 @@ class TestBandedSolve:
         a.add_diagonal(np.ones(4))
         with pytest.raises(ValueError):
             banded_lu_solve(a, np.array([1.0, np.inf, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("c", [-200.0, 0.0, 12.0])
+    def test_newton_step_matches_scipy_bit_for_bit(self, c):
+        # scipy's solve_banded takes LAPACK gbsv for a (4, 4) band, the one
+        # call grid.solve_banded makes
+        g = bvp.default_grid(c)
+        seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
+        jac, b = bvp.jacobian(seed), -bvp.residual(seed)
+        x = banded_lu_solve(jac, b)
+        assert x.tobytes() == scipy.linalg.solve_banded((4, 4), jac.data, b).tobytes()
 
 
 def shooting_oracle_c0():
@@ -184,6 +195,27 @@ class TestSolve:
         with pytest.raises(DivergenceError,
                            match=rf"over 5 iterations at c=0, h=0.01, n={g.n} "):
             solve(seed)
+
+    def test_exhausted_line_search_evaluates_each_trial_once(self, hm_profile,
+                                                             monkeypatch):
+        # no damping of this correction lowers the residual: the iteration
+        # tries t = 1, 1/2, ..., MIN_STEP and takes the last trial as it is
+        evaluations = []
+        real_residual = newton.stationary_residual
+
+        def counting_residual(*args):
+            evaluations.append(1)
+            return real_residual(*args)
+
+        monkeypatch.setattr(newton, "stationary_residual", counting_residual)
+        monkeypatch.setattr(newton, "banded_lu_solve",
+                            lambda A, b: np.full_like(b, 1e8))
+        monkeypatch.setattr(newton, "MAX_ITERATIONS", 1)
+        g = hm_profile.grid
+        with pytest.raises(MaxIterationsError, match="no convergence in 1 iterations"):
+            solve(FrontProfile(c=0.0, grid=g, u=bvp.initial_guess(g, 0.0)))
+        # the seed's, then one per trial t = 1, 1/2, ..., MIN_STEP = 2^-20
+        assert len(evaluations) == 1 + 21
 
     def test_non_admissible_front_is_returned_not_raised(self):
         # Newton does not grade shape: at c = -200 on the coarse h = 0.04
