@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import asymptotics
-from .grid import BandedMatrix, Grid, d1_band, d2_band, make_grid
+from .grid import MAX_BANDWIDTH, BandedMatrix, Grid, d1_band, d2_band, make_grid
 
 DEFAULT_H = 0.01          # mesh size used throughout, matching dx = 0.01
 FRONT_MARGIN = 10.0       # minimum gap between front interface and boundary
@@ -114,14 +114,14 @@ def default_grid(c: float, h: float = DEFAULT_H) -> Grid:
     return make_grid(x_min, x_max, h)
 
 
-# A continuation step reads two: the accepted point's, for the tangent (again
-# after each rejected step), and the trial point's, for Newton
+# A continuation step reads two: the accepted point's, once for its tangent,
+# and the trial point's, for Newton.  The only cached operator band.
 @lru_cache(maxsize=2)
 def _drift_diffusion_band(g: Grid, c: float) -> BandedMatrix:
-    """D2 + c*D1 upwinded by sign(c), boundary rows zero; read-only (copy it)."""
-    band = d2_band(g).copy()
-    if c != 0.0:
-        band.data += c * d1_band(g, int(np.sign(c))).data
+    """D2 + c*D1 upwinded by sign(c), boundary rows zero; read-only (copy it).
+    Each entry is fl(d2 + fl(c d1)); D1 is freed before D2 is built."""
+    band = BandedMatrix(g.n, MAX_BANDWIDTH, c * d1_band(g, int(np.sign(c))).data)
+    band.data += d2_band(g).data
     band.data.flags.writeable = False
     return band
 

@@ -5,7 +5,8 @@ Configuration comes from an optional key=value text file plus command-line
 flags (flags win); the effective configuration is echoed into the header of
 every output file so that any result can be reproduced from the file alone.
 CSV files are comma-separated with '#'-prefixed header lines and 17
-significant digits.
+significant digits; rows are formatted and written CSV_BLOCK_ROWS at a
+time, so no file is ever held whole in memory.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .bvp import FrontProfile
 from .grid import Grid, make_grid
 
 SCHEMA_VERSION = 1
+CSV_BLOCK_ROWS = 1024   # rows formatted per write
 
 
 def _fmt(v) -> str:
@@ -102,7 +104,7 @@ class RunConfig:
 def write_csv(path: str | Path, kind: str, header: dict, columns: dict,
               cfg: RunConfig, trailing_comments: list[str] | None = None) -> None:
     names = list(columns)
-    cols = [np.atleast_1d(np.asarray(columns[n], dtype=float)).tolist() for n in names]
+    cols = [np.atleast_1d(np.asarray(columns[n], dtype=float)) for n in names]
     if len({len(col) for col in cols}) > 1:
         raise ValueError("CSV columns differ in length: " + ", ".join(
             f"{n}={len(col)}" for n, col in zip(names, cols)))
@@ -113,10 +115,13 @@ def write_csv(path: str | Path, kind: str, header: dict, columns: dict,
     lines.append("# config: " + " ".join(cfg.echo()))
     lines.append(",".join(names))
     # "%.17g" prints a float exactly as _fmt does, one row per template
-    row = ",".join(["%.17g"] * len(names))
-    lines += [row % cells for cells in zip(*cols)]
-    lines += trailing_comments or []
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    with Path(path).open("w") as f:
+        f.writelines(line + "\n" for line in lines)
+        for i in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
+            block = zip(*(col[i:i + CSV_BLOCK_ROWS].tolist() for col in cols))
+            f.write("".join(row % cells for cells in block))
+        f.writelines(line + "\n" for line in trailing_comments or [])
 
 
 def read_csv(path: str | Path) -> tuple[dict, dict]:

@@ -111,17 +111,16 @@ class BandedMatrix:
     (same width above and below) although the values need not be.
     """
 
-    def __init__(self, n: int, bandwidth: int):
+    def __init__(self, n: int, bandwidth: int, data: np.ndarray | None = None):
+        """Zero band, or one that wraps ``data`` of shape (2 bandwidth + 1, n)."""
         if bandwidth > MAX_BANDWIDTH:
             raise ValueError(f"bandwidth {bandwidth} exceeds stencil bound {MAX_BANDWIDTH}")
         self.n = n
         self.bandwidth = bandwidth
-        self.data = np.zeros((2 * bandwidth + 1, n))
+        self.data = np.zeros((2 * bandwidth + 1, n)) if data is None else data
 
     def copy(self) -> "BandedMatrix":
-        out = BandedMatrix(self.n, self.bandwidth)
-        out.data[:] = self.data
-        return out
+        return BandedMatrix(self.n, self.bandwidth, self.data.copy())
 
     def add_diagonal(self, values: np.ndarray) -> None:
         self.data[self.bandwidth, :] += values
@@ -307,26 +306,24 @@ def _frozen_band(n: int, m: int, scale: float, windows) -> BandedMatrix:
     return band
 
 
-# Bounded to the working set: a continuation sweep walks its grids in one
-# direction, so only the current grid and the one before it are read again.
-@lru_cache(maxsize=2)
+# Not cached: the solver keeps only the sum D2 + c D1 (bvp._drift_diffusion_band),
+# so each call assembles a fresh band.
 def d2_band(g: Grid) -> BandedMatrix:
-    """Banded second-derivative operator; boundary rows are zero.  Cached
-    and read-only: callers that modify it must take a ``copy()``."""
+    """Banded second-derivative operator; boundary rows are zero.  Fresh and
+    read-only: callers that modify it must take a ``copy()``."""
     n = g.n
     return _frozen_band(n, 2, 1.0 / g.h ** 2, [
         (1, 2, (-1, 0, 1, 2, 3, 4)), (2, n - 2, (-2, -1, 0, 1, 2)),
         (n - 2, n - 1, (-4, -3, -2, -1, 0, 1))])
 
 
-@lru_cache(maxsize=2)
 def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     """Banded first-derivative operator; boundary rows are zero.
 
     upwind_sign > 0 shifts the window one node to +x (characteristics of the
     drift term c*u_x enter from the right when c > 0), upwind_sign < 0
     mirrors that, 0 keeps the stencil centered.  Windows are clamped at the
-    boundaries; all variants use 5 points and stay fourth order.  Cached and
+    boundaries; all variants use 5 points and stay fourth order.  Fresh and
     read-only: callers that modify it must take a ``copy()``.
     """
     n = g.n

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quenchfront
-from quenchfront import cli
+from quenchfront import bvp, cli
 from quenchfront.cli import RunConfig, load_profile, main, read_csv, write_csv
 
 
@@ -65,6 +66,25 @@ class TestCsvRoundTrip:
             write_csv(path, "profile", {}, {"x": [0.0, 1.0, 2.0], "u": [3.0, 4.0]},
                       RunConfig())
         assert not path.exists()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, *(cli.CSV_BLOCK_ROWS + k for k in (-1, 0, 1)),
+                                        2 * cli.CSV_BLOCK_ROWS + 1])
+    def test_streamed_rows_match_one_shot_text(self, n_rows, tmp_path):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 3.0, 0.1, -1.0 / 3.0]
+        a = np.resize(special, n_rows) * np.linspace(1.0, 2.0, n_rows)
+        columns = {"a": a, "b": np.arange(n_rows), "c": a[::-1].copy()}
+        header = {"c": -57.3, "note": "x"}
+        trailing = ["# comment one", "# u0_rel_err=1.5e-09"]
+        cfg = RunConfig(c=-57.3)
+        path = tmp_path / "t.csv"
+        write_csv(path, "branch", header, columns, cfg, trailing)
+        # the text of the writer that built the whole file in memory
+        lines = ["# schema_version=1", "# kind=branch",
+                 f"# generated_by=quenchfront {quenchfront.__version__}",
+                 "# c=-57.299999999999997", "# note=x",
+                 "# config: " + " ".join(cfg.echo()), "a,b,c"]
+        rows = [f"{x:.17g},{float(y):.17g},{z:.17g}" for x, y, z in zip(*columns.values())]
+        assert path.read_bytes() == ("\n".join(lines + rows + trailing) + "\n").encode()
 
     @pytest.mark.parametrize("row, named", [
         ("1,2,3", "line 6: 3 cells for 2 columns"),
@@ -130,6 +150,20 @@ class TestSolveCommand:
         # amplitude overflows; no left-tail amplitude
         assert ("log_alpha_plus" in header
                 and not [k for k in header if k.startswith("alpha")])
+
+    def test_widest_default_solve_peaks_below_5_mib(self, tmp_path, capsys):
+        # c = -200 has the largest default grid (11,957 nodes, a 0.86 MB
+        # band); a second cached band copy or a CSV built in memory adds
+        # about 3 MiB to the traced peak
+        bvp._drift_diffusion_band.cache_clear()
+        tracemalloc.start()
+        try:
+            assert run(["solve", "--c", "-200", "--h", "0.01",
+                        "--out", str(tmp_path / "p.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
     def test_solve_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

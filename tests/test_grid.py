@@ -251,31 +251,41 @@ class TestCachedBandsReadOnly:
 
 
 class TestBoundedBandCaches:
-    CACHES = (d2_band, d1_band, bvp._drift_diffusion_band)
+    def test_sweep_builds_each_drift_band_once(self, hm_profile, monkeypatch):
+        solved = [(hm_profile.grid, hm_profile.c)]   # the seed's tangent reads its band
+        newton_solve = continuation.newton.solve
 
-    def test_sweep_assembles_each_grid_once(self, hm_profile):
-        for cache in self.CACHES:
-            cache.cache_clear()
+        def spy(p, tol):
+            solved.append((p.grid, p.c))
+            return newton_solve(p, tol)
+
+        monkeypatch.setattr(continuation.newton, "solve", spy)
+        bvp._drift_diffusion_band.cache_clear()
         branch = continuation.continue_branch(hm_profile, -60.0)
-        grids = {p.grid for _, p in branch.points}
-        assert len(grids) >= 4   # the sweep regrids several times
-        assert all(c.cache_info().currsize <= 2 for c in self.CACHES)
-        # one d2 band per grid; d1 adds the centred band of the c = 0 tangent
-        assert d2_band.cache_info().misses == len(grids)
-        assert d1_band.cache_info().misses == len(grids) + 1
+        assert len({p.grid for _, p in branch.points}) >= 4   # the sweep regrids
+        info = bvp._drift_diffusion_band.cache_info()
+        assert info.currsize <= 2
+        assert info.misses == len(set(solved)) == len(solved)
 
-    def test_band_rebuilt_after_eviction_is_bitwise_equal(self):
+    def test_bands_rebuilt_on_a_grid_are_bitwise_equal(self):
         g = make_grid(-1.0, 1.0, 0.1)
-        first = [d2_band(g).data.tobytes(), d1_band(g, 1).data.tobytes(),
-                 bvp._drift_diffusion_band(g, 0.5).data.tobytes()]
-        for h in (0.05, 0.025, 0.0125):   # more grids than any cache keeps
-            other = make_grid(-1.0, 1.0, h)
-            d2_band(other), d1_band(other, 1), bvp._drift_diffusion_band(other, 0.5)
-        misses = [c.cache_info().misses for c in self.CACHES]
-        again = [d2_band(g).data.tobytes(), d1_band(g, 1).data.tobytes(),
-                 bvp._drift_diffusion_band(g, 0.5).data.tobytes()]
-        assert [c.cache_info().misses for c in self.CACHES] == [m + 1 for m in misses]
-        assert again == first
+        assert d2_band(g) is not d2_band(g)   # fresh, not cached
+        assert d2_band(g).data.tobytes() == d2_band(g).data.tobytes()
+        for s in (-1, 0, 1):
+            assert d1_band(g, s).data.tobytes() == d1_band(g, s).data.tobytes()
+        first = bvp._drift_diffusion_band(g, 0.5).data.tobytes()
+        for h in (0.05, 0.025):   # evict it
+            bvp._drift_diffusion_band(make_grid(-1.0, 1.0, h), 0.5)
+        misses = bvp._drift_diffusion_band.cache_info().misses
+        assert bvp._drift_diffusion_band(g, 0.5).data.tobytes() == first
+        assert bvp._drift_diffusion_band.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("n", [9, 10, 57, 4501])
+    @pytest.mark.parametrize("c", [-200.0, -0.5, 0.0, 0.5, 12.0])
+    def test_drift_band_is_d2_plus_c_d1_bitwise(self, n, c):
+        g = Grid(-25.0, 3.7, n)
+        expected = d2_band(g).data + c * d1_band(g, int(np.sign(c))).data
+        assert bvp._drift_diffusion_band(g, c).data.tobytes() == expected.tobytes()
 
     def test_memoised_stencil_is_read_only(self):
         w = _stencil((-2, -1, 0, 1, 2), 2)
