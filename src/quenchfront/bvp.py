@@ -4,11 +4,11 @@
 
 The ramp r(x) is part of the profile: ``FrontProfile.eps`` None means the
 linear ramp r = x, a float means the tanh ramp r = tanh(eps x) of the full
-slow-quench model.  ``ramp`` and ``left_value`` are the one place that turn
-a profile into its coefficient and its Dirichlet closure: the left boundary
-is pinned to the truncated sqrt(-x) tail series (linear ramp) or to the
-local equilibrium sqrt(tanh(-eps x_min)) (tanh ramp), the right boundary to
-zero.
+slow-quench model.  ``ramp``, ``left_value`` and ``right_log_derivative``
+turn a profile into its coefficient and closures: u(x_min) is the sqrt(-x)
+tail series (linear ramp) or sqrt(tanh(-eps x_min)) (tanh ramp), and the
+right edge carries the asymptotic Robin row u' = L u of the decaying tail
+(Lentini & Keller, SIAM J. Numer. Anal. 17, 1980).
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import asymptotics
-from .grid import MAX_BANDWIDTH, BandedMatrix, Grid, d1_band, d2_band, make_grid
+from .grid import MAX_BANDWIDTH, BandedMatrix, Grid, d1_band, d2_band, fd_weights, make_grid
 
 DEFAULT_H = 0.01          # mesh size used throughout, matching dx = 0.01
 FRONT_MARGIN = 10.0       # minimum gap between front interface and boundary
+RIGHT_EDGE_LEVEL = 1e-3       # c < -2 domains end 2 past this closed-form level
+REQUIRED_RIGHT_LEVEL = 1e-2   # and must reach 1 past this one
+_D1_LAST = fd_weights(0.0, np.arange(-4.0, 1.0), 1)   # one-sided D1 at x_max, h = 1
 
 
 @dataclass
@@ -61,16 +64,31 @@ def left_value(c: float, x_min: float, eps: float | None = None) -> float:
     return asymptotics.left_tail(x_min, c)
 
 
+def right_log_derivative(c: float, x_max: float, eps: float | None = None) -> float:
+    """L in the right closure u' = L u: the decaying tail's log-derivative
+    -c/2 - sqrt(c^2/4 + r(x_max)), less 1/(4 x_max) for the linear ramp."""
+    if not x_max > 0:
+        raise ValueError(f"right closure needs x_max > 0, got x_max={x_max}")
+    if eps is not None:
+        return -0.5 * c - math.sqrt(0.25 * c * c + math.tanh(eps * x_max))
+    return asymptotics.right_tail_log_derivative(x_max, c)
+
+
+def right_log_derivative_dc(c: float, x_max: float, eps: float | None = None) -> float:
+    """dL/dc of ``right_log_derivative``: -1/2 - c / (4 sqrt(c^2/4 + r(x_max)))."""
+    r = x_max if eps is None else math.tanh(eps * x_max)
+    return -0.5 - 0.25 * c / math.sqrt(0.25 * c * c + r)
+
+
 def default_domain(c: float) -> tuple[float, float]:
     """Solve domain keeping the front interface interior by >= FRONT_MARGIN.
 
     For c >= 0 this is [-max(25, c^2/4 + 30), max(15, sqrt|c| + 15)].  For
-    c < -2 the nominal right edge sqrt(-c) + 15 is pushed to where the
-    closed-form profile has decayed to ~1e-9: the spill-over tail is a slow
-    Gaussian whose level-0.1 crossing overtakes sqrt(-c) once c < -25 or
-    so, and the right Dirichlet-zero clamp must land where the mismatch it
-    causes (and the subgrid wiggle it excites in the drift-dominated
-    boundary layer) is below admissibility tolerances.
+    c < -2 the nominal right edge sqrt(-c) + 15 is pushed 2 past where the
+    closed-form profile has decayed to RIGHT_EDGE_LEVEL: the spill-over tail
+    is a slow Gaussian whose level-0.1 crossing overtakes sqrt(-c) once
+    c < -25 or so.  The Robin row follows that tail, so the edge may sit
+    where u is still ~1e-3.
     """
     if not math.isfinite(c):
         raise ValueError(f"drift speed must be finite, got c={c}")
@@ -81,24 +99,24 @@ def default_domain(c: float) -> tuple[float, float]:
         x_min = -25.0
         x_max = max(15.0, math.sqrt(-c) + 15.0)
         if c < -2.0:
-            x_max = max(x_max, asymptotics.erf_front_position(c, delta=1e-9) + 2.0)
+            x_max = max(x_max, asymptotics.erf_front_position(c, RIGHT_EDGE_LEVEL) + 2.0)
     return x_min, x_max
 
 
 def required_bounds(c: float) -> tuple[float, float]:
     """Strict domain needed for a trustworthy solve/measurement at this c.
 
-    On the right, for spill-over fronts, the solution value at the edge must
-    stay below ~1e-8 or the zero clamp visibly distorts the drift-dominated
-    boundary layer; re-gridding to the (wider) default domain restores
-    slack whenever continuation drifts past this bound.
+    On the right, for spill-over fronts, the edge must lie 1 past the
+    closed-form profile's REQUIRED_RIGHT_LEVEL crossing, where the tail is
+    Gaussian and the Robin row holds; re-gridding to the (wider) default
+    domain restores slack whenever continuation drifts past this bound.
     """
     if c > 2.0:
         left = min(-20.0, asymptotics.front_loc_largec(c) - FRONT_MARGIN)
     else:
         left = -15.0
     if c < -2.0:
-        right = max(12.0, asymptotics.erf_front_position(c, delta=1e-8) + 1.0)
+        right = max(12.0, asymptotics.erf_front_position(c, REQUIRED_RIGHT_LEVEL) + 1.0)
     else:
         right = 12.0
     return left, right
@@ -138,38 +156,46 @@ def _checked_profile(g: Grid, u: np.ndarray, c: float) -> np.ndarray:
     return u
 
 
+def set_closure_rows(band: BandedMatrix, g: Grid, slope: float) -> None:
+    """Row 0 := the identity (left Dirichlet row); row n-1 := the right Robin
+    row u' - slope u on the last five nodes, all of that row's band (p = 4)."""
+    band.set_identity_row(0)
+    k = np.arange(5)   # entry (n-1, n-5+k) sits at data[p + 4 - k, n-5+k]
+    band.data[band.bandwidth + 4 - k, g.n - 5 + k] = _D1_LAST / g.h - slope * (k == 4)
+
+
 def stationary_residual(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
-                        left: float) -> np.ndarray:
-    """F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes; boundary rows
-    pin u to ``left`` on the left and to zero on the right."""
+                        left: float, slope: float) -> np.ndarray:
+    """F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes; the boundary
+    rows are u - ``left`` on the left and u' - ``slope`` u on the right."""
     u = _checked_profile(g, u, c)
     out = _drift_diffusion_band(g, c).matvec(u) - r * u - u ** 3
     out[0] = u[0] - left
-    out[-1] = u[-1]
+    out[-1] = _D1_LAST @ u[-5:] / g.h - slope * u[-1]
     return out
 
 
-def stationary_jacobian(g: Grid, u: np.ndarray, c: float,
-                        r: np.ndarray) -> BandedMatrix:
-    """D2 + c*D1 - diag(r(x) + 3u^2) on interior rows, identity at the ends."""
+def stationary_jacobian(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
+                        slope: float) -> BandedMatrix:
+    """D2 + c*D1 - diag(r(x) + 3u^2) on interior rows, closure rows at the ends."""
     u = _checked_profile(g, u, c)
     jac = _drift_diffusion_band(g, c).copy()
     jac.add_diagonal(-(r + 3.0 * u ** 2))
-    jac.set_identity_row(0)
-    jac.set_identity_row(g.n - 1)
+    set_closure_rows(jac, g, slope)
     return jac
 
 
 def residual(p: FrontProfile) -> np.ndarray:
-    """Residual of the profile's own equation: its c, ramp and closure."""
+    """Residual of the profile's own equation: its c, ramp and closures."""
     g = p.grid
-    return stationary_residual(g, p.u, p.c, ramp(g, p.eps),
-                               left_value(p.c, g.x_min, p.eps))
+    return stationary_residual(g, p.u, p.c, ramp(g, p.eps), left_value(p.c, g.x_min, p.eps),
+                               right_log_derivative(p.c, g.x_max, p.eps))
 
 
 def jacobian(p: FrontProfile) -> BandedMatrix:
-    """Jacobian of ``residual``; closure rows are identity."""
-    return stationary_jacobian(p.grid, p.u, p.c, ramp(p.grid, p.eps))
+    """Jacobian of ``residual``."""
+    return stationary_jacobian(p.grid, p.u, p.c, ramp(p.grid, p.eps),
+                               right_log_derivative(p.c, p.grid.x_max, p.eps))
 
 
 class TailFit(NamedTuple):
@@ -197,8 +223,9 @@ def fit_tail_coefficients(p: FrontProfile) -> TailFit:
     x = p.grid.nodes()
     c = p.c
 
-    lo = max(RIGHT_WINDOW[0], p.grid.x_min)
-    hi = min(RIGHT_WINDOW[1], p.grid.x_max)
+    slack = 1e-6 * p.grid.h   # node roundoff must not decide the window's ends
+    lo = max(RIGHT_WINDOW[0], p.grid.x_min) - slack
+    hi = min(RIGHT_WINDOW[1], p.grid.x_max) + slack
     mask = (x >= lo) & (x <= hi)
     # shrink the window from the right while it contains underflowed values
     while mask.sum() > 4 and np.any(p.u[mask] < _UNDERFLOW_FLOOR):

@@ -25,7 +25,7 @@ from .grid import Grid, UniformSpline
 DC_MIN = 1e-4
 TARGET_ITERATIONS = 5   # Newton iterations per step the step controller aims at
 # pointwise_c_ordering_gap compares adjacent fronts at ORDER_SAMPLES points
-# at least ORDER_MARGIN inside their common domain (the Dirichlet closures
+# at least ORDER_MARGIN inside their common domain (the boundary closures
 # are only asymptotically consistent near the edges), where the lower front
 # exceeds ORDER_FLOOR (below it the ordering sits under roundoff)
 ORDER_SAMPLES = 200
@@ -67,18 +67,17 @@ def _tangent(p: FrontProfile) -> np.ndarray:
     """Co-moving derivative du/dc - (c+/2) D1 u at a converged point, where
     c+ = max(c, 0) and du/dc solves J du/dc = -dF/dc.
 
-    dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F),
-    minus the slope in c of the left closure value on row 0, and 0 on row
-    n-1.  The closure is affine in c, so a unit difference is its exact
-    slope.  For c <= 0 the frame term vanishes and this is du/dc.
+    dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F), minus
+    the slope in c of the left closure value on row 0 (affine in c, so a unit
+    difference is exact), and -(dL/dc) u[-1] on the Robin row n-1.  For
+    c <= 0 the frame term vanishes and this is du/dc.
     """
     g = p.grid
-    # grid.d1_band is looked up at call time, so a wrapper installed on the
-    # module (a tracer's) sees this call too; boundary rows of D1 are 0
-    d1u = grid.d1_band(g, int(np.sign(p.c))).matvec(p.u)
+    d1u = grid.d1_matvec(g, int(np.sign(p.c)), p.u)   # boundary rows are 0
     rhs = -d1u
     rhs[0] = (bvp.left_value(p.c + 1.0, g.x_min, p.eps)
               - bvp.left_value(p.c, g.x_min, p.eps))
+    rhs[-1] = bvp.right_log_derivative_dc(p.c, g.x_max, p.eps) * p.u[-1]
     return newton.banded_lu_solve(bvp.jacobian(p), rhs) - 0.5 * max(p.c, 0.0) * d1u
 
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .bvp import FrontProfile
+from .bvp import REQUIRED_RIGHT_LEVEL, FrontProfile
 from .grid import UniformSpline
 
 DEFAULT_DELTA = 0.1
@@ -106,7 +106,7 @@ def admissibility(p: FrontProfile) -> list[str]:
     without such a rise the interface (0.1 to 0.9 of max u) must fall
     strictly.  u[0] must match the ramp's left limit (sqrt(-x_min) for
     r = x, sqrt(tanh(-eps x_min)) for the tanh ramp) to within twice the
-    first neglected sqrt(-x) tail term, and u[-1] must be ~0.
+    first neglected sqrt(-x) tail term, and 0 <= u[-1] <= REQUIRED_RIGHT_LEVEL.
     """
     u = p.u
     x = p.grid.nodes()
@@ -138,6 +138,6 @@ def admissibility(p: FrontProfile) -> list[str]:
             problems.append(
                 f"left boundary gap {gap:.3g} exceeds closure tolerance {tol:.3g}")
 
-    if abs(u[-1]) > 1e-8:
-        problems.append(f"right boundary value {u[-1]:.3g} not ~0")
+    if not 0.0 <= u[-1] <= REQUIRED_RIGHT_LEVEL:
+        problems.append(f"right boundary value {u[-1]:.3g} outside [0, {REQUIRED_RIGHT_LEVEL:g}]")
     return problems

@@ -1,7 +1,7 @@
 """Method-of-lines time integration of u_t = u_xx + c u_x - r(x) u - u^3.
 
 The front being perturbed defines the problem: its c, its ramp r(x)
-(``FrontProfile.eps``), its grid and its Dirichlet values.  The linear
+(``FrontProfile.eps``), its grid and its closures.  The linear
 spatial operator (diffusion, drift, and the ramp coefficient r(x), which is
 stiff for large |x|) is the Newton Jacobian at u = 0; it is implicit, and
 its one implicit matrix I - (dt/2) A is LU-factored once per run without row
@@ -82,13 +82,13 @@ class ImexStepper:
     carried vector G = R_{n-1} - C_{n-1}.  From its second call on ``step``
     takes only the array it last returned (else a ValueError).
 
-    Boundary rows of every solve are identity rows pinning the state to the
-    front's Dirichlet values.  Each of the first STARTUP_EULER_STEPS steps
-    is two backward-Euler half-steps on the same matrix (Rannacher
-    smoothing, in Giles & Carter's half-step form, which keeps second
-    order): CN alone is not L-stable and rings for many time units when the
-    initial data has under-resolved features; they also give the first CN
-    step R and N.
+    Row 0 of every solve pins the front's left Dirichlet value, row n-1 is
+    Newton's Robin row, with right-hand side 0.  Each of the first
+    STARTUP_EULER_STEPS steps is two backward-Euler half-steps on the same
+    matrix (Rannacher smoothing, in Giles & Carter's half-step form, which
+    keeps second order): CN alone is not L-stable and rings for many time
+    units when the initial data has under-resolved features; they also give
+    the first CN step R and N.
     """
 
     STARTUP_EULER_STEPS = 2
@@ -97,12 +97,12 @@ class ImexStepper:
         g = front.grid
         self.cfg = cfg
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        # D2 + c D1 - r, made into I - (dt/2) A with identity boundary rows
-        lhs = bvp.stationary_jacobian(g, np.zeros(g.n), front.c, bvp.ramp(g, front.eps))
+        slope = bvp.right_log_derivative(front.c, g.x_max, front.eps)
+        # D2 + c D1 - r, made into I - (dt/2) A with Newton's closure rows
+        lhs = bvp.stationary_jacobian(g, np.zeros(g.n), front.c, bvp.ramp(g, front.eps), slope)
         lhs.data *= -0.5 * cfg.dt
         lhs.add_diagonal(np.ones(g.n))
-        lhs.set_identity_row(0)
-        lhs.set_identity_row(g.n - 1)
+        bvp.set_closure_rows(lhs, g, slope)
         self._lu = UnpivotedBandedLU(lhs)
         self._last = self._carry = None   # the last step's output, and G (kept in place)
         self._steps_taken = 0
@@ -136,7 +136,7 @@ class ImexStepper:
 
 def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResult:
     """Integrate u0 to t_end under the equation of ``front`` (its c, ramp,
-    grid and Dirichlet values), recording sup-norm deviations from
+    grid and closures), recording sup-norm deviations from
     ``front.u`` every ``record_every`` steps."""
     plateau = deviation_plateau(front)
     start = time.perf_counter()

@@ -317,6 +317,15 @@ def d2_band(g: Grid) -> BandedMatrix:
         (n - 2, n - 1, (-4, -3, -2, -1, 0, 1))])
 
 
+def _d1_windows(n: int, upwind_sign: int) -> list:
+    """``_frozen_band`` windows of D1, upwinded by sign(upwind_sign)."""
+    lo = int(np.sign(upwind_sign)) - 2   # window offset of unclamped rows
+    windows = [(-lo, n - 4 - lo, lo)]    # rows i with 0 <= i + lo <= n - 5
+    windows += [(i, i + 1, min(max(i + lo, 0), n - 5) - i)
+                for i in [*range(1, -lo), *range(n - 4 - lo, n - 1)]]
+    return [(r0, r1, tuple(range(o, o + 5))) for r0, r1, o in windows]
+
+
 def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     """Banded first-derivative operator; boundary rows are zero.
 
@@ -326,10 +335,14 @@ def d1_band(g: Grid, upwind_sign: int) -> BandedMatrix:
     boundaries; all variants use 5 points and stay fourth order.  Fresh and
     read-only: callers that modify it must take a ``copy()``.
     """
-    n = g.n
-    lo = int(np.sign(upwind_sign)) - 2   # window offset of unclamped rows
-    windows = [(-lo, n - 4 - lo, lo)]    # rows i with 0 <= i + lo <= n - 5
-    windows += [(i, i + 1, min(max(i + lo, 0), n - 5) - i)
-                for i in [*range(1, -lo), *range(n - 4 - lo, n - 1)]]
-    return _frozen_band(n, 1, 1.0 / g.h, [(r0, r1, tuple(range(o, o + 5)))
-                                          for r0, r1, o in windows])
+    return _frozen_band(g.n, 1, 1.0 / g.h, _d1_windows(g.n, upwind_sign))
+
+
+def d1_matvec(g: Grid, upwind_sign: int, u: np.ndarray) -> np.ndarray:
+    """``d1_band(g, upwind_sign).matvec(u)`` bit for bit, without the band: rows
+    sum in ``_band_product``'s order (column offset +4 down to -4, from 0.0)."""
+    out = np.zeros(g.n)
+    for r0, r1, offsets in _d1_windows(g.n, upwind_sign):
+        for o, w in sorted(zip(offsets, _stencil(offsets, 1) * (1.0 / g.h)), reverse=True):
+            out[r0:r1] += w * u[r0 + o:r1 + o]
+    return out

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import (FrontProfile, left_value, ramp, stationary_jacobian,
-                  stationary_residual)
+from .bvp import (FrontProfile, left_value, ramp, right_log_derivative,
+                  stationary_jacobian, stationary_residual)
 from .grid import BandedMatrix, Grid, SingularMatrixError, solve_banded
 
 
@@ -85,8 +85,9 @@ def solve(initial: FrontProfile,
     c = initial.c
     r = ramp(g, initial.eps)
     gl = left_value(c, g.x_min, initial.eps)
+    slope = right_log_derivative(c, g.x_max, initial.eps)
     u = np.asarray(initial.u, dtype=float).copy()
-    f = stationary_residual(g, u, c, r, gl)
+    f = stationary_residual(g, u, c, r, gl, slope)
     res = float(np.abs(f).max())
     report = SolveReport(iterations=0, residual_norms=[res])
     where = f"at c={c:g}, h={g.h:g}, n={g.n}"
@@ -94,7 +95,7 @@ def solve(initial: FrontProfile,
     for it in range(1, MAX_ITERATIONS + 1):
         if res <= tol:
             break
-        jac = stationary_jacobian(g, u, c, r)
+        jac = stationary_jacobian(g, u, c, r, slope)
         step = banded_lu_solve(jac, -f)
         step_norm = float(np.abs(step).max())
         at_roundoff = step_norm <= ROUNDOFF_STEP * max(1.0, float(np.abs(u).max()))
@@ -102,7 +103,7 @@ def solve(initial: FrontProfile,
         t = 1.0
         while t >= MIN_STEP:
             trial = u + t * step
-            f_trial = stationary_residual(g, trial, c, r, gl)
+            f_trial = stationary_residual(g, trial, c, r, gl, slope)
             if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
                 break
             if at_roundoff:

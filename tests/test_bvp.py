@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from quenchfront import bvp
+from quenchfront import asymptotics, bvp, continuation, diagnostics, spectrum
 from quenchfront.bvp import (FrontProfile, TailFitError, default_domain,
                              fit_tail_coefficients, jacobian, left_value,
-                             required_bounds, residual, stationary_residual)
-from quenchfront.grid import make_grid
+                             required_bounds, residual, right_log_derivative,
+                             stationary_residual)
+from quenchfront.grid import Grid, make_grid
 from quenchfront.newton import solve
+
+# one-sided five-point first derivative at the last node, unit spacing
+D1_LAST = np.array([1.0 / 4.0, -4.0 / 3.0, 3.0, -4.0, 25.0 / 12.0])
 
 
 class TestBoundaryClosure:
@@ -34,13 +38,35 @@ class TestBoundaryClosure:
             left_value(0.0, 5.0)
         with pytest.raises(ValueError):
             left_value(0.0, 5.0, 0.01)
+        for eps in (None, 0.01):
+            with pytest.raises(ValueError, match="x_max > 0"):
+                right_log_derivative(0.0, 0.0, eps)
+
+    def test_right_log_derivative_is_the_decaying_root(self):
+        # L^2 + c L - r(x_max) = 0 for the tanh ramp; the linear ramp adds
+        # the tail's x^{-1/4} factor
+        linear = asymptotics.right_tail_log_derivative(20.0, -3.0)
+        assert right_log_derivative(-3.0, 20.0) == linear
+        for c in (-5.0, 0.0, 2.0):
+            ell = right_log_derivative(c, 150.0, 0.01)
+            assert ell < 0.0
+            assert ell * ell + c * ell - math.tanh(1.5) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("c, x_max, eps", [(-200.0, 57.14, None), (0.0, 15.0, None),
+                                               (12.0, 18.46, None), (0.3, 150.0, 0.01)])
+    def test_right_log_derivative_dc_matches_central_difference(self, c, x_max, eps):
+        d = 1e-3
+        fd = (right_log_derivative(c + d, x_max, eps)
+              - right_log_derivative(c - d, x_max, eps)) / (2.0 * d)
+        assert bvp.right_log_derivative_dc(c, x_max, eps) == pytest.approx(fd, rel=1e-6)
 
 
 class TestResidual:
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.0, 10.0])
     def test_zero_state_interior_rows_exactly_zero(self, c):
         g = make_grid(-10.0, 10.0, 0.1)
-        f = stationary_residual(g, np.zeros(g.n), c, g.nodes(), 0.0)
+        f = stationary_residual(g, np.zeros(g.n), c, g.nodes(), 0.0,
+                                right_log_derivative(c, g.x_max))
         assert np.all(f == 0.0)
 
     def test_sqrt_branch_residual_decays(self):
@@ -48,7 +74,7 @@ class TestResidual:
         # u'' = -(1/4)(-x)^{-3/2}
         g = make_grid(-100.0, -50.0, 0.01)
         x = g.nodes()
-        f = stationary_residual(g, np.sqrt(-x), 0.0, x, 10.0)
+        f = stationary_residual(g, np.sqrt(-x), 0.0, x, 10.0, 0.0)
         interior = slice(1, -1)
         bound = 0.5 * (-x[interior]) ** -1.5
         assert np.all(np.abs(f[interior]) <= bound)
@@ -56,19 +82,21 @@ class TestResidual:
 
     def test_boundary_rows_enforce_closure(self):
         g = make_grid(-10.0, 10.0, 0.1)
-        u = np.linspace(3.0, 0.0, g.n)
+        u = np.linspace(3.0, 1.0, g.n)
         p = FrontProfile(c=1.5, grid=g, u=u)
         f = residual(p)
         assert f[0] == pytest.approx(u[0] - left_value(1.5, g.x_min))
-        assert f[-1] == pytest.approx(u[-1])
+        # the Robin row u'(x_max) - L u(x_max): u' = -0.1 is exact on a line
+        ell = asymptotics.right_tail_log_derivative(10.0, 1.5)
+        assert f[-1] == pytest.approx(-0.1 - ell * 1.0, rel=1e-12)
 
     def test_tanh_ramp_read_from_profile(self):
         g = make_grid(-10.0, 10.0, 0.1)
         x = g.nodes()
         u = np.linspace(1.0, 0.0, g.n)
         f = residual(FrontProfile(c=0.5, grid=g, u=u, eps=0.1))
-        expected = stationary_residual(g, u, 0.5, np.tanh(0.1 * x),
-                                       math.sqrt(math.tanh(1.0)))
+        expected = stationary_residual(g, u, 0.5, np.tanh(0.1 * x), math.sqrt(math.tanh(1.0)),
+                                       -0.25 - math.sqrt(0.0625 + math.tanh(1.0)))
         assert np.array_equal(f, expected)
 
     def test_converged_profile_residual(self, hm_profile):
@@ -128,14 +156,32 @@ class TestJacobian:
         rel = np.abs((f1 - f0) / t - jv).max() / np.abs(jv).max()
         assert rel <= 1e-5
 
-    def test_boundary_rows_identity(self, hm_profile):
+    def test_closure_rows(self, hm_profile):
+        # row 0 is the identity; row n-1 is the Robin row on the last five nodes
+        g = hm_profile.grid
         jac = jacobian(hm_profile)
-        n = hm_profile.grid.n
+        n = g.n
         e0 = np.zeros(n)
         e0[0] = 1.0
         assert np.allclose(jac.matvec(e0)[0], 1.0)
         p = jac.bandwidth   # entry (i, j) sits at data[p + i - j, j]
-        assert jac.data[p - 1, 1] == 0.0 and jac.data[p + 1, n - 2] == 0.0
+        assert jac.data[p - 1, 1] == 0.0
+        cols = np.arange(n - 5, n)
+        robin = D1_LAST / g.h
+        robin[-1] -= right_log_derivative(0.0, g.x_max)
+        assert np.allclose(jac.data[p + n - 1 - cols, cols], robin, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("c, eps", [(-200.0, None), (0.0, None), (12.0, None),
+                                        (0.3, 0.01)])
+    def test_robin_row_matches_a_difference_of_the_residual(self, c, eps):
+        g = bvp.default_grid(c, 0.04) if eps is None else make_grid(-150.0, 150.0, 0.5)
+        p = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c, eps), eps=eps)
+        v = np.random.default_rng(8).standard_normal(g.n)
+        t = 1e-6 * np.abs(p.u[-5:]).max() + 1e-12
+        fd = (residual(FrontProfile(c=c, grid=g, u=p.u + t * v, eps=eps))[-1]
+              - residual(p)[-1]) / t
+        jv = jacobian(p).matvec(v)[-1]
+        assert fd == pytest.approx(jv, rel=1e-6)
 
 
 class TestDomains:
@@ -163,6 +209,33 @@ class TestDomains:
         g = make_grid(*default_domain(0.0), 0.01)
         assert bvp.domain_ok(g, 0.0)
         assert not bvp.domain_ok(g, 12.0)
+
+    def test_widest_spill_over_grid_ends_at_the_1e_3_level(self):
+        # 11,957 nodes while the edge sat at the closed form's 1e-9 level
+        assert bvp.default_grid(-200.0).n <= 8300
+
+
+class TestRightClosure:
+    @pytest.mark.parametrize("h", [0.04, 0.02, 0.01])
+    @pytest.mark.parametrize("c", [-200.0, -150.0, -103.0, -50.0])
+    def test_spill_over_fronts_are_admissible_on_every_rung(self, c, h):
+        g = bvp.default_grid(c, h)
+        p, _ = solve(FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)))
+        assert p.converged and diagnostics.admissibility(p) == []
+
+    @pytest.mark.parametrize("c", [-200.0, -100.0, -50.0, -10.0])
+    def test_widening_to_the_1e_9_edge_changes_nothing_inside(self, c):
+        # the same nodes continued to the closed form's 1e-9 level + 2
+        short = continuation.solve_front(c)
+        g = short.grid
+        n = g.n + math.ceil((asymptotics.erf_front_position(c, 1e-9) + 2.0 - g.x_max) / g.h)
+        wide_grid = Grid(g.x_min, g.x_min + (n - 1) * g.h, n)
+        assert wide_grid.h == g.h
+        wide = continuation.solve_front(c, grid=wide_grid)
+        assert diagnostics.u_at_zero(wide) == diagnostics.u_at_zero(short)
+        assert diagnostics.front_position(wide) == diagnostics.front_position(short)
+        assert spectrum.leading_eigenvalues(wide, 1).eigenvalues[0] == pytest.approx(
+            spectrum.leading_eigenvalues(short, 1).eigenvalues[0], rel=0.0, abs=1e-11)
 
 
 class TestTailFit:
@@ -194,6 +267,18 @@ class TestTailFit:
         assert hm_profile.residual_norm == state["residual_norm"]
         assert not any(f.name.startswith("alpha")
                        for f in dataclasses.fields(FrontProfile))
+
+    def test_window_ends_ignore_node_roundoff(self):
+        # one front cut to domains whose edges differ by whole cells: the
+        # nodes at x = 5 and x = 9 carry different roundoff on each grid
+        for c in (0.0, -7.6626):
+            p = continuation.solve_front(c)
+            g = p.grid
+            fits = [fit_tail_coefficients(FrontProfile(
+                        c=c, grid=Grid(g.x_min + k * g.h, g.x_max - m * g.h, g.n - k - m),
+                        u=p.u[k:g.n - m])).log_alpha_plus
+                    for k in range(0, 30, 3) for m in range(0, 30, 3)]
+            assert np.ptp(fits) <= 1e-12 * abs(fits[0])
 
     def test_underflow_window_raises(self):
         g = make_grid(-25.0, 15.0, 0.05)

@@ -151,19 +151,19 @@ class TestSolveCommand:
         assert ("log_alpha_plus" in header
                 and not [k for k in header if k.startswith("alpha")])
 
-    def test_widest_default_solve_peaks_below_5_mib(self, tmp_path, capsys):
-        # c = -200 has the largest default grid (11,957 nodes, a 0.86 MB
-        # band); a second cached band copy or a CSV built in memory adds
-        # about 3 MiB to the traced peak
+    def test_widest_default_solve_peaks_below_4_mib(self, tmp_path, capsys):
+        # c = 13 has the largest default grid that solves at h = 0.01 (9,087
+        # nodes, a 0.65 MB band; c = -200 has 8,215): 2.7 MiB traced peak,
+        # where a second cached band copy and a CSV built in memory gave 5.1
         bvp._drift_diffusion_band.cache_clear()
         tracemalloc.start()
         try:
-            assert run(["solve", "--c", "-200", "--h", "0.01",
+            assert run(["solve", "--c", "13", "--h", "0.01",
                         "--out", str(tmp_path / "p.csv")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * 2 ** 20
+        assert peak < 4 * 2 ** 20
 
     def test_solve_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -198,30 +198,31 @@ class TestSolveCommand:
         assert "error kind=MarginError" in err
 
     def test_non_admissible_solve_names_its_c_and_grid(self, tmp_path, capsys):
-        # on this coarse mesh Newton converges to a profile whose node next
-        # to the right Dirichlet-zero clamp rises above the true tail
-        code = run(["solve", "--c", "-200", "--h", "0.04",
+        # at c = 13 the right edge moved out from 18.61 to 20 puts the tail
+        # past the u-form reach: Newton converges to a profile whose tail
+        # has underflowed to exact zeros
+        code = run(["solve", "--c", "13", "--h", "0.04", "--xmax", "20",
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert "error kind=SolverError" in err
-        for part in ("c=-200 ", "h=0.04 ", "x_min=-25 ", "x_max=94.56 ",
-                     "n=2990", "non-admissible"):
+        for part in ("c=13 ", "h=0.04 ", "x_min=-72.28 ", "x_max=20 ",
+                     "n=2308", "non-admissible"):
             assert part in err
 
     def test_non_admissible_seed_file_solve_fails_without_writing(self, tmp_path,
                                                                   capsys):
-        # a good h = 0.01 front seeds the same coarse-mesh solve as above:
-        # the seeded path is judged by the same verdict
+        # a good h = 0.01 front on c = 13's default domain seeds the same
+        # coarse-mesh solve as above: the seeded path is judged by the same verdict
         seed = tmp_path / "seed.csv"
-        assert run(["solve", "--c", "-200", "--out", str(seed)]) == 0
+        assert run(["solve", "--c", "13", "--out", str(seed)]) == 0
         capsys.readouterr()
         out = tmp_path / "p.csv"
-        assert run(["solve", "--c", "-200", "--h", "0.04", "--seed-file", str(seed),
-                    "--out", str(out)]) == 2
+        assert run(["solve", "--c", "13", "--h", "0.04", "--xmax", "20", "--seed-file",
+                    str(seed), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        for part in ("error kind=SolverError", "non-admissible", "c=-200 ",
-                     "n=2990: increase at x=94.48"):
+        for part in ("error kind=SolverError", "non-admissible", "c=13 ",
+                     "n=2308: non-positive value at x=19.76"):
             assert part in err
         assert not out.exists()
 
@@ -239,9 +240,9 @@ class TestSolveCommand:
     def test_past_the_u_form_reach_fails_without_writing(self, tmp_path, capsys):
         # the converged u(x) underflows to exact zeros in the right tail
         out = tmp_path / "p.csv"
-        assert run(["solve", "--spectrum", "--c", "13.15", "--out", str(out)]) == 2
+        assert run(["solve", "--spectrum", "--c", "13.2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        for part in ("error kind=SolverError", "non-admissible", "c=13.15 ", "n=9188"):
+        for part in ("error kind=SolverError", "non-admissible", "c=13.2 ", "n=9221"):
             assert part in err
         assert not out.exists()
 

@@ -3,8 +3,11 @@
 ``scipy.integrate.solve_bvp`` (Kierzenka & Shampine, ACM TOMS 27, 2001)
 solves u'' + c u' - x u - u^3 = 0 as a first-order system with its own
 adaptive mesh and error control.  It shares with this package only the
-problem statement: the domain ``default_domain(c)``, the left Dirichlet
-value ``left_value(c, x_min)`` and u(x_max) = 0.  Its seed is a closed-form
+problem statement: the domain ``default_domain(c)`` and the left Dirichlet
+value ``left_value(c, x_min)``.  On the right it keeps its own closure,
+u(x_max) = 0, independent of the package's Robin row: for c < -2 the
+domain ends where the closed-form profile is ~1e-3, and the clamp's
+boundary layer, 1/|c| wide, does not reach x_delta or x = 0.  Its seed is a closed-form
 shape (the erf profile for c <= -3, the smoothed sqrt ramp otherwise, cut
 off at slope c/4 for c > 2), never a front this package solved.
 

@@ -83,23 +83,30 @@ class TestContinueBranch:
         with pytest.raises(ValueError, match="linear ramp"):
             continue_branch(seed, 1.0)
 
+    @staticmethod
+    def _sweep_from_a_long_right_edge():
+        # c = 12.75 on its default domain cut at x = 20 rather than 18.57:
+        # the step to c = 13 on that carried grid leaves the tail past the
+        # u-form reach, where it underflows to exact zeros
+        x_min = bvp.default_domain(12.75)[0]
+        seed = solve_front(12.75, grid=make_grid(x_min, 20.0, 0.04))
+        return continue_branch(seed, 13.0, h=0.04)
+
     def test_non_admissible_step_is_rejected_by_name(self):
-        # on the coarse h = 0.04 mesh the step to c = -100 converges to a
-        # profile whose node next to the right Dirichlet-zero clamp rises
-        br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
+        br = self._sweep_from_a_long_right_edge()
         c, message = br.failures[0]
-        assert c == -100.0
+        assert c == 13.0
         assert message.startswith(
-            "converged to a non-admissible profile at c=-100 on grid h=0.04 ")
-        assert message.endswith(": increase at x=64.96")
+            "converged to a non-admissible profile at c=13 on grid h=0.04 ")
+        assert message.endswith(": non-positive value at x=19.76")
 
     def test_failed_step_on_a_carried_grid_is_retried_on_the_default_grid(self):
-        # the carried grid [-25, 65.04] still passes domain_ok at c = -100 but
-        # fails there; c = -100's default grid [-25, 67.2] solves it
-        br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
-        c, p = br.points[0]
-        assert c == -100.0 and p.grid == bvp.default_grid(-100.0, 0.04)
-        assert [c for c, _ in br.failures] == [-100.0]
+        # the carried grid [-70.68, 20] still passes domain_ok at c = 13 but
+        # fails there; c = 13's default grid [-72.28, 18.64] solves it
+        br = self._sweep_from_a_long_right_edge()
+        c, p = br.points[-1]
+        assert c == 13.0 and p.grid == bvp.default_grid(13.0, 0.04)
+        assert [c for c, _ in br.failures] == [13.0]
 
     def test_tangent_is_computed_once_per_accepted_point(self, monkeypatch):
         # the sweep above: one failed attempt on the carried grid, then its
@@ -108,9 +115,9 @@ class TestContinueBranch:
         tangent = continuation._tangent
         monkeypatch.setattr(continuation, "_tangent",
                             lambda p: at.append(p.c) or tangent(p))
-        br = continue_branch(solve_front(-5.0, h=0.04), -100.0, h=0.04)
-        assert br.failures and br.points[0][0] == -100.0
-        assert at == [c for c, _ in br.points[:0:-1]]   # every point but the last, once
+        br = self._sweep_from_a_long_right_edge()
+        assert br.failures and br.points[-1][0] == 13.0
+        assert at == [c for c, _ in br.points[:-1]]   # every point but the last, once
 
     def test_stepper_reaches_minus_200_in_few_points(self, hm_profile):
         br = continue_branch(hm_profile, -200.0)
@@ -132,6 +139,16 @@ class TestContinueBranch:
         up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
         um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
         assert np.abs(tangent - (up.u - um.u) / (2 * d)).max() <= 1e-4
+
+    def test_tangent_carries_the_robin_rows_c_dependence(self):
+        # at c = -50 the edge value is 3.4e-4; leaving out (dL/dc) u[-1] on
+        # row n-1 puts the tangent 9e-8 off the central difference
+        c, d = -50.0, 1e-2
+        p = solve_front(c, h=0.04)
+        up, _ = newton.solve(FrontProfile(c=c + d, grid=p.grid, u=p.u))
+        um, _ = newton.solve(FrontProfile(c=c - d, grid=p.grid, u=p.u))
+        central = (up.u - um.u) / (2 * d)
+        assert np.abs(continuation._tangent(p) - central).max() <= 1e-9
 
     @pytest.mark.parametrize("c", [-1e-4, 0.0, 1e-4])
     def test_tangent_moves_the_closure_by_its_slope(self, c):

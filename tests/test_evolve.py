@@ -14,13 +14,17 @@ from quenchfront.grid import BandedMatrix, UnpivotedBandedLU, d2_band, make_grid
 from quenchfront.newton import SolverError
 
 
-def implicit_matrix(a, weight):
-    """I - weight A with identity boundary rows, as ImexStepper factors it."""
+def implicit_matrix(a, weight, g=None, slope=None):
+    """I - weight A with the closure rows of the Robin ``slope`` on grid g,
+    as ImexStepper factors it, or with identity boundary rows."""
     lhs = a.copy()
     lhs.data *= -weight
     lhs.add_diagonal(np.ones(lhs.n))
-    lhs.set_identity_row(0)
-    lhs.set_identity_row(lhs.n - 1)
+    if slope is None:
+        lhs.set_identity_row(0)
+        lhs.set_identity_row(lhs.n - 1)
+    else:
+        bvp.set_closure_rows(lhs, g, slope)
     return lhs
 
 
@@ -70,11 +74,12 @@ class MatvecImexStepper:
 
     def __init__(self, front, cfg):
         g = front.grid
+        slope = bvp.right_log_derivative(front.c, g.x_max, front.eps)
         self.a = bvp.stationary_jacobian(g, np.zeros(g.n), front.c,
-                                         bvp.ramp(g, front.eps))
+                                         bvp.ramp(g, front.eps), slope)
         self.dt, self.half = cfg.dt, 0.5 * cfg.dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        self.lu = PivotedFactor(implicit_matrix(self.a, self.half))
+        self.lu = PivotedFactor(implicit_matrix(self.a, self.half, g, slope))
         self.n_prev = None
         self.steps = 0
 
@@ -193,8 +198,9 @@ class TestStepper:
         # the stepper's matrices on either ramp and at step sizes well past
         # those in use: without pivoting, stability rests on small growth
         g = bvp.default_grid(c, h)
-        a = implicit_matrix(bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, eps)),
-                            theta)
+        slope = bvp.right_log_derivative(c, g.x_max, eps)
+        a = implicit_matrix(bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, eps),
+                                                    slope), theta, g, slope)
         b = np.random.default_rng(0).standard_normal(g.n)
         x = UnpivotedBandedLU(a).solve(b)
         scale = np.abs(a.data).sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
@@ -237,10 +243,14 @@ class TestStepper:
         tanh_front = FrontProfile(c=0.3, grid=g, u=np.zeros(g.n), eps=0.01)
         cfg = EvolveConfig(dt=0.01, t_end=1.0)
         for front in (hm_profile, tanh_front):
-            u = ImexStepper(front, cfg).step(np.ones(front.grid.n))
+            g = front.grid
+            u = ImexStepper(front, cfg).step(np.ones(g.n))
             assert u[0] == pytest.approx(
-                bvp.left_value(front.c, front.grid.x_min, front.eps), rel=1e-14)
-            assert u[-1] == pytest.approx(0.0, abs=1e-14)
+                bvp.left_value(front.c, g.x_min, front.eps), rel=1e-14)
+            # Newton's Robin row, with right-hand side 0
+            robin = np.array([0.25, -4.0 / 3.0, 3.0, -4.0, 25.0 / 12.0]) / g.h
+            robin[-1] -= bvp.right_log_derivative(front.c, g.x_max, front.eps)
+            assert robin @ u[-5:] == pytest.approx(0.0, abs=1e-14 * np.abs(robin).sum())
 
     def test_comparison_principle_spot_check(self, hm_profile):
         cfg = EvolveConfig(dt=0.01, t_end=1.0)

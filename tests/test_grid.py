@@ -7,8 +7,8 @@ from quenchfront import bvp, continuation
 from quenchfront.grid import (MAX_NODES, BandedMatrix, Grid,
                               SingularMatrixError, UniformSpline,
                               UnpivotedBandedLU, _stencil,
-                              d1_band, d2_band, fd_weights, make_grid,
-                              solve_banded)
+                              d1_band, d1_matvec, d2_band, fd_weights,
+                              make_grid, solve_banded)
 
 
 def banded_to_dense(a: BandedMatrix) -> np.ndarray:
@@ -233,6 +233,17 @@ class TestVectorizedAssembly:
         ref = _reference_d1(g, upwind)
         assert d1_band(g, upwind).data.tobytes() == ref.data.tobytes()
 
+    @pytest.mark.parametrize("n", [9, 10, 57, 4501])
+    @pytest.mark.parametrize("upwind", [-1, 0, 1])
+    def test_d1_matvec_is_the_band_product_bitwise(self, n, upwind):
+        # signed zeros included: a zero vector and a front-like decay to 0
+        g = Grid(-25.0, 3.7, n)
+        x = g.nodes()
+        for u in (np.random.default_rng(n).standard_normal(n), np.zeros(n),
+                  np.sqrt(0.5 * (np.hypot(x, 1.0) - x)) * np.exp(-np.maximum(x, 0.0) ** 3)):
+            expected = d1_band(g, upwind).matvec(u)
+            assert d1_matvec(g, upwind, u).tobytes() == expected.tobytes()
+
 
 class TestCachedBandsReadOnly:
     def test_writing_to_cached_band_raises(self):
@@ -371,11 +382,11 @@ class TestUnpivotedBandedLU:
         # I - dt/2 A at dt = 0.01, as evolve factors it; its rows scaled by
         # 1e-6..1e6 put the pivots of the unit-diagonal U far from 1
         g = bvp.default_grid(c, 0.01)
-        a = bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, None))
+        slope = bvp.right_log_derivative(c, g.x_max)
+        a = bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, None), slope)
         a.data *= -0.005
         a.add_diagonal(np.ones(g.n))
-        a.set_identity_row(0)
-        a.set_identity_row(g.n - 1)
+        bvp.set_closure_rows(a, g, slope)
         p = a.bandwidth
         if row_scale:
             rows = np.logspace(*row_scale, g.n)

@@ -218,14 +218,14 @@ class TestSolve:
         assert len(evaluations) == 1 + 21
 
     def test_non_admissible_front_is_returned_not_raised(self):
-        # Newton does not grade shape: at c = -200 on the coarse h = 0.04
-        # mesh it converges to a profile whose node next to the right
-        # Dirichlet-zero clamp rises, and returns it
-        c = -200.0
+        # Newton does not grade shape: at c = 14, past the u-form reach, on
+        # the coarse h = 0.04 mesh it converges to a profile whose tail has
+        # underflowed to exact zeros, and returns it
+        c = 14.0
         g = bvp.default_grid(c, 0.04)
         p, _ = solve(FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)))
         assert p.converged and p.residual_norm <= 1e-10
-        assert diagnostics.admissibility(p) == ["increase at x=94.48"]
+        assert diagnostics.admissibility(p) == ["non-positive value at x=10.8"]
 
     def test_stall_at_roundoff_floor_raises_at_once(self, monkeypatch):
         # at h = 0.005 the residual's roundoff floor (~2e-10) lies above the

@@ -115,9 +115,9 @@ def _operator(g, V):
 
 
 def _solved_front(c, h):
-    """A converged front at (c, h): one Newton solve from the seed.  Not
-    checked for admissibility: at c = -200, h = 0.04 a node next to the right
-    clamp rises, and the spectrum is still a well-posed test of it there."""
+    """A converged front at (c, h): one Newton solve from the seed, not
+    checked for admissibility: the spectrum is a well-posed test of the
+    linearization about any converged profile."""
     g = bvp.default_grid(c, h)
     front, _ = newton.solve(FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c)))
     return front
