@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .asymptotics import (erf_profile, front_loc_largec, front_loc_negc,
                           left_tail)
-from .bvp import (FrontProfile, default_grid, fit_tail_coefficients, jacobian,
-                  residual)
+from .bvp import FrontProfile, default_grid, fit_tail_coefficients
 from .continuation import Branch, continue_branch, reinterpolate, solve_front
 from .diagnostics import admissibility, crossings, front_position
 from .evolve import EvolveConfig, EvolveResult, ImexStepper, compare_inner_scaling
@@ -27,7 +26,7 @@ __all__ = [
     "compare_inner_scaling", "continue_branch",
     "crossings", "default_grid", "erf_profile",
     "fit_tail_coefficients", "front_loc_largec", "front_loc_negc",
-    "front_position", "jacobian", "leading_eigenvalues", "left_tail",
-    "make_grid", "reinterpolate", "residual", "solve",
+    "front_position", "leading_eigenvalues", "left_tail",
+    "make_grid", "reinterpolate", "solve",
     "solve_front",
 ]

@@ -335,10 +335,9 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
     # floor of the differenced stencil applications
     v = 3.0 * np.cos(0.3 * x) * np.exp(-((x + 2.0) / 8.0) ** 2)
     t = 1e-6
-    f0 = bvp.residual(p)
-    shifted = FrontProfile(c=p.c, grid=p.grid, u=p.u + t * v)
-    fd = (bvp.residual(shifted) - f0) / t
-    jv = bvp.jacobian(p).matvec(v)
+    f0 = bvp.stationary_residual(p, p.u)
+    fd = (bvp.stationary_residual(p, p.u + t * v) - f0) / t
+    jv = bvp.stationary_jacobian(p, p.u).matvec(v)
     rel = float(np.abs(fd - jv).max() / np.abs(jv).max())
     measured["jacobian_fd_rel"] = rel
     ok &= rel <= 1e-5
@@ -347,9 +346,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
         base = ctx.profile(c)
         lo, hi = base.grid.x_min, base.grid.x_max
         big = make_grid(2 * lo, 2 * hi, bvp.DEFAULT_H)
-        seed = continuation.reinterpolate(base, big)
-        seed = FrontProfile(c=c, grid=big, u=seed.u)
-        solved, _ = newton.solve(seed)
+        solved, _ = newton.solve(continuation.reinterpolate(base, big))
         change = abs(diagnostics.u_at_zero(solved) - diagnostics.u_at_zero(base))
         measured[f"u0_change_c{c:g}"] = change
         ok &= change < 1e-6

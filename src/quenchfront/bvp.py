@@ -2,9 +2,12 @@
 
     u'' + c u' - r(x) u - u^3 = 0
 
-The ramp r(x) is part of the profile: ``FrontProfile.eps`` None means the
-linear ramp r = x, a float means the tanh ramp r = tanh(eps x) of the full
-slow-quench model.  ``ramp``, ``left_value`` and ``right_log_derivative``
+A profile is its equation: its c, its grid and its ramp, where
+``FrontProfile.eps`` None means the linear ramp r = x and a float the tanh
+ramp r = tanh(eps x) of the full slow-quench model.
+``stationary_residual(p, u)`` and ``stationary_jacobian(p, u)`` evaluate
+the equation of ``p`` at the values ``u``, so no caller builds a ramp or a
+closure for them.  ``ramp``, ``left_value`` and ``right_log_derivative``
 turn a profile into its coefficient and closures: u(x_min) is the sqrt(-x)
 tail series (linear ramp) or sqrt(tanh(-eps x_min)) (tanh ramp), and the
 right edge carries the asymptotic Robin row u' = L u of the decaying tail
@@ -43,10 +46,14 @@ class FrontProfile:
     converged: bool = False
 
 
+# A continuation step reads two grids, as ``_drift_diffusion_band`` does.
+@lru_cache(maxsize=2)
 def ramp(g: Grid, eps: float | None) -> np.ndarray:
-    """Ramp coefficient r(x) at the nodes: x, or tanh(eps x)."""
+    """Ramp coefficient r(x) at the nodes: x, or tanh(eps x); read-only."""
     x = g.nodes()
-    return x if eps is None else np.tanh(eps * x)
+    r = x if eps is None else np.tanh(eps * x)
+    r.flags.writeable = False
+    return r
 
 
 def left_value(c: float, x_min: float, eps: float | None = None) -> float:
@@ -156,46 +163,37 @@ def _checked_profile(g: Grid, u: np.ndarray, c: float) -> np.ndarray:
     return u
 
 
-def set_closure_rows(band: BandedMatrix, g: Grid, slope: float) -> None:
+def set_closure_rows(band: BandedMatrix, p: FrontProfile) -> None:
     """Row 0 := the identity (left Dirichlet row); row n-1 := the right Robin
-    row u' - slope u on the last five nodes, all of that row's band (p = 4)."""
+    row u' - L u of profile ``p`` on the last five nodes, all of that row's
+    band (p = 4)."""
+    g = p.grid
     band.set_identity_row(0)
     k = np.arange(5)   # entry (n-1, n-5+k) sits at data[p + 4 - k, n-5+k]
-    band.data[band.bandwidth + 4 - k, g.n - 5 + k] = _D1_LAST / g.h - slope * (k == 4)
+    band.data[band.bandwidth + 4 - k, g.n - 5 + k] = (
+        _D1_LAST / g.h - right_log_derivative(p.c, g.x_max, p.eps) * (k == 4))
 
 
-def stationary_residual(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
-                        left: float, slope: float) -> np.ndarray:
-    """F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes; the boundary
-    rows are u - ``left`` on the left and u' - ``slope`` u on the right."""
+def stationary_residual(p: FrontProfile, u: np.ndarray) -> np.ndarray:
+    """The equation of profile ``p`` (its c, grid, ramp and closures) at the
+    values ``u``: F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes, and
+    the boundary rows u - ``left_value`` and u' - L u."""
+    g, c = p.grid, p.c
     u = _checked_profile(g, u, c)
-    out = _drift_diffusion_band(g, c).matvec(u) - r * u - u ** 3
-    out[0] = u[0] - left
-    out[-1] = _D1_LAST @ u[-5:] / g.h - slope * u[-1]
+    out = _drift_diffusion_band(g, c).matvec(u) - ramp(g, p.eps) * u - u ** 3
+    out[0] = u[0] - left_value(c, g.x_min, p.eps)
+    out[-1] = _D1_LAST @ u[-5:] / g.h - right_log_derivative(c, g.x_max, p.eps) * u[-1]
     return out
 
 
-def stationary_jacobian(g: Grid, u: np.ndarray, c: float, r: np.ndarray,
-                        slope: float) -> BandedMatrix:
-    """D2 + c*D1 - diag(r(x) + 3u^2) on interior rows, closure rows at the ends."""
-    u = _checked_profile(g, u, c)
-    jac = _drift_diffusion_band(g, c).copy()
-    jac.add_diagonal(-(r + 3.0 * u ** 2))
-    set_closure_rows(jac, g, slope)
+def stationary_jacobian(p: FrontProfile, u: np.ndarray) -> BandedMatrix:
+    """Jacobian of ``stationary_residual(p, .)`` at ``u``: D2 + c*D1 -
+    diag(r(x) + 3u^2) on interior rows, closure rows at the ends."""
+    u = _checked_profile(p.grid, u, p.c)
+    jac = _drift_diffusion_band(p.grid, p.c).copy()
+    jac.add_diagonal(-(ramp(p.grid, p.eps) + 3.0 * u ** 2))
+    set_closure_rows(jac, p)
     return jac
-
-
-def residual(p: FrontProfile) -> np.ndarray:
-    """Residual of the profile's own equation: its c, ramp and closures."""
-    g = p.grid
-    return stationary_residual(g, p.u, p.c, ramp(g, p.eps), left_value(p.c, g.x_min, p.eps),
-                               right_log_derivative(p.c, g.x_max, p.eps))
-
-
-def jacobian(p: FrontProfile) -> BandedMatrix:
-    """Jacobian of ``residual``."""
-    return stationary_jacobian(p.grid, p.u, p.c, ramp(p.grid, p.eps),
-                               right_log_derivative(p.c, p.grid.x_max, p.eps))
 
 
 class TailFit(NamedTuple):

@@ -48,7 +48,7 @@ class RunConfig:
     xmin: float | None = None
     xmax: float | None = None
     h: float = bvp.DEFAULT_H
-    tol: float = 1e-10
+    tol: float = newton.DEFAULT_TOL
     out: str | None = None
     spectrum: bool = False
     seed_file: str | None = None
@@ -204,9 +204,10 @@ def _grid_for(cfg: RunConfig, c: float) -> Grid:
 def _solve(cfg: RunConfig, c: float) -> FrontProfile:
     g = _grid_for(cfg, c)
     if cfg.seed_file:
-        seed = continuation.reinterpolate(load_profile(cfg.seed_file), g)
-        return continuation.admissible_solve(
-            FrontProfile(c=c, grid=g, u=seed.u), cfg.tol)[0]
+        # into the frame of c's delayed interface, as continuation predicts
+        seed = load_profile(cfg.seed_file)
+        u = continuation.predict(seed, np.zeros(seed.grid.n), c, g)
+        return continuation.admissible_solve(FrontProfile(c=c, grid=g, u=u), cfg.tol)[0]
     return continuation.solve_front(c, grid=g, tol=cfg.tol, h=cfg.h)
 
 
@@ -240,7 +241,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     header = _profile_header(cfg, p)
     out = cfg.out or f"profile_c{cfg.c:g}.csv"
     write_csv(out, "profile", header,
-              {"x": p.grid.nodes(), "u": p.u, "residual": bvp.residual(p)},
+              {"x": p.grid.nodes(), "u": p.u, "residual": bvp.stationary_residual(p, p.u)},
               cfg)
     print(f"wrote {out}: c={p.c:g} residual={p.residual_norm:.3e} "
           f"u(0)={header['u_at_zero']:.6g} x_delta={header['x_delta']:.6g}")

@@ -78,11 +78,12 @@ def _tangent(p: FrontProfile) -> np.ndarray:
     rhs[0] = (bvp.left_value(p.c + 1.0, g.x_min, p.eps)
               - bvp.left_value(p.c, g.x_min, p.eps))
     rhs[-1] = bvp.right_log_derivative_dc(p.c, g.x_max, p.eps) * p.u[-1]
-    return newton.banded_lu_solve(bvp.jacobian(p), rhs) - 0.5 * max(p.c, 0.0) * d1u
+    du_dc = newton.banded_lu_solve(bvp.stationary_jacobian(p, p.u), rhs)
+    return du_dc - 0.5 * max(p.c, 0.0) * d1u
 
 
-def _predict(current: FrontProfile, tangent: np.ndarray, c_next: float,
-             g_target: Grid) -> np.ndarray:
+def predict(current: FrontProfile, tangent: np.ndarray, c_next: float,
+            g_target: Grid) -> np.ndarray:
     """Initial guess on g_target: u + (c_next - c) tangent, clipped at zero,
     translated by -(c_next+^2 - c+^2)/4 and re-interpolated if need be."""
     g = current.grid
@@ -95,7 +96,7 @@ def _predict(current: FrontProfile, tangent: np.ndarray, c_next: float,
 
 
 def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
-                    tol: float = 1e-10, h: float = bvp.DEFAULT_H) -> Branch:
+                    tol: float = newton.DEFAULT_TOL, h: float = bvp.DEFAULT_H) -> Branch:
     """Continue an admissible seed toward c_target, recording every point
     (seed included) that ``admissible_solve`` accepts at residual ``tol``.
     The first step is dc_init > 0; each accepted step scales the next by
@@ -126,7 +127,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
             try:
                 tangent = _tangent(current) if tangent is None else tangent
                 trial = FrontProfile(c=c_next, grid=g_target,
-                                     u=_predict(current, tangent, c_next, g_target))
+                                     u=predict(current, tangent, c_next, g_target))
                 solved, report = admissible_solve(trial, tol)
                 break
             except newton.SolverError as exc:
@@ -160,7 +161,7 @@ def admissible_solve(trial: FrontProfile,
     return profile, report
 
 
-def solve_front(c: float, grid: Grid | None = None, tol: float = 1e-10,
+def solve_front(c: float, grid: Grid | None = None, tol: float = newton.DEFAULT_TOL,
                 h: float = bvp.DEFAULT_H) -> FrontProfile:
     """The admissible front at c on ``grid`` (default: c's default grid at
     mesh h): one ``admissible_solve`` from ``bvp.initial_guess`` to residual

@@ -43,8 +43,8 @@ SCHEME = "imex_cn"
 
 @dataclass
 class EvolveConfig:
-    dt: float = 0.01
-    t_end: float = 200.0
+    dt: float
+    t_end: float
     record_every: int = 10
 
     def __post_init__(self):
@@ -93,16 +93,15 @@ class ImexStepper:
 
     STARTUP_EULER_STEPS = 2
 
-    def __init__(self, front: FrontProfile, cfg: EvolveConfig):
+    def __init__(self, front: FrontProfile, dt: float):
         g = front.grid
-        self.cfg = cfg
+        self.dt = dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        slope = bvp.right_log_derivative(front.c, g.x_max, front.eps)
         # D2 + c D1 - r, made into I - (dt/2) A with Newton's closure rows
-        lhs = bvp.stationary_jacobian(g, np.zeros(g.n), front.c, bvp.ramp(g, front.eps), slope)
-        lhs.data *= -0.5 * cfg.dt
+        lhs = bvp.stationary_jacobian(front, np.zeros(g.n))
+        lhs.data *= -0.5 * dt
         lhs.add_diagonal(np.ones(g.n))
-        bvp.set_closure_rows(lhs, g, slope)
+        bvp.set_closure_rows(lhs, front)
         self._lu = UnpivotedBandedLU(lhs)
         self._last = self._carry = None   # the last step's output, and G (kept in place)
         self._steps_taken = 0
@@ -115,7 +114,7 @@ class ImexStepper:
         return out
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        half = 0.5 * self.cfg.dt
+        half = 0.5 * self.dt
         if self._last is not None and u is not self._last:
             raise ValueError("ImexStepper.step continues from the array its last "
                              "step returned; start a new stepper for other data")
@@ -140,7 +139,7 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
     ``front.u`` every ``record_every`` steps."""
     plateau = deviation_plateau(front)
     start = time.perf_counter()
-    stepper = ImexStepper(front, cfg)
+    stepper = ImexStepper(front, cfg.dt)
     factor_s = time.perf_counter() - start
     u = np.asarray(u0, dtype=float).copy()
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -158,7 +157,7 @@ def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResu
     step_s = (time.perf_counter() - start) / n_steps
 
     final = FrontProfile(c=front.c, grid=front.grid, u=u, eps=front.eps)
-    final.residual_norm = float(np.abs(bvp.residual(final)).max())
+    final.residual_norm = float(np.abs(bvp.stationary_residual(final, u)).max())
     d0 = history[0][1]
     rate, samples = measured_rate(history, plateau)
     return EvolveResult(final=final, deviation_history=history, steps=n_steps, step_s=step_s,
@@ -171,7 +170,8 @@ def deviation_plateau(front: FrontProfile) -> float:
     point keeps: the stepper's spatial operator is Newton's, so that fixed
     point is the exact discrete front, one Newton correction away from
     ``front.u``.  Never below ROUNDOFF_PLATEAU."""
-    correction = newton.banded_lu_solve(bvp.jacobian(front), -bvp.residual(front))
+    correction = newton.banded_lu_solve(bvp.stationary_jacobian(front, front.u),
+                                        -bvp.stationary_residual(front, front.u))
     return max(float(np.abs(correction).max()), ROUNDOFF_PLATEAU)
 
 
@@ -201,7 +201,7 @@ def solve_tanh_front(eps: float, c: float, g: Grid | None = None,
     if guess is None:
         guess = bvp.initial_guess(g, c, eps)
     return continuation.admissible_solve(
-        FrontProfile(c=c, grid=g, u=guess, eps=eps), 1e-10)[0]
+        FrontProfile(c=c, grid=g, u=guess, eps=eps), newton.DEFAULT_TOL)[0]
 
 
 @dataclass

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import (FrontProfile, left_value, ramp, right_log_derivative,
-                  stationary_jacobian, stationary_residual)
+from .bvp import FrontProfile, stationary_jacobian, stationary_residual
 from .grid import BandedMatrix, Grid, SingularMatrixError, solve_banded
 
 
@@ -40,6 +39,7 @@ MIN_STEP = 2.0 ** -20     # smallest damping factor tried; taken if none passes
 # the residual means Newton sits at the roundoff floor of the residual
 ROUNDOFF_STEP = 1e-12
 MAX_ITERATIONS = 50
+DEFAULT_TOL = 1e-10   # max-norm residual a solve stops at unless told otherwise
 
 
 @dataclass
@@ -68,7 +68,7 @@ def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
 
 
 def solve(initial: FrontProfile,
-          tol: float = 1e-10) -> tuple[FrontProfile, SolveReport]:
+          tol: float = DEFAULT_TOL) -> tuple[FrontProfile, SolveReport]:
     """Newton-solve the stationary equation of ``initial`` (its c, ramp and
     closure) from its nodal values, with Armijo backtracking, until the
     max-norm of the residual is at most ``tol``.
@@ -83,11 +83,8 @@ def solve(initial: FrontProfile,
         raise ValueError(f"Newton tolerance must be positive, got tol={tol}")
     g: Grid = initial.grid
     c = initial.c
-    r = ramp(g, initial.eps)
-    gl = left_value(c, g.x_min, initial.eps)
-    slope = right_log_derivative(c, g.x_max, initial.eps)
     u = np.asarray(initial.u, dtype=float).copy()
-    f = stationary_residual(g, u, c, r, gl, slope)
+    f = stationary_residual(initial, u)
     res = float(np.abs(f).max())
     report = SolveReport(iterations=0, residual_norms=[res])
     where = f"at c={c:g}, h={g.h:g}, n={g.n}"
@@ -95,7 +92,7 @@ def solve(initial: FrontProfile,
     for it in range(1, MAX_ITERATIONS + 1):
         if res <= tol:
             break
-        jac = stationary_jacobian(g, u, c, r, slope)
+        jac = stationary_jacobian(initial, u)
         step = banded_lu_solve(jac, -f)
         step_norm = float(np.abs(step).max())
         at_roundoff = step_norm <= ROUNDOFF_STEP * max(1.0, float(np.abs(u).max()))
@@ -103,7 +100,7 @@ def solve(initial: FrontProfile,
         t = 1.0
         while t >= MIN_STEP:
             trial = u + t * step
-            f_trial = stationary_residual(g, trial, c, r, gl, slope)
+            f_trial = stationary_residual(initial, trial)
             if np.abs(f_trial).max() <= (1.0 - 1e-4 * t) * res:
                 break
             if at_roundoff:

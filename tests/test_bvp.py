@@ -6,8 +6,8 @@ import pytest
 
 from quenchfront import asymptotics, bvp, continuation, diagnostics, spectrum
 from quenchfront.bvp import (FrontProfile, TailFitError, default_domain,
-                             fit_tail_coefficients, jacobian, left_value,
-                             required_bounds, residual, right_log_derivative,
+                             fit_tail_coefficients, left_value, required_bounds,
+                             right_log_derivative, stationary_jacobian,
                              stationary_residual)
 from quenchfront.grid import Grid, make_grid
 from quenchfront.newton import solve
@@ -65,17 +65,19 @@ class TestResidual:
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.0, 10.0])
     def test_zero_state_interior_rows_exactly_zero(self, c):
         g = make_grid(-10.0, 10.0, 0.1)
-        f = stationary_residual(g, np.zeros(g.n), c, g.nodes(), 0.0,
-                                right_log_derivative(c, g.x_max))
-        assert np.all(f == 0.0)
+        f = stationary_residual(FrontProfile(c=c, grid=g, u=np.zeros(g.n)), np.zeros(g.n))
+        assert np.all(f[1:] == 0.0) and f[0] == -left_value(c, g.x_min)
 
     def test_sqrt_branch_residual_decays(self):
         # u = sqrt(-x) cancels x u + u^3 exactly; what is left is
-        # u'' = -(1/4)(-x)^{-3/2}
-        g = make_grid(-100.0, -50.0, 0.01)
+        # u'' = -(1/4)(-x)^{-3/2}; the rows are those of x in (-100, -50),
+        # on a domain reaching x > 0 as the Robin closure needs
+        g = make_grid(-100.0, 10.0, 0.01)
         x = g.nodes()
-        f = stationary_residual(g, np.sqrt(-x), 0.0, x, 10.0, 0.0)
-        interior = slice(1, -1)
+        u = np.sqrt(np.maximum(-x, 0.0))
+        f = stationary_residual(FrontProfile(c=0.0, grid=g, u=u), u)
+        interior = slice(1, 5000)
+        assert x[interior][[0, -1]] == pytest.approx([-99.99, -50.01], abs=1e-9)
         bound = 0.5 * (-x[interior]) ** -1.5
         assert np.all(np.abs(f[interior]) <= bound)
         assert np.abs(f[interior]).max() >= 0.1 * (1.0 / 4.0) * 100.0 ** -1.5
@@ -84,7 +86,7 @@ class TestResidual:
         g = make_grid(-10.0, 10.0, 0.1)
         u = np.linspace(3.0, 1.0, g.n)
         p = FrontProfile(c=1.5, grid=g, u=u)
-        f = residual(p)
+        f = stationary_residual(p, u)
         assert f[0] == pytest.approx(u[0] - left_value(1.5, g.x_min))
         # the Robin row u'(x_max) - L u(x_max): u' = -0.1 is exact on a line
         ell = asymptotics.right_tail_log_derivative(10.0, 1.5)
@@ -94,13 +96,16 @@ class TestResidual:
         g = make_grid(-10.0, 10.0, 0.1)
         x = g.nodes()
         u = np.linspace(1.0, 0.0, g.n)
-        f = residual(FrontProfile(c=0.5, grid=g, u=u, eps=0.1))
-        expected = stationary_residual(g, u, 0.5, np.tanh(0.1 * x), math.sqrt(math.tanh(1.0)),
-                                       -0.25 - math.sqrt(0.0625 + math.tanh(1.0)))
+        f = stationary_residual(FrontProfile(c=0.5, grid=g, u=u, eps=0.1), u)
+        expected = bvp._drift_diffusion_band(g, 0.5).matvec(u) - np.tanh(0.1 * x) * u - u ** 3
+        expected[0] = u[0] - math.sqrt(math.tanh(1.0))
+        expected[-1] = (bvp._D1_LAST @ u[-5:] / g.h
+                        - (-0.25 - math.sqrt(0.0625 + math.tanh(1.0))) * u[-1])
         assert np.array_equal(f, expected)
+        assert not bvp.ramp(g, 0.1).flags.writeable   # cached, so shared by every caller
 
     def test_converged_profile_residual(self, hm_profile):
-        assert np.abs(residual(hm_profile)).max() < 1e-10
+        assert np.abs(stationary_residual(hm_profile, hm_profile.u)).max() < 1e-10
 
     def test_converged_residual_on_compact_domain(self):
         # c = 0 on [-15, 10] with n = 2501 (h = 0.01)
@@ -109,7 +114,7 @@ class TestResidual:
         g = Grid(-15.0, 10.0, 2501)
         p, _ = solve(FrontProfile(c=0.0, grid=g, u=initial_guess(g, 0.0)))
         assert p.converged
-        assert np.abs(residual(p)).max() < 1e-10
+        assert np.abs(stationary_residual(p, p.u)).max() < 1e-10
 
     def test_non_finite_rejected(self):
         g = make_grid(-10.0, 10.0, 0.1)
@@ -117,10 +122,10 @@ class TestResidual:
         u[3] = np.nan
         u[5] = np.inf
         p = FrontProfile(c=1.5, grid=g, u=u)
-        for assemble in (residual, jacobian):
+        for assemble in (stationary_residual, stationary_jacobian):
             with pytest.raises(ValueError, match=r"at c=1.5, h=0.1, n=201: "
                                                  r"first at x=-9.7 \(node 3\)"):
-                assemble(p)
+                assemble(p, u)
 
 
 class TestJacobian:
@@ -128,7 +133,7 @@ class TestJacobian:
         g = make_grid(-10.0, 10.0, 0.1)
         x = g.nodes()
         p = FrontProfile(c=0.0, grid=g, u=np.zeros(g.n))
-        jac = jacobian(p)
+        jac = stationary_jacobian(p, p.u)
         from quenchfront.grid import d2_band
         base = d2_band(g)
         p_ = jac.bandwidth   # diagonal entries sit in band row p
@@ -138,28 +143,32 @@ class TestJacobian:
     def test_interior_row_sums(self, hm_profile):
         # stencil parts annihilate constants, so J 1 = -(x + 3u^2) interior
         p = hm_profile
-        sums = jacobian(p).matvec(np.ones(p.grid.n))
+        sums = stationary_jacobian(p, p.u).matvec(np.ones(p.grid.n))
         x = p.grid.nodes()
         expected = -(x + 3.0 * p.u ** 2)
         assert np.abs(sums[1:-1] - expected[1:-1]).max() <= 1e-8
 
-    def test_matches_directional_difference(self, hm_profile):
-        p = hm_profile
-        x = p.grid.nodes()
-        rng = np.random.default_rng(3)
-        smooth = np.exp(-((x - 1.0) / 6.0) ** 2)
-        v = smooth * np.cos(0.4 * x + rng.uniform(0, 2 * np.pi)) * 3.0
-        t = 1e-6
-        f0 = residual(p)
-        f1 = residual(FrontProfile(c=p.c, grid=p.grid, u=p.u + t * v))
-        jv = jacobian(p).matvec(v)
-        rel = np.abs((f1 - f0) / t - jv).max() / np.abs(jv).max()
-        assert rel <= 1e-5
+    def test_matches_directional_difference(self):
+        # both ramps, at the seed and at the front it converges to
+        for c, eps in [(-200.0, None), (0.0, None), (12.0, None), (0.3, 0.01)]:
+            g = bvp.default_grid(c, 0.04) if eps is None else make_grid(-150.0, 150.0, 0.5)
+            seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c, eps), eps=eps)
+            x = g.nodes()
+            rng = np.random.default_rng(3)
+            smooth = np.exp(-((x - 1.0) / 6.0) ** 2)
+            v = smooth * np.cos(0.4 * x + rng.uniform(0, 2 * np.pi)) * 3.0
+            t = 1e-6
+            for p in (seed, solve(seed)[0]):
+                f0 = stationary_residual(p, p.u)
+                f1 = stationary_residual(p, p.u + t * v)
+                jv = stationary_jacobian(p, p.u).matvec(v)
+                rel = np.abs((f1 - f0) / t - jv).max() / np.abs(jv).max()
+                assert rel <= 1e-5, (c, eps, p.converged)
 
     def test_closure_rows(self, hm_profile):
         # row 0 is the identity; row n-1 is the Robin row on the last five nodes
         g = hm_profile.grid
-        jac = jacobian(hm_profile)
+        jac = stationary_jacobian(hm_profile, hm_profile.u)
         n = g.n
         e0 = np.zeros(n)
         e0[0] = 1.0
@@ -178,9 +187,8 @@ class TestJacobian:
         p = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c, eps), eps=eps)
         v = np.random.default_rng(8).standard_normal(g.n)
         t = 1e-6 * np.abs(p.u[-5:]).max() + 1e-12
-        fd = (residual(FrontProfile(c=c, grid=g, u=p.u + t * v, eps=eps))[-1]
-              - residual(p)[-1]) / t
-        jv = jacobian(p).matvec(v)[-1]
+        fd = (stationary_residual(p, p.u + t * v)[-1] - stationary_residual(p, p.u)[-1]) / t
+        jv = stationary_jacobian(p, p.u).matvec(v)[-1]
         assert fd == pytest.approx(jv, rel=1e-6)
 
 

@@ -293,6 +293,16 @@ class TestSolveCommand:
         header, _ = read_csv(out2)
         assert float(header["u_at_zero"]) < 0.5191034  # decreasing in c
 
+    def test_seed_file_moves_with_the_delayed_interface(self, tmp_path):
+        # the c = 12 front seeds c = 12.05 shifted by -(12.05^2 - 12^2)/4, as
+        # continuation predicts; left where it was, Newton does not converge
+        seed, cold, seeded = (tmp_path / f"{name}.csv" for name in ("s", "cold", "seeded"))
+        assert run(["solve", "--c", "12", "--out", str(seed)]) == 0
+        assert run(["solve", "--c", "12.05", "--out", str(cold)]) == 0
+        assert run(["solve", "--c", "12.05", "--seed-file", str(seed),
+                    "--out", str(seeded)]) == 0
+        assert np.abs(read_csv(seeded)[1]["u"] - read_csv(cold)[1]["u"]).max() <= 1e-10
+
 
 class TestBranchCommand:
     def test_small_branch_csv(self, tmp_path, hm_profile):

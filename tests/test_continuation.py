@@ -179,7 +179,7 @@ class TestContinueBranch:
         dc = -0.5
         p = continue_branch(hm_profile, -3.0).points[0][1]
         tangent = continuation._tangent(p)
-        guess = continuation._predict(p, tangent, p.c + dc, p.grid)
+        guess = continuation.predict(p, tangent, p.c + dc, p.grid)
         assert guess.tobytes() == np.maximum(p.u + dc * tangent, 0.0).tobytes()
 
     def test_downward_direction(self, hm_profile):

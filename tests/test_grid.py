@@ -272,11 +272,14 @@ class TestBoundedBandCaches:
 
         monkeypatch.setattr(continuation.newton, "solve", spy)
         bvp._drift_diffusion_band.cache_clear()
+        bvp.ramp.cache_clear()
         branch = continuation.continue_branch(hm_profile, -60.0)
         assert len({p.grid for _, p in branch.points}) >= 4   # the sweep regrids
         info = bvp._drift_diffusion_band.cache_info()
         assert info.currsize <= 2
         assert info.misses == len(set(solved)) == len(solved)
+        # and one ramp per grid that Newton sees
+        assert bvp.ramp.cache_info().misses == len({g for g, _ in solved})
 
     def test_bands_rebuilt_on_a_grid_are_bitwise_equal(self):
         g = make_grid(-1.0, 1.0, 0.1)
@@ -382,11 +385,11 @@ class TestUnpivotedBandedLU:
         # I - dt/2 A at dt = 0.01, as evolve factors it; its rows scaled by
         # 1e-6..1e6 put the pivots of the unit-diagonal U far from 1
         g = bvp.default_grid(c, 0.01)
-        slope = bvp.right_log_derivative(c, g.x_max)
-        a = bvp.stationary_jacobian(g, np.zeros(g.n), c, bvp.ramp(g, None), slope)
+        front = bvp.FrontProfile(c=c, grid=g, u=np.zeros(g.n))
+        a = bvp.stationary_jacobian(front, front.u)
         a.data *= -0.005
         a.add_diagonal(np.ones(g.n))
-        bvp.set_closure_rows(a, g, slope)
+        bvp.set_closure_rows(a, front)
         p = a.bandwidth
         if row_scale:
             rows = np.logspace(*row_scale, g.n)

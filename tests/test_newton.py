@@ -71,7 +71,7 @@ class TestBandedSolve:
         # call grid.solve_banded makes
         g = bvp.default_grid(c)
         seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c))
-        jac, b = bvp.jacobian(seed), -bvp.residual(seed)
+        jac, b = bvp.stationary_jacobian(seed, seed.u), -bvp.stationary_residual(seed, seed.u)
         x = banded_lu_solve(jac, b)
         assert x.tobytes() == scipy.linalg.solve_banded((4, 4), jac.data, b).tobytes()
 
