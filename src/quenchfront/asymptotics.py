@@ -30,6 +30,7 @@ OMEGA0 = 2.338107410459767
 
 _PI_QUARTER = math.pi ** 0.25
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+_FAR_Z = 26.0   # z past which the profile takes its far-field series
 
 
 def erf_profile(x: float, c: float) -> float:
@@ -37,27 +38,34 @@ def erf_profile(x: float, c: float) -> float:
     u = (-c)^{1/4} e^{x^2/(2c)} / (pi^{1/4} (erf(x/sqrt(-c)) + 1)^{1/2})."""
     if c >= 0:
         raise ValueError(f"erf profile requires c < 0, got c={c}")
+    z = -x / math.sqrt(-c)
+    if z > _FAR_Z:
+        return float(_far_field(z, c))
     # erf(z) + 1 = erfc(-z), which keeps full relative accuracy for z << 0
-    denom = math.erfc(-x / math.sqrt(-c))
-    return (-c) ** 0.25 * math.exp(x * x / (2.0 * c)) / (_PI_QUARTER * math.sqrt(denom))
+    return (-c) ** 0.25 * math.exp(x * x / (2.0 * c)) / (_PI_QUARTER * math.sqrt(math.erfc(z)))
+
+
+def _far_field(z, c: float):
+    """The profile past z = -x/sqrt(-c) = 26, where erfc(z) nears underflow:
+    e^{x^2/(2c)}/sqrt(erfc(z)) is 1/sqrt(erfcx(z)), from the series sum_{k<=8}
+    (-1)^k (2k-1)!!/(2z^2)^k / (z sqrt(pi)) of erfcx(z) = e^{z^2} erfc(z)
+    (error < 1e-20): finite, tending to sqrt(-x)."""
+    series = 1.0
+    for k in range(15, 0, -2):
+        series = 1.0 - k * series / (2.0 * z ** 2)
+    return (-c) ** 0.25 / _PI_QUARTER * np.sqrt(z * math.sqrt(math.pi) / series)
 
 
 def erf_profile_vec(x: np.ndarray, c: float) -> np.ndarray:
-    """``erf_profile`` at every entry of x.  Past z = -x/sqrt(-c) = 26, where
-    erfc(z) nears underflow, e^{x^2/(2c)}/sqrt(erfc(z)) is 1/sqrt(erfcx(z)),
-    from the series sum_{k<=8} (-1)^k (2k-1)!!/(2z^2)^k / (z sqrt(pi)) of
-    erfcx(z) = e^{z^2} erfc(z) (error < 1e-20): finite, tending to sqrt(-x)."""
+    """``erf_profile`` at every entry of x."""
     if c >= 0:
         raise ValueError(f"erf profile requires c < 0, got c={c}")
     x = np.asarray(x, dtype=float)
     z = -x / math.sqrt(-c)
-    far, out = z > 26.0, np.empty_like(x)
+    far, out = z > _FAR_Z, np.empty_like(x)
     denom = np.asarray(_erfc(z[~far]), dtype=float)
     out[~far] = (-c) ** 0.25 * np.exp(x[~far] ** 2 / (2.0 * c)) / (_PI_QUARTER * np.sqrt(denom))
-    series = 1.0
-    for k in range(15, 0, -2):
-        series = 1.0 - k * series / (2.0 * z[far] ** 2)
-    out[far] = (-c) ** 0.25 / _PI_QUARTER * np.sqrt(z[far] * math.sqrt(math.pi) / series)
+    out[far] = _far_field(z[far], c)
     return out
 
 

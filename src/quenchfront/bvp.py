@@ -4,14 +4,13 @@
 
 A profile is its equation: its c, its grid and its ramp, where
 ``FrontProfile.eps`` None means the linear ramp r = x and a float the tanh
-ramp r = tanh(eps x) of the full slow-quench model.
-``stationary_residual(p, u)`` and ``stationary_jacobian(p, u)`` evaluate
-the equation of ``p`` at the values ``u``, so no caller builds a ramp or a
-closure for them.  ``ramp``, ``left_value`` and ``right_log_derivative``
-turn a profile into its coefficient and closures: u(x_min) is the sqrt(-x)
-tail series (linear ramp) or sqrt(tanh(-eps x_min)) (tanh ramp), and the
-right edge carries the asymptotic Robin row u' = L u of the decaying tail
-(Lentini & Keller, SIAM J. Numer. Anal. 17, 1980).
+ramp r = tanh(eps x) of the full slow-quench model.  Its linear part is
+one cached band, ``equation_band``: D2 + c D1 - r on the interior rows, the
+left Dirichlet row (u(x_min) is ``left_value``: the sqrt(-x) tail series,
+or sqrt(tanh(-eps x_min))) and the right Robin row u' = L u of the decaying
+tail (Lentini & Keller, SIAM J. Numer. Anal. 17, 1980).  The residual, the
+Jacobian and the time stepper's matrix read it; no caller builds a ramp or
+a closure.
 """
 
 from __future__ import annotations
@@ -46,14 +45,9 @@ class FrontProfile:
     converged: bool = False
 
 
-# A continuation step reads two grids, as ``_drift_diffusion_band`` does.
-@lru_cache(maxsize=2)
 def ramp(g: Grid, eps: float | None) -> np.ndarray:
-    """Ramp coefficient r(x) at the nodes: x, or tanh(eps x); read-only."""
-    x = g.nodes()
-    r = x if eps is None else np.tanh(eps * x)
-    r.flags.writeable = False
-    return r
+    """Ramp coefficient r(x) at the nodes: x, or tanh(eps x)."""
+    return g.nodes() if eps is None else np.tanh(eps * g.nodes())
 
 
 def left_value(c: float, x_min: float, eps: float | None = None) -> float:
@@ -142,11 +136,19 @@ def default_grid(c: float, h: float = DEFAULT_H) -> Grid:
 # A continuation step reads two: the accepted point's, once for its tangent,
 # and the trial point's, for Newton.  The only cached operator band.
 @lru_cache(maxsize=2)
-def _drift_diffusion_band(g: Grid, c: float) -> BandedMatrix:
-    """D2 + c*D1 upwinded by sign(c), boundary rows zero; read-only (copy it).
-    Each entry is fl(d2 + fl(c d1)); D1 is freed before D2 is built."""
-    band = BandedMatrix(g.n, MAX_BANDWIDTH, c * d1_band(g, int(np.sign(c))).data)
+def equation_band(g: Grid, c: float, eps: float | None) -> BandedMatrix:
+    """The equation's linear part on g, read-only (copy it): D2 + c D1 - r on
+    the interior rows (D1 upwinded by sign(c), diagonal fl(fl(d2 + fl(c d1))
+    - r)), the identity row 0 and the Robin row u' - L u on the last five
+    nodes.  D1 is freed before D2 is built."""
+    p = MAX_BANDWIDTH
+    band = BandedMatrix(g.n, p, c * d1_band(g, int(np.sign(c))).data)
     band.data += d2_band(g).data
+    band.data[p] -= ramp(g, eps)
+    band.set_identity_row(0)
+    k = np.arange(5)   # entry (n-1, n-5+k) sits at data[p + 4 - k, n-5+k]
+    band.data[p + 4 - k, g.n - 5 + k] = (
+        _D1_LAST / g.h - right_log_derivative(c, g.x_max, eps) * (k == 4))
     band.data.flags.writeable = False
     return band
 
@@ -163,36 +165,23 @@ def _checked_profile(g: Grid, u: np.ndarray, c: float) -> np.ndarray:
     return u
 
 
-def set_closure_rows(band: BandedMatrix, p: FrontProfile) -> None:
-    """Row 0 := the identity (left Dirichlet row); row n-1 := the right Robin
-    row u' - L u of profile ``p`` on the last five nodes, all of that row's
-    band (p = 4)."""
-    g = p.grid
-    band.set_identity_row(0)
-    k = np.arange(5)   # entry (n-1, n-5+k) sits at data[p + 4 - k, n-5+k]
-    band.data[band.bandwidth + 4 - k, g.n - 5 + k] = (
-        _D1_LAST / g.h - right_log_derivative(p.c, g.x_max, p.eps) * (k == 4))
-
-
 def stationary_residual(p: FrontProfile, u: np.ndarray) -> np.ndarray:
     """The equation of profile ``p`` (its c, grid, ramp and closures) at the
     values ``u``: F_i = u'' + c u' - r(x_i) u - u^3 at interior nodes, and
     the boundary rows u - ``left_value`` and u' - L u."""
-    g, c = p.grid, p.c
-    u = _checked_profile(g, u, c)
-    out = _drift_diffusion_band(g, c).matvec(u) - ramp(g, p.eps) * u - u ** 3
-    out[0] = u[0] - left_value(c, g.x_min, p.eps)
-    out[-1] = _D1_LAST @ u[-5:] / g.h - right_log_derivative(c, g.x_max, p.eps) * u[-1]
+    u = _checked_profile(p.grid, u, p.c)
+    out = equation_band(p.grid, p.c, p.eps).matvec(u)
+    out[1:-1] -= u[1:-1] ** 3
+    out[0] -= left_value(p.c, p.grid.x_min, p.eps)
     return out
 
 
 def stationary_jacobian(p: FrontProfile, u: np.ndarray) -> BandedMatrix:
-    """Jacobian of ``stationary_residual(p, .)`` at ``u``: D2 + c*D1 -
-    diag(r(x) + 3u^2) on interior rows, closure rows at the ends."""
+    """Jacobian of ``stationary_residual(p, .)`` at ``u``: the equation's
+    band with 3u^2 taken off its interior diagonal."""
     u = _checked_profile(p.grid, u, p.c)
-    jac = _drift_diffusion_band(p.grid, p.c).copy()
-    jac.add_diagonal(-(ramp(p.grid, p.eps) + 3.0 * u ** 2))
-    set_closure_rows(jac, p)
+    jac = equation_band(p.grid, p.c, p.eps).copy()
+    jac.data[jac.bandwidth, 1:-1] -= 3.0 * u[1:-1] ** 2
     return jac
 
 

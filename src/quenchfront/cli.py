@@ -72,8 +72,11 @@ class RunConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            cfg.apply(key.strip(), value.strip())
+            key, _, value = (part.strip() for part in line.partition("="))
+            try:
+                cfg.apply(key, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
         return cfg
 
     def apply(self, key: str, value: str) -> None:
@@ -208,7 +211,7 @@ def _solve(cfg: RunConfig, c: float) -> FrontProfile:
         seed = load_profile(cfg.seed_file)
         u = continuation.predict(seed, np.zeros(seed.grid.n), c, g)
         return continuation.admissible_solve(FrontProfile(c=c, grid=g, u=u), cfg.tol)[0]
-    return continuation.solve_front(c, grid=g, tol=cfg.tol, h=cfg.h)
+    return continuation.solve_front(c, grid=g, tol=cfg.tol)
 
 
 def _grid_header(g: Grid) -> dict:

@@ -2,9 +2,10 @@
 
 The front being perturbed defines the problem: its c, its ramp r(x)
 (``FrontProfile.eps``), its grid and its closures.  The linear
-spatial operator (diffusion, drift, and the ramp coefficient r(x), which is
-stiff for large |x|) is the Newton Jacobian at u = 0; it is implicit, and
-its one implicit matrix I - (dt/2) A is LU-factored once per run without row
+spatial operator A (diffusion, drift, and the ramp coefficient r(x), which
+is stiff for large |x|) is the equation's band ``bvp.equation_band``; it is
+implicit, and its one implicit matrix, I - (dt/2) A on the interior rows
+and the band's closure rows, is LU-factored once per run without row
 interchanges, so a solve is two banded triangular sweeps.  The cubic
 reaction is explicit.  The scheme is Crank-Nicolson with Adams-Bashforth-2
 on the reaction (Ascher, Ruuth & Wetton 1995), whose explicit half is
@@ -97,11 +98,12 @@ class ImexStepper:
         g = front.grid
         self.dt = dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        # D2 + c D1 - r, made into I - (dt/2) A with Newton's closure rows
-        lhs = bvp.stationary_jacobian(front, np.zeros(g.n))
-        lhs.data *= -0.5 * dt
-        lhs.add_diagonal(np.ones(g.n))
-        bvp.set_closure_rows(lhs, front)
+        # interior rows into I - (dt/2) A: band row r holds entries (j + r - p, j)
+        lhs = bvp.equation_band(g, front.c, front.eps).copy()
+        p = lhs.bandwidth
+        for r in range(2 * p + 1):
+            lhs.data[r, max(0, p - r + 1):g.n - 1 + p - r] *= -0.5 * dt
+        lhs.data[p, 1:-1] += 1.0
         self._lu = UnpivotedBandedLU(lhs)
         self._last = self._carry = None   # the last step's output, and G (kept in place)
         self._steps_taken = 0

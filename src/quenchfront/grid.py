@@ -122,9 +122,6 @@ class BandedMatrix:
     def copy(self) -> "BandedMatrix":
         return BandedMatrix(self.n, self.bandwidth, self.data.copy())
 
-    def add_diagonal(self, values: np.ndarray) -> None:
-        self.data[self.bandwidth, :] += values
-
     def set_identity_row(self, i: int) -> None:
         for j in range(max(0, i - self.bandwidth), min(self.n, i + self.bandwidth + 1)):
             self.data[self.bandwidth + i - j, j] = 0.0
@@ -306,8 +303,7 @@ def _frozen_band(n: int, m: int, scale: float, windows) -> BandedMatrix:
     return band
 
 
-# Not cached: the solver keeps only the sum D2 + c D1 (bvp._drift_diffusion_band),
-# so each call assembles a fresh band.
+# Not cached: the solver keeps only bvp.equation_band, so each call builds afresh.
 def d2_band(g: Grid) -> BandedMatrix:
     """Banded second-derivative operator; boundary rows are zero.  Fresh and
     read-only: callers that modify it must take a ``copy()``."""

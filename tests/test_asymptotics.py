@@ -220,6 +220,17 @@ class TestErfProfileOracle:
         want = (-c) ** 0.25 / (math.pi ** 0.25 * np.sqrt(erfcx(z)))
         assert np.all(np.abs(got - want) <= 2e-13 * want)
 
+    @pytest.mark.parametrize("z", [25.9, 26.1, 27.0, 27.3, 28.0, 40.0])
+    def test_scalar_stays_finite_where_erfc_underflows(self, z):
+        # erfc(z) goes subnormal near z = 26.6 and underflows by z = 27.3;
+        # the scalar takes the vector's far-field series there
+        from scipy.special import erfcx
+        c = -4.0
+        x = -z * math.sqrt(-c)
+        want = (-c) ** 0.25 / (math.pi ** 0.25 * math.sqrt(erfcx(z)))
+        assert erf_profile(x, c) == pytest.approx(want, rel=2e-13)
+        assert erf_profile(x, c) == pytest.approx(erf_profile_vec(x, c), rel=1e-15)
+
     def test_vector_keeps_shape(self):
         x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
         assert erf_profile_vec(x, -4.0).shape == (2, 3)

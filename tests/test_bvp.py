@@ -9,7 +9,7 @@ from quenchfront.bvp import (FrontProfile, TailFitError, default_domain,
                              fit_tail_coefficients, left_value, required_bounds,
                              right_log_derivative, stationary_jacobian,
                              stationary_residual)
-from quenchfront.grid import Grid, make_grid
+from quenchfront.grid import BandedMatrix, Grid, d1_band, d2_band, make_grid
 from quenchfront.newton import solve
 
 # one-sided five-point first derivative at the last node, unit spacing
@@ -97,12 +97,19 @@ class TestResidual:
         x = g.nodes()
         u = np.linspace(1.0, 0.0, g.n)
         f = stationary_residual(FrontProfile(c=0.5, grid=g, u=u, eps=0.1), u)
-        expected = bvp._drift_diffusion_band(g, 0.5).matvec(u) - np.tanh(0.1 * x) * u - u ** 3
+        # D2 + 0.5 D1 - tanh(0.1 x) with closed-form closure rows, times u
+        a = BandedMatrix(g.n, 4, d2_band(g).data + 0.5 * d1_band(g, 1).data)
+        a.data[4] -= np.tanh(0.1 * x)
+        a.set_identity_row(0)
+        k = np.arange(5)   # entry (n-1, n-5+k) sits at data[8 - k, n-5+k]
+        a.data[8 - k, g.n - 5 + k] = (bvp._D1_LAST / g.h
+                                      - (-0.25 - math.sqrt(0.0625 + math.tanh(1.0))) * (k == 4))
+        expected = a.matvec(u)
+        expected[1:-1] -= u[1:-1] ** 3
         expected[0] = u[0] - math.sqrt(math.tanh(1.0))
-        expected[-1] = (bvp._D1_LAST @ u[-5:] / g.h
-                        - (-0.25 - math.sqrt(0.0625 + math.tanh(1.0))) * u[-1])
         assert np.array_equal(f, expected)
-        assert not bvp.ramp(g, 0.1).flags.writeable   # cached, so shared by every caller
+        # cached, so shared by every caller
+        assert not bvp.equation_band(g, 0.5, 0.1).data.flags.writeable
 
     def test_converged_profile_residual(self, hm_profile):
         assert np.abs(stationary_residual(hm_profile, hm_profile.u)).max() < 1e-10
@@ -149,16 +156,19 @@ class TestJacobian:
         assert np.abs(sums[1:-1] - expected[1:-1]).max() <= 1e-8
 
     def test_matches_directional_difference(self):
-        # both ramps, at the seed and at the front it converges to
+        # both ramps, at the seed and at the front it converges to; v sits on
+        # each profile's half-amplitude crossing, where 3u^2 v is not negligible
         for c, eps in [(-200.0, None), (0.0, None), (12.0, None), (0.3, 0.01)]:
             g = bvp.default_grid(c, 0.04) if eps is None else make_grid(-150.0, 150.0, 0.5)
             seed = FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c, eps), eps=eps)
             x = g.nodes()
-            rng = np.random.default_rng(3)
-            smooth = np.exp(-((x - 1.0) / 6.0) ** 2)
-            v = smooth * np.cos(0.4 * x + rng.uniform(0, 2 * np.pi)) * 3.0
             t = 1e-6
             for p in (seed, solve(seed)[0]):
+                rng = np.random.default_rng(3)
+                centre = diagnostics.front_position(p, 0.5 * p.u.max())
+                smooth = np.exp(-((x - centre) / 6.0) ** 2)
+                v = smooth * np.cos(0.4 * x + rng.uniform(0, 2 * np.pi)) * 3.0
+                assert np.abs(3.0 * p.u ** 2 * v).max() >= 1.0, (c, eps, p.converged)
                 f0 = stationary_residual(p, p.u)
                 f1 = stationary_residual(p, p.u + t * v)
                 jv = stationary_jacobian(p, p.u).matvec(v)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -36,6 +37,19 @@ class TestConfig:
         cfg_file.write_text("delta 0.2\n")
         with pytest.raises(ValueError):
             RunConfig.from_file(cfg_file)
+
+    @pytest.mark.parametrize("line, says", [
+        ("h=abc", "could not convert string to float: 'abc'"),
+        ("k=2.5", "invalid literal for int()"),
+        ("not_a_key=1", "unknown config key 'not_a_key'")])
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, line, says):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"# a comment\nc=1.5\n{line}\n")
+        key = line.partition("=")[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg_file}:3: {key}: {says}')}"):
+            RunConfig.from_file(cfg_file)
+        assert run(["--config", str(cfg_file), "solve"]) == 2
+        assert f"{cfg_file}:3: {key}: " in capsys.readouterr().err
 
     def test_echo_contains_effective_values(self):
         cfg = RunConfig(delta=0.25)
@@ -155,7 +169,7 @@ class TestSolveCommand:
         # c = 13 has the largest default grid that solves at h = 0.01 (9,087
         # nodes, a 0.65 MB band; c = -200 has 8,215): 2.7 MiB traced peak,
         # where a second cached band copy and a CSV built in memory gave 5.1
-        bvp._drift_diffusion_band.cache_clear()
+        bvp.equation_band.cache_clear()
         tracemalloc.start()
         try:
             assert run(["solve", "--c", "13", "--h", "0.01",

@@ -10,8 +10,20 @@ from quenchfront.bvp import FrontProfile
 from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
                                 compare_inner_scaling, measured_rate,
                                 solve_tanh_front)
-from quenchfront.grid import BandedMatrix, UnpivotedBandedLU, d2_band, make_grid
+from quenchfront.grid import (BandedMatrix, UnpivotedBandedLU, d1_band, d2_band,
+                             fd_weights, make_grid)
 from quenchfront.newton import SolverError
+
+
+def closure_rows(a, front):
+    """Row 0 := the identity (left Dirichlet row); row n-1 := the Robin row
+    u' - L u of ``front`` on the last five nodes, written entry by entry."""
+    g = front.grid
+    a.set_identity_row(0)
+    ell = bvp.right_log_derivative(front.c, g.x_max, front.eps)
+    weights = fd_weights(0.0, np.arange(-4.0, 1.0), 1) / g.h
+    for k in range(5):   # entry (n-1, n-5+k) sits at data[p + 4 - k, n-5+k]
+        a.data[a.bandwidth + 4 - k, g.n - 5 + k] = weights[k] - ell * (k == 4)
 
 
 def implicit_matrix(a, weight, front=None):
@@ -19,12 +31,12 @@ def implicit_matrix(a, weight, front=None):
     factors it, or with identity boundary rows."""
     lhs = a.copy()
     lhs.data *= -weight
-    lhs.add_diagonal(np.ones(lhs.n))
+    lhs.data[lhs.bandwidth] += 1.0
     if front is None:
         lhs.set_identity_row(0)
         lhs.set_identity_row(lhs.n - 1)
     else:
-        bvp.set_closure_rows(lhs, front)
+        closure_rows(lhs, front)
     return lhs
 
 
@@ -172,6 +184,26 @@ class TestStepper:
         # each start-up step is two half-step solves; U is stored with a unit
         # diagonal, so neither sweep divides
         assert sweeps == [("L", "U"), ("U", "U")] * (10 + ImexStepper.STARTUP_EULER_STEPS)
+
+    @pytest.mark.parametrize("c, eps", [(-200.0, None), (0.0, None), (12.0, None), (0.3, 0.01)])
+    def test_matrix_is_i_minus_half_dt_a_with_closure_rows(self, c, eps, monkeypatch):
+        # A = D2 + c D1 - r assembled from its parts, made into I - (dt/2) A
+        # with the closure rows written by hand: the stepper factors that matrix
+        g = bvp.default_grid(c, 0.04) if eps is None else make_grid(-150.0, 150.0, 0.5)
+        front = FrontProfile(c=c, grid=g, u=np.zeros(g.n), eps=eps)
+        a = BandedMatrix(g.n, 4, d2_band(g).data + c * d1_band(g, int(np.sign(c))).data)
+        a.data[4] -= bvp.ramp(g, eps)
+        closure_rows(a, front)
+        factored = []
+
+        class Recorded(UnpivotedBandedLU):
+            def __init__(self, m):
+                factored.append(m)
+                super().__init__(m)
+
+        monkeypatch.setattr(evolve, "UnpivotedBandedLU", Recorded)
+        ImexStepper(front, 0.01)
+        assert np.array_equal(factored[0].data, implicit_matrix(a, 0.005, front).data)
 
     def test_one_factor_per_run(self, hm_profile, monkeypatch):
         factors = []

@@ -248,16 +248,16 @@ class TestVectorizedAssembly:
 class TestCachedBandsReadOnly:
     def test_writing_to_cached_band_raises(self):
         g = make_grid(-1.0, 1.0, 0.1)
-        for band in (d2_band(g), d1_band(g, 1), bvp._drift_diffusion_band(g, 0.5)):
+        for band in (d2_band(g), d1_band(g, 1), bvp.equation_band(g, 0.5, None)):
             with pytest.raises(ValueError):
                 band.data[4, 3] = 1.0
             with pytest.raises(ValueError):
-                band.add_diagonal(np.ones(g.n))
+                band.data[band.bandwidth] += np.ones(g.n)
 
     def test_copy_is_writeable(self):
         g = make_grid(-1.0, 1.0, 0.1)
         band = d2_band(g).copy()
-        band.add_diagonal(np.ones(g.n))
+        band.data[band.bandwidth] += np.ones(g.n)
         assert band.data[4, 3] == d2_band(g).data[4, 3] + 1.0
 
 
@@ -270,16 +270,23 @@ class TestBoundedBandCaches:
             solved.append((p.grid, p.c))
             return newton_solve(p, tol)
 
+        ramps = []
+        ramp = bvp.ramp
+
+        def counted_ramp(g, eps):
+            ramps.append(g)
+            return ramp(g, eps)
+
         monkeypatch.setattr(continuation.newton, "solve", spy)
-        bvp._drift_diffusion_band.cache_clear()
-        bvp.ramp.cache_clear()
+        monkeypatch.setattr(bvp, "ramp", counted_ramp)
+        bvp.equation_band.cache_clear()
         branch = continuation.continue_branch(hm_profile, -60.0)
         assert len({p.grid for _, p in branch.points}) >= 4   # the sweep regrids
-        info = bvp._drift_diffusion_band.cache_info()
+        info = bvp.equation_band.cache_info()
         assert info.currsize <= 2
         assert info.misses == len(set(solved)) == len(solved)
-        # and one ramp per grid that Newton sees
-        assert bvp.ramp.cache_info().misses == len({g for g, _ in solved})
+        # and the ramp is evaluated once per band, not per residual or Jacobian
+        assert len(ramps) == info.misses
 
     def test_bands_rebuilt_on_a_grid_are_bitwise_equal(self):
         g = make_grid(-1.0, 1.0, 0.1)
@@ -287,19 +294,27 @@ class TestBoundedBandCaches:
         assert d2_band(g).data.tobytes() == d2_band(g).data.tobytes()
         for s in (-1, 0, 1):
             assert d1_band(g, s).data.tobytes() == d1_band(g, s).data.tobytes()
-        first = bvp._drift_diffusion_band(g, 0.5).data.tobytes()
+        first = bvp.equation_band(g, 0.5, None).data.tobytes()
         for h in (0.05, 0.025):   # evict it
-            bvp._drift_diffusion_band(make_grid(-1.0, 1.0, h), 0.5)
-        misses = bvp._drift_diffusion_band.cache_info().misses
-        assert bvp._drift_diffusion_band(g, 0.5).data.tobytes() == first
-        assert bvp._drift_diffusion_band.cache_info().misses == misses + 1
+            bvp.equation_band(make_grid(-1.0, 1.0, h), 0.5, None)
+        misses = bvp.equation_band.cache_info().misses
+        assert bvp.equation_band(g, 0.5, None).data.tobytes() == first
+        assert bvp.equation_band.cache_info().misses == misses + 1
 
     @pytest.mark.parametrize("n", [9, 10, 57, 4501])
     @pytest.mark.parametrize("c", [-200.0, -0.5, 0.0, 0.5, 12.0])
     def test_drift_band_is_d2_plus_c_d1_bitwise(self, n, c):
+        # interior rows fl(fl(d2 + fl(c d1)) - r), then the identity row 0 and
+        # the Robin row u' - L u on the last five nodes
         g = Grid(-25.0, 3.7, n)
         expected = d2_band(g).data + c * d1_band(g, int(np.sign(c))).data
-        assert bvp._drift_diffusion_band(g, c).data.tobytes() == expected.tobytes()
+        expected[4] -= g.nodes()
+        BandedMatrix(n, 4, expected).set_identity_row(0)
+        ell = bvp.right_log_derivative(c, g.x_max)
+        weights = fd_weights(0.0, np.arange(-4.0, 1.0), 1) / g.h
+        for k in range(5):   # entry (n-1, n-5+k) sits at data[8 - k, n-5+k]
+            expected[8 - k, n - 5 + k] = weights[k] - ell * (k == 4)
+        assert bvp.equation_band(g, c, None).data.tobytes() == expected.tobytes()
 
     def test_memoised_stencil_is_read_only(self):
         w = _stencil((-2, -1, 0, 1, 2), 2)
@@ -315,7 +330,7 @@ class TestSolveBanded:
         n, p = 30, 4
         a = BandedMatrix(n, p)
         a.data[:] = rng.normal(size=a.data.shape)
-        a.add_diagonal(np.full(n, 10.0))
+        a.data[p] += np.full(n, 10.0)
         a.set_identity_row(17)
         a.data[p, 17] = 0.0   # row 17 is now all zero
         with pytest.raises(SingularMatrixError):
@@ -324,7 +339,7 @@ class TestSolveBanded:
     def test_solves_each_right_hand_side(self):
         g = make_grid(-1.0, 1.0, 0.1)
         a = d2_band(g).copy()
-        a.add_diagonal(np.full(g.n, -3.0))
+        a.data[a.bandwidth] += np.full(g.n, -3.0)
         a.set_identity_row(0)
         a.set_identity_row(g.n - 1)
         rng = np.random.default_rng(4)
@@ -336,7 +351,7 @@ class TestSolveBanded:
 
     def test_non_finite_matrix_rejected(self):
         a = BandedMatrix(10, 1)
-        a.add_diagonal(np.ones(10))
+        a.data[a.bandwidth] += np.ones(10)
         a.data[1, 3] = np.nan
         with pytest.raises(ValueError):
             solve_banded(a, np.ones(10))
@@ -368,7 +383,7 @@ class TestUnpivotedBandedLU:
     def test_matches_pivoted_solve(self):
         g = make_grid(-1.0, 1.0, 0.1)
         a = d2_band(g).copy()
-        a.add_diagonal(np.full(g.n, -3.0))
+        a.data[a.bandwidth] += np.full(g.n, -3.0)
         a.set_identity_row(0)
         a.set_identity_row(g.n - 1)
         b = np.random.default_rng(5).normal(size=g.n)
@@ -385,12 +400,13 @@ class TestUnpivotedBandedLU:
         # I - dt/2 A at dt = 0.01, as evolve factors it; its rows scaled by
         # 1e-6..1e6 put the pivots of the unit-diagonal U far from 1
         g = bvp.default_grid(c, 0.01)
-        front = bvp.FrontProfile(c=c, grid=g, u=np.zeros(g.n))
-        a = bvp.stationary_jacobian(front, front.u)
-        a.data *= -0.005
-        a.add_diagonal(np.ones(g.n))
-        bvp.set_closure_rows(a, front)
+        a = bvp.equation_band(g, c, None).copy()
         p = a.bandwidth
+        interior = np.full(g.n, -0.005)
+        interior[[0, -1]] = 1.0   # the closure rows stay
+        for r in range(2 * p + 1):   # band row r holds entries (j + r - p, j)
+            a.data[r] *= interior[np.clip(np.arange(g.n) + r - p, 0, g.n - 1)]
+        a.data[p, 1:-1] += 1.0
         if row_scale:
             rows = np.logspace(*row_scale, g.n)
             for r in range(2 * p + 1):   # band row r holds entries (j + r - p, j)
