@@ -46,20 +46,15 @@ class AcceptanceContext:
     """Shared, lazily computed artifacts for the criteria."""
 
     def __init__(self):
-        self._branch_down: continuation.Branch | None = None
-        self._branch_up: continuation.Branch | None = None
+        self._branches: dict[float, continuation.Branch] = {}
         self._profiles: dict[float, FrontProfile] = {}
         self._spectra: dict[float, spectrum.SpectrumReport] = {}
 
-    def branch_down(self) -> continuation.Branch:
-        if self._branch_down is None:
-            self._branch_down = continuation.continue_branch(self.profile(0.0), -200.0)
-        return self._branch_down
-
-    def branch_up(self) -> continuation.Branch:
-        if self._branch_up is None:
-            self._branch_up = continuation.continue_branch(self.profile(0.0), 12.0)
-        return self._branch_up
+    def branch(self, c_target: float) -> continuation.Branch:
+        """The branch continued from the c = 0 front to c_target."""
+        if c_target not in self._branches:
+            self._branches[c_target] = continuation.continue_branch(self.profile(0.0), c_target)
+        return self._branches[c_target]
 
     def profile(self, c: float) -> FrontProfile:
         """The admissible front at c on its default grid: ``solve_front(c)``."""
@@ -210,7 +205,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     {0, 3}."""
     measured = {}
     ok = True
-    for name, branch in (("down", ctx.branch_down()), ("up", ctx.branch_up())):
+    for name, branch in (("down", ctx.branch(-200.0)), ("up", ctx.branch(12.0))):
         bad = sum(bool(diagnostics.admissibility(p)) for _, p in branch.points)
         gap = continuation.pointwise_c_ordering_gap(branch)
         measured[f"nonmonotone_{name}"] = bad
@@ -241,7 +236,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     """Exactly one root of x u + u^3 (x < 0) for every branch point c >= 0."""
     counts = {}
     ok = True
-    for c, p in ctx.branch_up().points:
+    for c, p in ctx.branch(12.0).points:
         n_roots = len(diagnostics.crossings(p))
         counts[f"count_c{c:.4g}"] = n_roots
         ok &= n_roots == 1

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, acceptance, bvp, continuation, diagnostics
+from . import __version__, bvp, continuation, diagnostics
 from . import evolve as evolve_mod
 from . import newton, spectrum
 from .bvp import FrontProfile
@@ -369,6 +369,7 @@ def cmd_compare_tanh(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    from . import acceptance   # here, so that no other command pays to load the suite
     only = None
     if cfg.criteria:
         only = {int(t) for t in cfg.criteria.split(",")}

@@ -1,17 +1,17 @@
 """Method-of-lines time integration of u_t = u_xx + c u_x - r(x) u - u^3.
 
 The front being perturbed defines the problem: its c, its ramp r(x)
-(``FrontProfile.eps``), its grid and its closures.  The linear
-spatial operator A (diffusion, drift, and the ramp coefficient r(x), which
-is stiff for large |x|) is the equation's band ``bvp.equation_band``; it is
-implicit, and its one implicit matrix, I - (dt/2) A on the interior rows
-and the band's closure rows, is LU-factored once per run without row
-interchanges, so a solve is two banded triangular sweeps.  The cubic
-reaction is explicit.  The scheme is Crank-Nicolson with Adams-Bashforth-2
-on the reaction (Ascher, Ruuth & Wetton 1995), whose explicit half is
-carried from the last solve, started by backward-Euler half-steps on the
-same matrix (Rannacher 1984; Giles & Carter 2006).  Newton's spatial
-operator is this one, so its solutions are exact fixed points.
+(``FrontProfile.eps``), its grid and its closures.  The implicit operator
+is Newton's Jacobian at the front u*, J = A - 3 u*^2, with A the band
+``bvp.equation_band`` (diffusion, drift, and the ramp r(x), stiff for
+large |x|); its one implicit matrix, I - (dt/2) J on the interior rows and
+the band's closure rows, is LU-factored once per run without row
+interchanges, so a solve is two banded triangular sweeps.  The rest of the
+reaction, 3 u*^2 u - u^3, is explicit (the whole cubic there outgrows the
+step at the left edge, where -3 u^2 ~ x, once c >~ 4), by Adams-Bashforth-2
+with Crank-Nicolson (Ascher, Ruuth & Wetton 1995), carried from the last
+solve and started by backward-Euler half-steps on the same matrix
+(Rannacher 1984; Giles & Carter 2006).  Newton's solutions are fixed points.
 
 The tanh-ramp variant (r = tanh(eps x)) is the full slow-quench model; its
 steady fronts are compared against inner rescalings of the linear-ramp
@@ -74,12 +74,12 @@ class BlowUpError(RuntimeError):
 
 class ImexStepper:
     """One-step integrator for the equation of ``front``, holding the LU
-    factors of its one implicit matrix I - (dt/2) A, A = D2 + c D1 - r.
+    factors of its one implicit matrix I - (dt/2) J, J = A - 3 u*^2.
 
-    A CN/AB2 step solves (I - dt/2 A) u_{n+1} = R_n with N = -u^3 and
-    R_n = (I + dt/2 A) u_n + dt (3/2 N_n - 1/2 N_{n-1}).  The last solve's
-    interior rows make (I + dt/2 A) u_n = 2 u_n - R_{n-1}, so no step
-    applies A: R_n = 2 u_n - G - 3 C_n with C = (dt/2) u^3 and the one
+    A CN/AB2 step solves (I - dt/2 J) u_{n+1} = R_n with N = 3 u*^2 u - u^3,
+    R_n = (I + dt/2 J) u_n + dt (3/2 N_n - 1/2 N_{n-1}).  The last solve's
+    interior rows make (I + dt/2 J) u_n = 2 u_n - R_{n-1}, so no step
+    applies J: R_n = 2 u_n - G - 3 C_n with C = -(dt/2) N and the one
     carried vector G = R_{n-1} - C_{n-1}.  From its second call on ``step``
     takes only the array it last returned (else a ValueError).
 
@@ -98,8 +98,9 @@ class ImexStepper:
         g = front.grid
         self.dt = dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
-        # interior rows into I - (dt/2) A: band row r holds entries (j + r - p, j)
-        lhs = bvp.equation_band(g, front.c, front.eps).copy()
+        self._three_sq = 3.0 * front.u ** 2
+        # interior rows into I - (dt/2) J: band row r holds entries (j + r - p, j)
+        lhs = bvp.stationary_jacobian(front, front.u)
         p = lhs.bandwidth
         for r in range(2 * p + 1):
             lhs.data[r, max(0, p - r + 1):g.n - 1 + p - r] *= -0.5 * dt
@@ -115,17 +116,24 @@ class ImexStepper:
             raise BlowUpError("non-finite state after implicit solve")
         return out
 
+    def _explicit(self, v: np.ndarray) -> np.ndarray:
+        """C(v) = (dt/2) v (v^2 - 3 u*^2), in one fresh array."""
+        out = v * v
+        out -= self._three_sq
+        out *= v
+        out *= 0.5 * self.dt
+        return out
+
     def step(self, u: np.ndarray) -> np.ndarray:
-        half = 0.5 * self.dt
         if self._last is not None and u is not self._last:
             raise ValueError("ImexStepper.step continues from the array its last "
                              "step returned; start a new stepper for other data")
         u = np.asarray(u, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            cube = half * (u * u * u)
+            cube = self._explicit(u)
             if self._steps_taken < self.STARTUP_EULER_STEPS:
                 mid = self._solve(u - cube)
-                rhs = mid - half * (mid * mid * mid)
+                rhs = mid - self._explicit(mid)
             else:
                 rhs = u + u - self._carry - 3.0 * cube
             out = self._solve(rhs)   # its first sweep copies rhs, which is kept

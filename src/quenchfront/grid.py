@@ -5,7 +5,9 @@ derivatives use a 5-point stencil shifted one node against the drift
 direction (upwinding).  Rows next to the boundary fall back to clamped
 windows wide enough to keep fourth-order accuracy (6 points for the second
 derivative).  Boundary rows themselves are left untouched: the solver
-replaces them with closure conditions.
+replaces them with closure conditions.  ``solve_banded`` is the program's
+one pivoted banded solve, and it checks every answer's backward error, as
+``UnpivotedBandedLU``'s probe does.
 """
 
 from __future__ import annotations
@@ -132,13 +134,6 @@ class BandedMatrix:
             raise ValueError(f"vector length {u.shape} does not match n={self.n}")
         return _band_product(self.data, self.bandwidth, u)
 
-    def backward_error_excess(self, x: np.ndarray, b: np.ndarray) -> tuple | None:
-        """None if the solve of A x = b passes ||A x - b||_inf <= 1e-9 (||A||_1
-        ||x||_inf + ||b||_inf), else those two norms; a NaN fails."""
-        backward = np.abs(_band_product(self.data, self.bandwidth, x) - b).max()
-        scale = np.abs(self.data).sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
-        return None if backward <= 1e-9 * scale else (backward, scale)
-
 
 def _band_product(data: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
     """A u for the band ``data`` of half-width p (BandedMatrix layout)."""
@@ -152,13 +147,24 @@ def _band_product(data: np.ndarray, p: int, u: np.ndarray) -> np.ndarray:
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
-    """A banded LU factorization met an unusable pivot or failed its probe."""
+    """A banded LU factorization met an unusable pivot or failed its check."""
+
+
+def _check_backward_error(a: BandedMatrix, x: np.ndarray, b: np.ndarray, solver: str) -> None:
+    """Raise SingularMatrixError, naming ``solver``, n and both norms, unless
+    ||a x - b||_inf <= 1e-9 (||a||_1 ||x||_inf + ||b||_inf); a NaN x fails."""
+    backward = np.abs(_band_product(a.data, a.bandwidth, x) - b).max()
+    scale = np.abs(a.data).sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
+    if not backward <= 1e-9 * scale:
+        raise SingularMatrixError(f"{solver}, n={a.n}: backward error {backward:.3e} "
+                                  f"exceeds 1e-9 * {scale:.3e}")
 
 
 def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by banded LU with partial pivoting, factored for this
-    one solve: one LAPACK dgbsv call (dgbtrf, then dgbtrs).  Raises
-    SingularMatrixError on a zero pivot."""
+    """Solve a x = b by banded LU with partial pivoting: one LAPACK dgbsv
+    call.  A non-finite ``a`` or ``b`` is a ValueError; a zero pivot, or an
+    x failing ``_check_backward_error``, is a SingularMatrixError naming n."""
+    b = np.asarray_chkfinite(b, dtype=float)
     if b.shape != (a.n,):
         raise ValueError(f"vector length {b.shape} does not match n={a.n}")
     p = a.bandwidth
@@ -166,8 +172,10 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     ab = np.zeros((3 * p + 1, a.n), order="F")
     ab[p:] = np.asarray_chkfinite(a.data)
     x, info = flapack.dgbsv(p, p, ab, b, overwrite_ab=True)[2:]
+    del ab   # the factors, freed before the check allocates, for a lower peak memory
     if info > 0:
-        raise SingularMatrixError(f"singular matrix: zero pivot in column {info - 1}")
+        raise SingularMatrixError(f"singular matrix, n={a.n}: zero pivot in column {info - 1}")
+    _check_backward_error(a, x, b, "banded solve")
     return x
 
 
@@ -176,8 +184,7 @@ class UnpivotedBandedLU:
     its bandwidth.  U is held as D U1 (pivots D, U1 unit upper), so a solve
     is two unit-diagonal LAPACK dtbtrs sweeps and a scaling by 1/D: no sweep
     divides.  Stable only while growth is small (Higham, Accuracy and
-    Stability, 2nd ed., 9.3): a probe solve must pass
-    ``BandedMatrix.backward_error_excess``."""
+    Stability, 2nd ed., 9.3), which a probe solve checks as ``solve_banded`` does."""
 
     def __init__(self, a: BandedMatrix):
         p = a.bandwidth
@@ -201,9 +208,7 @@ class UnpivotedBandedLU:
         w[p] = 1.0
         self._upper, self._lower = np.asfortranarray(w[:p + 1]), np.asfortranarray(w[p:])
         del f, w   # freed before the probe allocates, for a lower peak memory
-        if excess := a.backward_error_excess(self.solve(np.ones(n)), np.ones(n)):
-            raise SingularMatrixError(
-                f"unpivoted LU, n={n}: backward error {excess[0] / excess[1]:.1e}")
+        _check_backward_error(a, self.solve(np.ones(n)), np.ones(n), "unpivoted LU")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if b.shape != (self.n,):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import quenchfront
-from quenchfront import bvp, cli
+from quenchfront import bvp, cli, grid
 from quenchfront.cli import RunConfig, load_profile, main, read_csv, write_csv
 
 
@@ -178,6 +178,20 @@ class TestSolveCommand:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_failed_newton_linear_solve_names_its_run(self, tmp_path, capsys, monkeypatch):
+        # LAPACK reporting a zero pivot in column 2 of every Jacobian
+        real = grid.flapack.dgbsv
+        monkeypatch.setattr(grid.flapack, "dgbsv",
+                            lambda *args, **kwargs: (*real(*args, **kwargs)[:3], 3))
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", "-10", "--h", "0.04", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error kind=SingularJacobianError" in err and "zero pivot in column 2" in err
+        n = bvp.default_grid(-10.0, 0.04).n
+        for named in ("c=-10,", "h=0.04,", f"n={n}", "iteration 1"):
+            assert named in err
+        assert not out.exists()
 
     def test_solve_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -441,13 +455,28 @@ class TestOtherCommands:
 
     def test_evolve_blow_up_names_its_run(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
-        assert run(["evolve", "--c", "8", "--t-end", "25", "--out", str(out)]) == 2
+        assert run(["evolve", "--c", "12", "--dt", "0.2", "--t-end", "25",
+                    "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error kind=BlowUpError" in err and "blow-up at step" in err
-        for named in ("c=8,", "dt=0.01,", "scheme=imex_cn,", "h=0.01,", "n=6384"):
+        for named in ("c=12,", "dt=0.2,", "scheme=imex_cn,", "h=0.01,", "n=8448"):
             assert named in err
         assert len(err) < 300
         assert not out.exists()
+
+    # measured gaps 3.6e-3 (the h = 0.04 mesh's lambda0 sits that far from
+    # the stepper's) and 2.3e-5
+    @pytest.mark.parametrize("flags, gap", [(["--c", "8", "--h", "0.04"], 1e-2),
+                                            (["--c", "4"], 1e-3)],
+                             ids=["c8-h0.04", "c4-h0.01"])
+    def test_evolve_past_c4_stays_finite(self, flags, gap, tmp_path):
+        # with the cubic explicit whole these blew up (c = 8 at step 117 on
+        # h = 0.04, c = 4 at step 2,816 on h = 0.01); linearised about the
+        # front they decay at lambda0
+        out = tmp_path / "e.csv"
+        assert run(["evolve", *flags, "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert float(header["rate_rel_gap"]) <= gap
 
     def test_evolve_tanh_perturbs_the_tanh_front(self, tmp_path):
         out = tmp_path / "et.csv"
@@ -586,3 +615,15 @@ def test_cold_import_loads_no_interpolate_optimize_or_special(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "p.csv")], env=env,
                          check=True, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+
+def test_cold_solve_leaves_the_acceptance_suite_unloaded(tmp_path):
+    # only validate reads the suite; every other command skips compiling it
+    probe = ("import sys, quenchfront.cli; "
+             "code = quenchfront.cli.main(['solve', '--c', '0', '--h', '0.04', "
+             "'--out', sys.argv[1]]); "
+             "print(code, 'quenchfront.acceptance' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(quenchfront.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "p.csv")], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "0 False"

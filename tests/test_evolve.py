@@ -80,13 +80,16 @@ class SolveBandedEachStep:
 
 class MatvecImexStepper:
     """Reference CN/AB2 stepper with the textbook right-hand side
-    u + dt/2 A u + dt (3/2 N_n - 1/2 N_{n-1}), A applied by a matvec at
-    every step, after ImexStepper's start-up steps of two backward-Euler
-    half-steps each, all on one pivoted factor of I - dt/2 A."""
+    u + dt/2 J u + dt (3/2 N_n - 1/2 N_{n-1}), J = A - 3 u*^2 Newton's
+    Jacobian at the front u* applied by a matvec at every step and
+    N = -u^3 + 3 u*^2 u, after ImexStepper's start-up steps of two
+    backward-Euler half-steps each, all on one pivoted factor of
+    I - dt/2 J."""
 
     def __init__(self, front, dt):
         g = front.grid
-        self.a = bvp.stationary_jacobian(front, np.zeros(g.n))
+        self.a = bvp.stationary_jacobian(front, front.u)
+        self.three_sq = 3.0 * front.u ** 2
         self.dt, self.half = dt, 0.5 * dt
         self.boundary = (bvp.left_value(front.c, g.x_min, front.eps), 0.0)
         self.lu = PivotedFactor(implicit_matrix(self.a, self.half, front))
@@ -98,10 +101,10 @@ class MatvecImexStepper:
         return self.lu.solve(rhs)
 
     def step(self, u):
-        n_cur = -u ** 3
+        n_cur = -u ** 3 + self.three_sq * u
         if self.steps < ImexStepper.STARTUP_EULER_STEPS:
             mid = self.solve(u + self.half * n_cur)
-            rhs = mid - self.half * mid ** 3
+            rhs = mid + self.half * (-mid ** 3 + self.three_sq * mid)
         else:
             rhs = (u + self.half * self.a.matvec(u)
                    + self.dt * (1.5 * n_cur - 0.5 * self.n_prev))

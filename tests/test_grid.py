@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.interpolate import CubicSpline
 
-from quenchfront import bvp, continuation
+from quenchfront import bvp, continuation, grid
 from quenchfront.grid import (MAX_NODES, BandedMatrix, Grid,
                               SingularMatrixError, UniformSpline,
                               UnpivotedBandedLU, _stencil,
@@ -333,7 +333,7 @@ class TestSolveBanded:
         a.data[p] += np.full(n, 10.0)
         a.set_identity_row(17)
         a.data[p, 17] = 0.0   # row 17 is now all zero
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match=r"n=30: zero pivot in column \d+$"):
             solve_banded(a, np.ones(n))
 
     def test_solves_each_right_hand_side(self):
@@ -355,6 +355,32 @@ class TestSolveBanded:
         a.data[1, 3] = np.nan
         with pytest.raises(ValueError):
             solve_banded(a, np.ones(10))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, bad):
+        a = BandedMatrix(4, 1)
+        a.data[a.bandwidth] += np.ones(4)
+        with pytest.raises(ValueError):
+            solve_banded(a, np.array([1.0, bad, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("spoil, named", [
+        (lambda x: x * (1.0 + 1e-6), r"backward error \d\.\d{3}e-\d\d exceeds 1e-9 \* "),
+        (lambda x: np.full_like(x, np.nan), r"backward error nan exceeds 1e-9 \* nan"),
+    ], ids=["inaccurate", "non-finite"])
+    def test_answer_failing_the_backward_error_check_raises(self, monkeypatch, spoil, named):
+        # the check reads the answer LAPACK hands back, whatever produced it
+        real = grid.flapack.dgbsv
+
+        def spoiled(*args, **kwargs):
+            lub, piv, x, info = real(*args, **kwargs)
+            return lub, piv, spoil(x), info
+
+        monkeypatch.setattr(grid.flapack, "dgbsv", spoiled)
+        a = d2_band(make_grid(-1.0, 1.0, 0.1)).copy()
+        a.set_identity_row(0)
+        a.set_identity_row(a.n - 1)
+        with pytest.raises(SingularMatrixError, match=rf"banded solve, n={a.n}: {named}"):
+            solve_banded(a, np.ones(a.n))
 
 
 class TestUnpivotedBandedLU:
@@ -434,6 +460,13 @@ class TestUniformSpline:
         want = CubicSpline(x, y)(xs)
         got = UniformSpline(x0, h, y)(xs)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_refused(self, bad):
+        v = np.linspace(1.0, 0.0, 20)
+        v[7] = bad
+        with pytest.raises(ValueError):
+            UniformSpline(0.0, 0.1, v)
 
     def test_reproduces_a_cubic_and_its_nodes(self):
         x = 0.5 + 0.25 * np.arange(9)
