@@ -257,8 +257,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
         x = p.grid.nodes()
         window = (x >= 6.0) & (x <= 9.0)
         slope = float(np.polyfit(x[window], np.log(p.u[window]), 1)[0])
-        predicted = float(np.mean(
-            [asymptotics.right_tail_log_derivative(t, c) for t in x[window]]))
+        predicted = float(np.mean(asymptotics.right_tail_log_derivative(x[window], c)))
         rel = abs(slope - predicted) / abs(predicted)
         measured[f"logslope_c{c:g}"] = slope
         measured[f"predicted_c{c:g}"] = predicted

@@ -1,4 +1,4 @@
-"""Closed-form limit profiles and front-position predictions.
+"""Closed-form limit profiles, the Airy right tail and front-position predictions.
 
 These formulas serve double duty: initial guesses for the Newton solver and
 independent cross-checks for converged solutions.  All evaluation happens in
@@ -19,6 +19,7 @@ __all__ = [
     "front_loc_largec",
     "front_loc_negc",
     "left_tail",
+    "log_airy",
     "right_tail_log_derivative",
     "erf_front_position",
 ]
@@ -31,6 +32,9 @@ OMEGA0 = 2.338107410459767
 _PI_QUARTER = math.pi ** 0.25
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 _FAR_Z = 26.0   # z past which the profile takes its far-field series
+# (-1)^k u_k, k = 12 down to 0, of Ai's series (DLMF 9.7.2, 9.7.5), from their ratios
+_AIRY_U = np.cumprod([1.0] + [-(6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
+                              for k in range(1, 13)])[::-1]
 
 
 def erf_profile(x: float, c: float) -> float:
@@ -83,11 +87,21 @@ def front_loc_negc(c: float) -> float:
     return math.sqrt(-c)
 
 
-def right_tail_log_derivative(x: float, c: float) -> float:
-    """d/dx log of the leading right-tail term
-    alpha_+ exp(-(2/3)(x + c^2/4)^{3/2} - c x/2) x^{-1/4}:
-    -sqrt(x + c^2/4) - c/2 - 1/(4x)."""
-    return -math.sqrt(x + c * c / 4.0) - 0.5 * c - 0.25 / x
+def log_airy(z):
+    """log Ai(z) = -zeta - log(2 sqrt(pi) z^{1/4}) + log sum_k (-1)^k u_k / zeta^k,
+    zeta = (2/3) z^{3/2}: within 4e-12 for z >= 8, finite where Ai underflows.
+    The front's right tail is k e^{-cx/2} Ai(x + c^2/4), which solves u'' + c u' = x u."""
+    z = np.asarray(z, dtype=float)
+    zeta = (2.0 / 3.0) * z ** 1.5
+    series = np.polyval(_AIRY_U, 1.0 / zeta)
+    return -zeta - 0.25 * np.log(z) - math.log(2.0 * math.sqrt(math.pi)) + np.log(series)
+
+
+def right_tail_log_derivative(x, c: float):
+    """d/dx log of the leading term e^{-cx/2} z^{-1/4} e^{-(2/3) z^{3/2}} of the
+    right tail k e^{-cx/2} Ai(z), z = x + c^2/4: -sqrt(z) - c/2 - 1/(4z)."""
+    z = x + c * c / 4.0
+    return -np.sqrt(z) - 0.5 * c - 0.25 / z
 
 
 def left_tail(x: float, c: float) -> float:

@@ -10,7 +10,8 @@ left Dirichlet row (u(x_min) is ``left_value``: the sqrt(-x) tail series,
 or sqrt(tanh(-eps x_min))) and the right Robin row u' = L u of the decaying
 tail (Lentini & Keller, SIAM J. Numer. Anal. 17, 1980).  The residual, the
 Jacobian and the time stepper's matrix read it; no caller builds a ramp or
-a closure.
+a closure.  A linear-ramp front ends as k(c) e^{-cx/2} Ai(x + c^2/4), and
+``fit_tail_coefficients`` measures log k.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def left_value(c: float, x_min: float, eps: float | None = None) -> float:
 
 def right_log_derivative(c: float, x_max: float, eps: float | None = None) -> float:
     """L in the right closure u' = L u: the decaying tail's log-derivative
-    -c/2 - sqrt(c^2/4 + r(x_max)), less 1/(4 x_max) for the linear ramp."""
+    -c/2 - sqrt(c^2/4 + r(x_max)), less 1/(4 z) for the linear ramp's Airy
+    tail, z = x_max + c^2/4."""
     if not x_max > 0:
         raise ValueError(f"right closure needs x_max > 0, got x_max={x_max}")
     if eps is not None:
@@ -76,9 +78,10 @@ def right_log_derivative(c: float, x_max: float, eps: float | None = None) -> fl
 
 
 def right_log_derivative_dc(c: float, x_max: float, eps: float | None = None) -> float:
-    """dL/dc of ``right_log_derivative``: -1/2 - c / (4 sqrt(c^2/4 + r(x_max)))."""
-    r = x_max if eps is None else math.tanh(eps * x_max)
-    return -0.5 - 0.25 * c / math.sqrt(0.25 * c * c + r)
+    """dL/dc of ``right_log_derivative``: -1/2 - c / (4 sqrt(z)), z = c^2/4 +
+    r(x_max), plus c / (8 z^2) for the linear ramp."""
+    z = 0.25 * c * c + (x_max if eps is None else math.tanh(eps * x_max))
+    return -0.5 - 0.25 * c / math.sqrt(z) + (0.125 * c / (z * z) if eps is None else 0.0)
 
 
 def default_domain(c: float) -> tuple[float, float]:
@@ -186,47 +189,35 @@ def stationary_jacobian(p: FrontProfile, u: np.ndarray) -> BandedMatrix:
 
 
 class TailFit(NamedTuple):
-    log_alpha_plus: float   # log of the right-tail amplitude alpha_+
-    right_residual: float   # max deviation of the log-linear fit
+    log_k: float          # log of k(c) in the right tail k e^{-cx/2} Ai(x + c^2/4)
+    log_k_spread: float   # largest deviation from log_k over the window
 
 
 class TailFitError(RuntimeError):
     pass
 
 
-_UNDERFLOW_FLOOR = 1e-300
-RIGHT_WINDOW = (5.0, 9.0)   # x-range of the right-tail fit, before clipping
-
-
 def fit_tail_coefficients(p: FrontProfile) -> TailFit:
-    """Fit the right-tail amplitude alpha_+ of a converged profile.
+    """Fit log k(c) of a linear-ramp front's right tail k e^{-cx/2} Ai(x + c^2/4);
+    k(0) = sqrt(2) (Hastings & McLeod, ARMA 73, 1980).
 
-    The mean of log u + (2/3)(x + c^2/4)^{3/2} + (c/2) x + (1/4) log x over
-    RIGHT_WINDOW gives log alpha_+ (flat when the profile follows the
-    predicted decay).  Only the log is returned: alpha_+ itself overflows
-    double precision once c drops below about -22.  The profile is not
-    modified.
+    log k is the mean of log u + cx/2 - log Ai(z), z = x + c^2/4, over the 4
+    units of x from the first node with z >= 8 and u <= REQUIRED_RIGHT_LEVEL,
+    cut at x_max; k itself overflows once c < -21.  The profile is not modified.
     """
-    x = p.grid.nodes()
-    c = p.c
-
-    slack = 1e-6 * p.grid.h   # node roundoff must not decide the window's ends
-    lo = max(RIGHT_WINDOW[0], p.grid.x_min) - slack
-    hi = min(RIGHT_WINDOW[1], p.grid.x_max) + slack
-    mask = (x >= lo) & (x <= hi)
-    # shrink the window from the right while it contains underflowed values
-    while mask.sum() > 4 and np.any(p.u[mask] < _UNDERFLOW_FLOOR):
-        hi -= p.grid.h
-        mask = (x >= lo) & (x <= hi)
-    if mask.sum() < 4 or np.any(p.u[mask] <= _UNDERFLOW_FLOOR):
-        raise TailFitError("right tail window underflowed; extend the domain "
-                           "or move the window inward")
-    xr, ur = x[mask], p.u[mask]
-    zr = (np.log(ur) + (2.0 / 3.0) * (xr + c * c / 4.0) ** 1.5
-          + 0.5 * c * xr + 0.25 * np.log(xr))
-    log_alpha_plus = float(np.mean(zr))
-    right_residual = float(np.max(np.abs(zr - log_alpha_plus)))
-    return TailFit(log_alpha_plus, right_residual)
+    if p.eps is not None:
+        raise TailFitError(f"the tanh-ramp front (eps={p.eps:g}) has no Airy tail")
+    x, c, u = p.grid.nodes(), p.c, p.u
+    z = x + 0.25 * c * c
+    slack = 1e-6 * p.grid.h   # node roundoff must not decide the window's start
+    start = np.flatnonzero((z >= 8.0 - slack) & (u <= REQUIRED_RIGHT_LEVEL))
+    w = slice(start[0], start[0] + round(4.0 / p.grid.h) + 1) if start.size else slice(0)
+    if u[w].size < 2 or np.any(u[w] <= 0.0):
+        raise TailFitError(f"no right-tail window at c={c:g}, x_max={p.grid.x_max:g}: "
+                           f"need 2 positive nodes with z >= 8, u <= {REQUIRED_RIGHT_LEVEL:g}")
+    logs = np.log(u[w]) + 0.5 * c * x[w] - asymptotics.log_airy(z[w])
+    log_k = float(np.mean(logs))
+    return TailFit(log_k, float(np.max(np.abs(logs - log_k))))
 
 
 def smooth_sqrt_ramp(x: np.ndarray, interface: float = 0.0,

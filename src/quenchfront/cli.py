@@ -224,7 +224,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
     roots = diagnostics.crossings(p)
     header = {
         "c": p.c, **_grid_header(p.grid), "residual_norm": p.residual_norm,
-        "log_alpha_plus": fit.log_alpha_plus,
+        "log_k": fit.log_k, "log_k_spread": fit.log_k_spread,
         "x_delta": diagnostics.front_position(p, cfg.delta),
         "delta": cfg.delta,
         "u_at_zero": diagnostics.u_at_zero(p),
@@ -266,24 +266,18 @@ def cmd_branch(cfg: RunConfig) -> int:
     points = [(c, p) for c, p in points if cfg.cmin - 1e-12 <= c <= cfg.cmax + 1e-12]
     points.sort(key=lambda t: t[0])
 
-    cs, u0s, xds, counts, lam0s, log_alphas = [], [], [], [], [], []
-    for c, p in points:
-        cs.append(c)
-        u0s.append(diagnostics.u_at_zero(p))
-        xds.append(diagnostics.front_position(p, cfg.delta))
-        counts.append(len(diagnostics.crossings(p)))
-        lam0s.append(float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0]))
-        log_alphas.append(bvp.fit_tail_coefficients(p).log_alpha_plus)
+    names = ("c", "u_at_zero", "x_delta", "crossing_count", "lambda0", "log_k", "log_k_spread")
+    rows = [(c, diagnostics.u_at_zero(p), diagnostics.front_position(p, cfg.delta),
+             len(diagnostics.crossings(p)),
+             float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0]),
+             *bvp.fit_tail_coefficients(p)) for c, p in points]
     out = cfg.out or f"branch_{cfg.cmin:g}_{cfg.cmax:g}.csv"
     header = {"cmin": cfg.cmin, "cmax": cfg.cmax, "delta": cfg.delta,
-              "points": len(cs), "failures": len(failures)}
-    write_csv(out, "branch", header,
-              {"c": cs, "u_at_zero": u0s, "x_delta": xds,
-               "crossing_count": counts, "lambda0": lam0s,
-               "log_alpha_plus": log_alphas},
+              "points": len(rows), "failures": len(failures)}
+    write_csv(out, "branch", header, {n: [r[j] for r in rows] for j, n in enumerate(names)},
               cfg,
               trailing_comments=[f"# failure: c={_fmt(c)} {msg}" for c, msg in failures])
-    print(f"wrote {out}: {len(cs)} branch points on [{cfg.cmin:g}, {cfg.cmax:g}], "
+    print(f"wrote {out}: {len(rows)} branch points on [{cfg.cmin:g}, {cfg.cmax:g}], "
           f"{len(failures)} failures")
     return 0 if points else 2
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import airy, airye
 
 from quenchfront import bvp, continuation
 from quenchfront.asymptotics import (OMEGA0, erf_front_position, erf_profile,
                                      erf_profile_vec, front_loc_largec,
-                                     front_loc_negc, left_tail,
+                                     front_loc_negc, left_tail, log_airy,
                                      right_tail_log_derivative)
 
 
@@ -84,15 +85,24 @@ class TestFrontLocations:
 
 class TestRightTail:
     def test_log_derivative_consistency(self):
-        def right_tail(x, c, alpha_plus):
-            # alpha_+ exp(-(2/3)(x + c^2/4)^{3/2} - c x/2) x^{-1/4}
-            return alpha_plus * math.exp(-(2.0 / 3.0) * (x + c * c / 4.0) ** 1.5
-                                         - 0.5 * c * x) * x ** -0.25
+        def right_tail(x, c):
+            # the Airy tail's leading term e^{-cx/2} z^{-1/4} e^{-(2/3) z^{3/2}}
+            z = x + c * c / 4.0
+            return math.exp(-0.5 * c * x - (2.0 / 3.0) * z ** 1.5) * z ** -0.25
 
         c, x, dx = 1.0, 7.0, 1e-3
-        ratio = right_tail(x + dx, c, 0.4) / right_tail(x, c, 0.4)
+        ratio = right_tail(x + dx, c) / right_tail(x, c)
         assert math.log(ratio) / dx == pytest.approx(
             right_tail_log_derivative(x + dx / 2, c), rel=1e-5)
+
+    def test_log_airy_matches_scipy(self):
+        # airye(z) = Ai(z) e^{zeta}, zeta = (2/3) z^{3/2}, stays finite where
+        # Ai(z) underflows (z > 104)
+        z = np.linspace(8.0, 200.0, 3841)
+        exact = np.log(airye(z)[0]) - (2.0 / 3.0) * z ** 1.5
+        assert np.max(np.abs(log_airy(z) - exact)) <= 5e-12
+        finite = z < 100.0
+        assert np.max(np.abs(log_airy(z[finite]) - np.log(airy(z[finite])[0]))) <= 5e-12
 
 
 class TestLeftTail:

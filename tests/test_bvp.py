@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import airye
 
-from quenchfront import asymptotics, bvp, continuation, diagnostics, spectrum
+from quenchfront import asymptotics, bvp, continuation, diagnostics, evolve, spectrum
 from quenchfront.bvp import (FrontProfile, TailFitError, default_domain,
                              fit_tail_coefficients, left_value, required_bounds,
                              right_log_derivative, stationary_jacobian,
@@ -44,13 +45,22 @@ class TestBoundaryClosure:
 
     def test_right_log_derivative_is_the_decaying_root(self):
         # L^2 + c L - r(x_max) = 0 for the tanh ramp; the linear ramp adds
-        # the tail's x^{-1/4} factor
+        # the Airy tail's z^{-1/4} factor, z = x_max + c^2/4
         linear = asymptotics.right_tail_log_derivative(20.0, -3.0)
         assert right_log_derivative(-3.0, 20.0) == linear
         for c in (-5.0, 0.0, 2.0):
             ell = right_log_derivative(c, 150.0, 0.01)
             assert ell < 0.0
             assert ell * ell + c * ell - math.tanh(1.5) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("c", [-10.0, 3.0, 12.0])
+    def test_right_log_derivative_near_the_exact_airy_tail(self, c):
+        # at the default x_max, L is within 2e-4 of the log-derivative
+        # -c/2 + Ai'(z)/Ai(z) of the exact tail e^{-cx/2} Ai(z), z = x + c^2/4
+        # (airye's common scale cancels in the ratio); 1.3e-5, 9.8e-5, 7.1e-6
+        x_max = default_domain(c)[1]
+        ai, aip, _, _ = airye(x_max + c * c / 4.0)
+        assert abs(right_log_derivative(c, x_max) - (-0.5 * c + aip / ai)) <= 2e-4
 
     @pytest.mark.parametrize("c, x_max, eps", [(-200.0, 57.14, None), (0.0, 15.0, None),
                                                (12.0, 18.46, None), (0.3, 150.0, 0.01)])
@@ -259,27 +269,39 @@ class TestRightClosure:
 class TestTailFit:
     def test_alpha_plus_matches_airy_normalization(self, hm_profile):
         # the c = 0 front scaled by 1/sqrt(2) solves v'' = x v + 2 v^3 with
-        # right tail Ai(x), so alpha_+ = sqrt(2) * 1/(2 sqrt(pi))
-        alpha_plus = math.exp(fit_tail_coefficients(hm_profile).log_alpha_plus)
+        # right tail Ai(x) ~ x^{-1/4} e^{-(2/3) x^{3/2}} / (2 sqrt(pi)), so the
+        # amplitude of that leading term is k(0) / (2 sqrt(pi)) = 1/sqrt(2 pi)
+        alpha_plus = math.exp(fit_tail_coefficients(hm_profile).log_k) / (2.0 * math.sqrt(math.pi))
         assert alpha_plus == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=0.05)
         assert alpha_plus > 0.0
 
+    def test_log_k_at_zero_is_hastings_mcleod(self, hm_profile):
+        # u = sqrt(2) q with q ~ Ai(x) the Hastings-McLeod solution, so
+        # k(0) = sqrt(2); measured 4.0e-8 off at h = 0.01
+        assert abs(fit_tail_coefficients(hm_profile).log_k - 0.5 * math.log(2.0)) <= 1e-7
+
+    def test_log_k_at_zero_converges_with_h(self, hm_profile):
+        # the fourth-order mesh error: 1.0e-5, 6.3e-7, 4.0e-8 at h = 0.04, 0.02, 0.01
+        fronts = [continuation.solve_front(0.0, h=h) for h in (0.04, 0.02)] + [hm_profile]
+        errs = [abs(fit_tail_coefficients(p).log_k - 0.5 * math.log(2.0)) for p in fronts]
+        assert errs[0] >= 12.0 * errs[1] and errs[1] >= 12.0 * errs[2]
+
     def test_log_fit_flatness(self, hm_profile):
         fit = fit_tail_coefficients(hm_profile)
-        assert fit.right_residual <= 0.1  # 10% relative variation over window
+        assert fit.log_k_spread <= 0.1  # 10% relative variation over window
 
     def test_domain_truncation_insensitivity(self, hm_profile):
         from quenchfront import continuation
         wide = continuation.solve_front(0.0, grid=make_grid(-30.0, 30.0, 0.01))
-        alpha_narrow = math.exp(fit_tail_coefficients(hm_profile).log_alpha_plus)
-        alpha_wide = math.exp(fit_tail_coefficients(wide).log_alpha_plus)
-        assert abs(alpha_wide - alpha_narrow) <= 0.01 * alpha_narrow
+        k_narrow = math.exp(fit_tail_coefficients(hm_profile).log_k)
+        k_wide = math.exp(fit_tail_coefficients(wide).log_k)
+        assert abs(k_wide - k_narrow) <= 0.01 * k_narrow
 
     def test_fit_leaves_profile_unchanged(self, hm_profile):
-        # a pure function: the amplitudes live on the returned TailFit only
+        # a pure function: the coefficient lives on the returned TailFit only
         state = dict(vars(hm_profile), u=hm_profile.u.copy())
         fit = fit_tail_coefficients(hm_profile)
-        assert math.isfinite(fit.log_alpha_plus)
+        assert math.isfinite(fit.log_k)
         assert vars(hm_profile).keys() == state.keys()
         assert np.array_equal(hm_profile.u, state["u"])
         assert hm_profile.residual_norm == state["residual_norm"]
@@ -288,22 +310,27 @@ class TestTailFit:
 
     def test_window_ends_ignore_node_roundoff(self):
         # one front cut to domains whose edges differ by whole cells: the
-        # nodes at x = 5 and x = 9 carry different roundoff on each grid
+        # nodes at z = 8 carry different roundoff on each grid
         for c in (0.0, -7.6626):
             p = continuation.solve_front(c)
             g = p.grid
             fits = [fit_tail_coefficients(FrontProfile(
                         c=c, grid=Grid(g.x_min + k * g.h, g.x_max - m * g.h, g.n - k - m),
-                        u=p.u[k:g.n - m])).log_alpha_plus
+                        u=p.u[k:g.n - m])).log_k
                     for k in range(0, 30, 3) for m in range(0, 30, 3)]
             assert np.ptp(fits) <= 1e-12 * abs(fits[0])
 
     def test_underflow_window_raises(self):
         g = make_grid(-25.0, 15.0, 0.05)
-        u = np.full(g.n, 1e-310)
+        u = np.zeros(g.n)
         p = FrontProfile(c=0.0, grid=g, u=u, converged=True)
         with pytest.raises(TailFitError):
             fit_tail_coefficients(p)
+
+    def test_tanh_ramp_front_is_refused(self):
+        # tanh(eps x) levels off at 1, so this front's tail is no Airy function
+        with pytest.raises(TailFitError, match="tanh"):
+            fit_tail_coefficients(evolve.solve_tanh_front(0.01, 0.0))
 
 
 def test_initial_guess_shapes():

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -160,10 +161,19 @@ class TestSolveCommand:
         assert int(header["crossing_count"]) == 1
         assert header["admissible"] == "True"
         assert np.abs(cols["residual"]).max() < 1e-9
-        # the log of the right-tail amplitude, which stays finite where the
-        # amplitude overflows; no left-tail amplitude
-        assert ("log_alpha_plus" in header
-                and not [k for k in header if k.startswith("alpha")])
+        # the log of the right tail's Airy coefficient k, which stays finite
+        # where k overflows, and its spread over the fit window; no amplitudes
+        assert ("log_k" in header and "log_k_spread" in header
+                and not [k for k in header if k.startswith(("alpha", "log_alpha"))])
+
+    def test_required_bounds_domain_has_a_tail_window(self, tmp_path):
+        # x_max = 23.25 is required_bounds(-50)'s right edge (u ~ 1e-2 one
+        # unit inside): the fit window is what lies past u = 1e-2, under 1 unit
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", "-50", "--xmax", "23.25", "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert math.isfinite(float(header["log_k"]))
+        assert float(header["log_k_spread"]) < 1e-3
 
     def test_widest_default_solve_peaks_below_4_mib(self, tmp_path, capsys):
         # c = 13 has the largest default grid that solves at h = 0.01 (9,087
@@ -347,13 +357,13 @@ class TestBranchCommand:
         assert np.all(cols["crossing_count"][cs >= 0] == 1)
         assert np.all(np.diff(cols["u_at_zero"]) < 0)  # monotone in c
         assert np.all(cols["lambda0"] < 0)
-        assert np.all(np.isfinite(cols["log_alpha_plus"]))
+        assert np.all(np.isfinite(cols["log_k"]))
+        assert np.all(np.isfinite(cols["log_k_spread"]))
         # the c = 0 row is the fit of the c = 0 front
-        [log_alpha0] = cols["log_alpha_plus"][cs == 0.0]
+        [log_k0] = cols["log_k"][cs == 0.0]
         fit = quenchfront.fit_tail_coefficients(hm_profile)
-        assert np.allclose(np.exp(log_alpha0), np.exp(fit.log_alpha_plus),
-                           rtol=1e-12, atol=0.0)
-        assert "alpha_plus" not in cols
+        assert np.allclose(np.exp(log_k0), np.exp(fit.log_k), rtol=1e-12, atol=0.0)
+        assert "alpha_plus" not in cols and "log_alpha_plus" not in cols
 
     @pytest.mark.parametrize("cmin, cmax", [("0", "1"), ("-1", "0")])
     def test_keeps_the_anchor_at_an_end_of_the_range(self, cmin, cmax, tmp_path):

@@ -272,14 +272,14 @@ class TestSolveFront:
 
     def test_tail_amplitude_matches_continued_front(self, hm_profile):
         # the front continued from c = 0 and re-solved on solve_front's grid
-        # is the same solution: log alpha_+ is its most sensitive scalar
+        # is the same solution: log k is its most sensitive scalar
         p = hm_profile
         for c in (3.0, 6.0, 8.6, 10.0, 12.0):
             p = continue_branch(p, c).points[-1][1]
             direct = solve_front(c)
             continued, _ = newton.solve(reinterpolate(p, direct.grid))
-            assert (fit_tail_coefficients(direct).log_alpha_plus
-                    == pytest.approx(fit_tail_coefficients(continued).log_alpha_plus,
+            assert (fit_tail_coefficients(direct).log_k
+                    == pytest.approx(fit_tail_coefficients(continued).log_k,
                                      rel=0.0, abs=1e-9))
 
     def test_respects_requested_grid(self):
