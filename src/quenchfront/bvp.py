@@ -9,8 +9,9 @@ one cached band, ``equation_band``: D2 + c D1 - r on the interior rows, the
 left Dirichlet row (u(x_min) is ``left_value``: the sqrt(-x) tail series,
 or sqrt(tanh(-eps x_min))) and the right Robin row u' = L u of the decaying
 tail (Lentini & Keller, SIAM J. Numer. Anal. 17, 1980).  The residual, the
-Jacobian and the time stepper's matrix read it; no caller builds a ramp or
-a closure.  A linear-ramp front ends as k(c) e^{-cx/2} Ai(x + c^2/4), and
+Jacobian and the time stepper's matrix read it, ``stationary_residual_dc``
+is its derivative in c, and no caller builds a ramp or a closure.  A
+linear-ramp front ends as k(c) e^{-cx/2} Ai(x + c^2/4), and
 ``fit_tail_coefficients`` measures log k.
 """
 
@@ -75,13 +76,6 @@ def right_log_derivative(c: float, x_max: float, eps: float | None = None) -> fl
     if eps is not None:
         return -0.5 * c - math.sqrt(0.25 * c * c + math.tanh(eps * x_max))
     return asymptotics.right_tail_log_derivative(x_max, c)
-
-
-def right_log_derivative_dc(c: float, x_max: float, eps: float | None = None) -> float:
-    """dL/dc of ``right_log_derivative``: -1/2 - c / (4 sqrt(z)), z = c^2/4 +
-    r(x_max), plus c / (8 z^2) for the linear ramp."""
-    z = 0.25 * c * c + (x_max if eps is None else math.tanh(eps * x_max))
-    return -0.5 - 0.25 * c / math.sqrt(z) + (0.125 * c / (z * z) if eps is None else 0.0)
 
 
 def default_domain(c: float) -> tuple[float, float]:
@@ -176,6 +170,22 @@ def stationary_residual(p: FrontProfile, u: np.ndarray) -> np.ndarray:
     out = equation_band(p.grid, p.c, p.eps).matvec(u)
     out[1:-1] -= u[1:-1] ** 3
     out[0] -= left_value(p.c, p.grid.x_min, p.eps)
+    return out
+
+
+def stationary_residual_dc(p: FrontProfile, u: np.ndarray) -> np.ndarray:
+    """dF/dc of ``stationary_residual(p, .)`` at ``u``: D1 u on the interior
+    rows (upwinded by sign(c), as in the band), the left closure's slope in c
+    on row 0 (affine in c, so a unit difference is exact), and -(dL/dc) u on
+    the Robin row, dL/dc = -1/2 - c / (4 sqrt(z)), z = c^2/4 + r(x_max), plus
+    c / (8 z^2) for the linear ramp.  D1 is freed on return."""
+    g, c, eps = p.grid, p.c, p.eps
+    u = _checked_profile(g, u, c)
+    out = d1_band(g, int(np.sign(c))).matvec(u)
+    out[0] = left_value(c, g.x_min, eps) - left_value(c + 1.0, g.x_min, eps)
+    z = 0.25 * c * c + (g.x_max if eps is None else math.tanh(eps * g.x_max))
+    dl_dc = -0.5 - 0.25 * c / math.sqrt(z) + (0.125 * c / (z * z) if eps is None else 0.0)
+    out[-1] = -dl_dc * u[-1]
     return out
 
 

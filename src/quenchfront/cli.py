@@ -27,6 +27,8 @@ from .grid import Grid, make_grid
 
 SCHEMA_VERSION = 1
 CSV_BLOCK_ROWS = 1024   # rows formatted per write
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False)
 
 
 def _fmt(v) -> str:
@@ -85,7 +87,9 @@ class RunConfig:
         if key in ("out", "seed_file", "scheme", "ramp", "criteria"):
             setattr(self, key, value)
         elif key == "spectrum":
-            setattr(self, key, value.lower() in ("1", "true", "yes", "on"))
+            if value.lower() not in _BOOLEANS:
+                raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+            setattr(self, key, _BOOLEANS[value.lower()])
         elif key == "k":
             setattr(self, key, int(value))
         else:

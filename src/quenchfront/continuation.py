@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bvp, diagnostics, grid, newton
+from . import bvp, diagnostics, newton
 from .bvp import FrontProfile
 from .grid import Grid, UniformSpline
 
@@ -65,21 +65,14 @@ def reinterpolate(p: FrontProfile, g_new: Grid) -> FrontProfile:
 
 def _tangent(p: FrontProfile) -> np.ndarray:
     """Co-moving derivative du/dc - (c+/2) D1 u at a converged point, where
-    c+ = max(c, 0) and du/dc solves J du/dc = -dF/dc.
-
-    dF/dc is D1 u on the interior rows (upwinded by sign(c), as in F), minus
-    the slope in c of the left closure value on row 0 (affine in c, so a unit
-    difference is exact), and -(dL/dc) u[-1] on the Robin row n-1.  For
-    c <= 0 the frame term vanishes and this is du/dc.
+    c+ = max(c, 0), du/dc solves J du/dc = -dF/dc, and D1 u is dF/dc's
+    interior rows (``bvp.stationary_residual_dc``; its boundary rows carry
+    the closures' c-dependence instead).  For c <= 0 this is du/dc.
     """
-    g = p.grid
-    d1u = grid.d1_matvec(g, int(np.sign(p.c)), p.u)   # boundary rows are 0
-    rhs = -d1u
-    rhs[0] = (bvp.left_value(p.c + 1.0, g.x_min, p.eps)
-              - bvp.left_value(p.c, g.x_min, p.eps))
-    rhs[-1] = bvp.right_log_derivative_dc(p.c, g.x_max, p.eps) * p.u[-1]
-    du_dc = newton.banded_lu_solve(bvp.stationary_jacobian(p, p.u), rhs)
-    return du_dc - 0.5 * max(p.c, 0.0) * d1u
+    dfdc = bvp.stationary_residual_dc(p, p.u)
+    tangent = newton.banded_lu_solve(bvp.stationary_jacobian(p, p.u), -dfdc)
+    tangent[1:-1] -= 0.5 * max(p.c, 0.0) * dfdc[1:-1]
+    return tangent
 
 
 def predict(current: FrontProfile, tangent: np.ndarray, c_next: float,

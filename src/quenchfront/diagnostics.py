@@ -99,7 +99,8 @@ def u_at_zero(p: FrontProfile) -> float:
 
 def admissibility(p: FrontProfile) -> list[str]:
     """The ways ``p`` fails to be an admissible front, one message each;
-    empty when it is admissible.  Never raises.
+    empty when it is admissible.  Never raises.  A non-finite u is the only
+    problem reported, at its first node.
 
     Interior values must be strictly positive, and u may rise from one node
     to the next only below the roundoff floor NOISE_REL max(1, max|u|);
@@ -110,6 +111,9 @@ def admissibility(p: FrontProfile) -> list[str]:
     """
     u = p.u
     x = p.grid.nodes()
+    nonfinite = np.flatnonzero(~np.isfinite(u))
+    if nonfinite.size:
+        return [f"non-finite value at x={x[nonfinite[0]]:.4g}"]
     problems = []
 
     nonpositive = np.nonzero(u[1:-1] <= 0.0)[0] + 1

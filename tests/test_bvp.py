@@ -62,14 +62,6 @@ class TestBoundaryClosure:
         ai, aip, _, _ = airye(x_max + c * c / 4.0)
         assert abs(right_log_derivative(c, x_max) - (-0.5 * c + aip / ai)) <= 2e-4
 
-    @pytest.mark.parametrize("c, x_max, eps", [(-200.0, 57.14, None), (0.0, 15.0, None),
-                                               (12.0, 18.46, None), (0.3, 150.0, 0.01)])
-    def test_right_log_derivative_dc_matches_central_difference(self, c, x_max, eps):
-        d = 1e-3
-        fd = (right_log_derivative(c + d, x_max, eps)
-              - right_log_derivative(c - d, x_max, eps)) / (2.0 * d)
-        assert bvp.right_log_derivative_dc(c, x_max, eps) == pytest.approx(fd, rel=1e-6)
-
 
 class TestResidual:
     @pytest.mark.parametrize("c", [0.0, 1.0, -3.0, 10.0])
@@ -143,6 +135,21 @@ class TestResidual:
             with pytest.raises(ValueError, match=r"at c=1.5, h=0.1, n=201: "
                                                  r"first at x=-9.7 \(node 3\)"):
                 assemble(p, u)
+
+
+class TestResidualDc:
+    # c = 0 is left out: F at c +- d upwinds D1 one way on each side
+    @pytest.mark.parametrize("c, eps", [(-200.0, None), (-3.0, None), (3.0, None),
+                                        (12.0, None), (-0.3, 0.01), (0.3, 0.01)])
+    def test_matches_central_difference_in_c(self, c, eps):
+        p = (continuation.solve_front(c, h=0.04) if eps is None
+             else evolve.solve_tanh_front(eps, c))
+        d = 1e-3
+        fd = (stationary_residual(dataclasses.replace(p, c=c + d), p.u)
+              - stationary_residual(dataclasses.replace(p, c=c - d), p.u)) / (2.0 * d)
+        dfdc = bvp.stationary_residual_dc(p, p.u)
+        assert np.abs(dfdc - fd).max() <= 1e-6 * np.abs(dfdc).max()
+        assert dfdc[-1] == pytest.approx(fd[-1], rel=1e-6)   # the Robin row
 
 
 class TestJacobian:

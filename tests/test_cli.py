@@ -42,7 +42,8 @@ class TestConfig:
     @pytest.mark.parametrize("line, says", [
         ("h=abc", "could not convert string to float: 'abc'"),
         ("k=2.5", "invalid literal for int()"),
-        ("not_a_key=1", "unknown config key 'not_a_key'")])
+        ("not_a_key=1", "unknown config key 'not_a_key'"),
+        ("spectrum=banana", "expected 1/true/yes/on or 0/false/no/off, got 'banana'")])
     def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, line, says):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"# a comment\nc=1.5\n{line}\n")
@@ -51,6 +52,12 @@ class TestConfig:
             RunConfig.from_file(cfg_file)
         assert run(["--config", str(cfg_file), "solve"]) == 2
         assert f"{cfg_file}:3: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1", "TRUE", "Yes", "on", "0", "False", "NO", "off"])
+    def test_boolean_spellings_in_any_case(self, value):
+        cfg = RunConfig()
+        cfg.apply("spectrum", value)
+        assert cfg.spectrum is (value.lower() in ("1", "true", "yes", "on"))
 
     def test_echo_contains_effective_values(self):
         cfg = RunConfig(delta=0.25)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quenchfront.bvp import FrontProfile
+from quenchfront.continuation import solve_front
 from quenchfront.diagnostics import (admissibility, crossings, front_position,
                                      u_at_zero)
 from quenchfront.evolve import solve_tanh_front
@@ -110,6 +111,15 @@ class TestAdmissibility:
         u[i] = -1e-3
         p = FrontProfile(c=0.0, grid=hm_profile.grid, u=u, converged=True)
         assert "non-positive value at x=5" in admissibility(p)
+
+    @pytest.mark.parametrize("i, value, x", [(300, math.nan, "-18"), (300, math.inf, "-18"),
+                                             (0, math.nan, "-30")])
+    def test_non_finite_value_is_the_only_problem(self, i, value, x):
+        p = solve_front(0.0, h=0.04)
+        u = p.u.copy()
+        u[i] = value
+        assert admissibility(FrontProfile(c=0.0, grid=p.grid, u=u)) == [
+            f"non-finite value at x={x}"]
 
     @pytest.mark.parametrize("eps", [0.001, 0.01])
     def test_tanh_front_admissible(self, eps):

@@ -396,6 +396,21 @@ class TestEvolveRuns:
         assert bumped.steps == 50 and bumped.step_s > 0.0
         assert np.isnan(evolve.evolve(hm_profile, hm_profile.u, cfg).peak_growth)
 
+    @pytest.mark.parametrize("amp", [1e-6, 1e-12])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 3.0, 5.0])
+    def test_near_zero_data_grow_into_the_front(self, c, amp):
+        # the front is what grows out of u ~ 0 between its own end values;
+        # at t = 90 the worst case (c = 5, amp = 1e-12) is 2.7e-13 / 1.5e-13,
+        # while at t = 60 it still reads 1.1e-8
+        front = continuation.solve_front(c, h=0.04)
+        u0 = np.full(front.grid.n, amp)
+        u0[[0, -1]] = front.u[[0, -1]]
+        final = evolve.evolve(front, u0, EvolveConfig(dt=0.05, t_end=90.0,
+                                                      record_every=100)).final
+        assert np.abs(final.u - front.u).max() <= 1e-8
+        assert abs(diagnostics.front_position(final)
+                   - diagnostics.front_position(front)) <= 1e-9
+
     def test_measured_rate_empty_history(self):
         rate, samples = measured_rate([(0.0, 0.0)], evolve.ROUNDOFF_PLATEAU)
         assert np.isnan(rate) and samples == 0

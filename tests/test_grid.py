@@ -7,7 +7,7 @@ from quenchfront import bvp, continuation, grid
 from quenchfront.grid import (MAX_NODES, BandedMatrix, Grid,
                               SingularMatrixError, UniformSpline,
                               UnpivotedBandedLU, _stencil,
-                              d1_band, d1_matvec, d2_band, fd_weights,
+                              d1_band, d2_band, fd_weights,
                               make_grid, solve_banded)
 
 
@@ -232,17 +232,6 @@ class TestVectorizedAssembly:
         g = Grid(-1.3, 2.1, n)
         ref = _reference_d1(g, upwind)
         assert d1_band(g, upwind).data.tobytes() == ref.data.tobytes()
-
-    @pytest.mark.parametrize("n", [9, 10, 57, 4501])
-    @pytest.mark.parametrize("upwind", [-1, 0, 1])
-    def test_d1_matvec_is_the_band_product_bitwise(self, n, upwind):
-        # signed zeros included: a zero vector and a front-like decay to 0
-        g = Grid(-25.0, 3.7, n)
-        x = g.nodes()
-        for u in (np.random.default_rng(n).standard_normal(n), np.zeros(n),
-                  np.sqrt(0.5 * (np.hypot(x, 1.0) - x)) * np.exp(-np.maximum(x, 0.0) ** 3)):
-            expected = d1_band(g, upwind).matvec(u)
-            assert d1_matvec(g, upwind, u).tobytes() == expected.tobytes()
 
 
 class TestCachedBandsReadOnly:
