@@ -9,10 +9,10 @@ one cached band, ``equation_band``: D2 + c D1 - r on the interior rows, the
 left Dirichlet row (u(x_min) is ``left_value``: the sqrt(-x) tail series,
 or sqrt(tanh(-eps x_min))) and the right Robin row u' = L u of the decaying
 tail (Lentini & Keller, SIAM J. Numer. Anal. 17, 1980).  The residual, the
-Jacobian and the time stepper's matrix read it, ``stationary_residual_dc``
-is its derivative in c, and no caller builds a ramp or a closure.  A
-linear-ramp front ends as k(c) e^{-cx/2} Ai(x + c^2/4), and
-``fit_tail_coefficients`` measures log k.
+Jacobian (that band plus ``jacobian_diagonal``, solved as the pair) and the
+time stepper's matrix read it, ``stationary_residual_dc`` is its derivative
+in c, and no caller builds a ramp or a closure.  A linear-ramp front ends as
+k(c) e^{-cx/2} Ai(x + c^2/4), and ``fit_tail_coefficients`` measures log k.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def default_grid(c: float, h: float = DEFAULT_H) -> Grid:
     return make_grid(x_min, x_max, h)
 
 
-# A continuation step reads two: the accepted point's, once for its tangent,
-# and the trial point's, for Newton.  The only cached operator band.
-@lru_cache(maxsize=2)
+# One profile's at a time: a continuation step reads the accepted point's
+# for its tangent before Newton builds the trial's.  The only cached band.
+@lru_cache(maxsize=1)
 def equation_band(g: Grid, c: float, eps: float | None) -> BandedMatrix:
     """The equation's linear part on g, read-only (copy it): D2 + c D1 - r on
     the interior rows (D1 upwinded by sign(c), diagonal fl(fl(d2 + fl(c d1))
@@ -189,12 +189,16 @@ def stationary_residual_dc(p: FrontProfile, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def jacobian_diagonal(p: FrontProfile, u: np.ndarray) -> np.ndarray:
+    """The Jacobian at ``u`` less ``equation_band``: -3u^2 inside, 0 on both closure rows."""
+    return np.pad(-3.0 * _checked_profile(p.grid, u, p.c)[1:-1] ** 2, 1)
+
+
 def stationary_jacobian(p: FrontProfile, u: np.ndarray) -> BandedMatrix:
-    """Jacobian of ``stationary_residual(p, .)`` at ``u``: the equation's
-    band with 3u^2 taken off its interior diagonal."""
-    u = _checked_profile(p.grid, u, p.c)
+    """Jacobian of ``stationary_residual(p, .)`` at ``u`` as one band: a copy
+    of the equation's band with ``jacobian_diagonal`` added to its diagonal."""
     jac = equation_band(p.grid, p.c, p.eps).copy()
-    jac.data[jac.bandwidth, 1:-1] -= 3.0 * u[1:-1] ** 2
+    jac.data[jac.bandwidth] += jacobian_diagonal(p, u)
     return jac
 
 

@@ -208,14 +208,24 @@ def _grid_for(cfg: RunConfig, c: float) -> Grid:
     return make_grid(lo, hi, cfg.h)
 
 
-def _solve(cfg: RunConfig, c: float) -> FrontProfile:
-    g = _grid_for(cfg, c)
+def _refuse_unread(cfg: RunConfig, command: str, keys: tuple[str, ...], does: str) -> None:
+    """Refuse any of ``keys`` given by a flag or the config file: ``command``
+    ``does`` without reading them, yet its header would echo them."""
+    unread = [k for k in keys if k in cfg.given]
+    if unread:
+        raise ValueError(f"{command} {does}; it does not use the given {', '.join(unread)}")
+
+
+def _solve(cfg: RunConfig, command: str) -> FrontProfile:
+    _refuse_unread(cfg, command, ("eps",) + ("ramp",) * (cfg.ramp != "linear"),
+                   "solves the linear ramp")
+    g = _grid_for(cfg, cfg.c)
     if cfg.seed_file:
         # into the frame of c's delayed interface, as continuation predicts
         seed = load_profile(cfg.seed_file)
-        u = continuation.predict(seed, np.zeros(seed.grid.n), c, g)
-        return continuation.admissible_solve(FrontProfile(c=c, grid=g, u=u), cfg.tol)[0]
-    return continuation.solve_front(c, grid=g, tol=cfg.tol)
+        u = continuation.predict(seed, np.zeros(seed.grid.n), cfg.c, g)
+        return continuation.admissible_solve(FrontProfile(c=cfg.c, grid=g, u=u), cfg.tol)[0]
+    return continuation.solve_front(cfg.c, grid=g, tol=cfg.tol)
 
 
 def _grid_header(g: Grid) -> dict:
@@ -244,7 +254,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    p = _solve(cfg, cfg.c)
+    p = _solve(cfg, "solve")
     header = _profile_header(cfg, p)
     out = cfg.out or f"profile_c{cfg.c:g}.csv"
     write_csv(out, "profile", header,
@@ -256,6 +266,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_branch(cfg: RunConfig) -> int:
+    _refuse_unread(cfg, "branch", ("eps",) + ("ramp",) * (cfg.ramp != "linear"),
+                   "solves the linear ramp")
     if not cfg.cmin < cfg.cmax:
         raise ValueError(f"need cmin < cmax, got [{cfg.cmin}, {cfg.cmax}]")
     anchor = continuation.solve_front(0.0, tol=cfg.tol, h=cfg.h)
@@ -287,7 +299,7 @@ def cmd_branch(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    p = _solve(cfg, cfg.c)
+    p = _solve(cfg, "spectrum")
     rep = spectrum.leading_eigenvalues(p, k=cfg.k)
     out = cfg.out or f"spectrum_c{cfg.c:g}.csv"
     header = {"c": cfg.c, "k": cfg.k, "potential_min": rep.potential_min,
@@ -302,21 +314,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _refuse_grid_keys(cfg: RunConfig, command: str) -> None:
-    """The tanh front is solved on a fixed grid with the default tolerance;
-    a grid or tolerance given by a flag or the config file would be ignored."""
-    unread = [k for k in ("h", "xmin", "xmax", "tol") if k in cfg.given]
-    if unread:
-        half = evolve_mod.TANH_DOMAIN_HALF
-        raise ValueError(
-            f"{command} solves its tanh front at h={evolve_mod.TANH_H:g} on "
-            f"[{-half:g}, {half:g}] with the default tolerance; it does not "
-            f"use the given {', '.join(unread)}")
+    """The tanh front is solved on a fixed grid with the default tolerance."""
+    half = evolve_mod.TANH_DOMAIN_HALF
+    _refuse_unread(cfg, command, ("h", "xmin", "xmax", "tol"),
+                   f"solves its tanh front at h={evolve_mod.TANH_H:g} on "
+                   f"[{-half:g}, {half:g}] with the default tolerance")
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
     ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end)
     if cfg.ramp == "linear":
-        p = _solve(cfg, cfg.c)
+        p = _solve(cfg, "evolve --ramp linear")
     elif cfg.ramp == "tanh":
         _refuse_grid_keys(cfg, "evolve --ramp tanh")
         p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c)
@@ -346,6 +354,7 @@ def cmd_compare_tanh(cfg: RunConfig) -> int:
     if not 0.0 < cfg.eps <= 0.1:
         raise ValueError(f"eps must lie in (0, 0.1], got {cfg.eps}")
     _refuse_grid_keys(cfg, "compare-tanh")
+    _refuse_unread(cfg, "compare-tanh", ("ramp",), "compares the tanh ramp with the linear one")
     rep = evolve_mod.compare_inner_scaling(cfg.eps, cfg.c, delta=cfg.delta)
     out = cfg.out or f"compare_tanh_eps{cfg.eps:g}_c{cfg.c:g}.csv"
     header = {"eps": cfg.eps, "c": cfg.c, **_grid_header(rep.grid),

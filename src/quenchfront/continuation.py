@@ -70,7 +70,8 @@ def _tangent(p: FrontProfile) -> np.ndarray:
     the closures' c-dependence instead).  For c <= 0 this is du/dc.
     """
     dfdc = bvp.stationary_residual_dc(p, p.u)
-    tangent = newton.banded_lu_solve(bvp.stationary_jacobian(p, p.u), -dfdc)
+    tangent = newton.banded_lu_solve(bvp.equation_band(p.grid, p.c, p.eps), -dfdc,
+                                     bvp.jacobian_diagonal(p, p.u))
     tangent[1:-1] -= 0.5 * max(p.c, 0.0) * dfdc[1:-1]
     return tangent
 

@@ -180,8 +180,9 @@ def deviation_plateau(front: FrontProfile) -> float:
     point keeps: the stepper's spatial operator is Newton's, so that fixed
     point is the exact discrete front, one Newton correction away from
     ``front.u``.  Never below ROUNDOFF_PLATEAU."""
-    correction = newton.banded_lu_solve(bvp.stationary_jacobian(front, front.u),
-                                        -bvp.stationary_residual(front, front.u))
+    correction = newton.banded_lu_solve(bvp.equation_band(front.grid, front.c, front.eps),
+                                        -bvp.stationary_residual(front, front.u),
+                                        bvp.jacobian_diagonal(front, front.u))
     return max(float(np.abs(correction).max()), ROUNDOFF_PLATEAU)
 
 

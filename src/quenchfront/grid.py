@@ -150,20 +150,26 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """A banded LU factorization met an unusable pivot or failed its check."""
 
 
-def _check_backward_error(a: BandedMatrix, x: np.ndarray, b: np.ndarray, solver: str) -> None:
-    """Raise SingularMatrixError, naming ``solver``, n and both norms, unless
-    ||a x - b||_inf <= 1e-9 (||a||_1 ||x||_inf + ||b||_inf); a NaN x fails."""
-    backward = np.abs(_band_product(a.data, a.bandwidth, x) - b).max()
-    scale = np.abs(a.data).sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
+def _check_backward_error(a: BandedMatrix, x: np.ndarray, b: np.ndarray, solver: str,
+                          diagonal: np.ndarray | None = None) -> None:
+    """Raise SingularMatrixError, naming ``solver``, n and both norms, unless ||A x - b||_inf
+    <= 1e-9 (||A||_1 ||x||_inf + ||b||_inf) for A = a + diag(diagonal); a NaN x fails."""
+    backward = np.abs(_band_product(a.data, a.bandwidth, x) - b
+                      + (0.0 if diagonal is None else diagonal * x)).max()
+    col_abs = np.abs(a.data)
+    if diagonal is not None:
+        col_abs[a.bandwidth] = np.abs(a.data[a.bandwidth] + diagonal)
+    scale = col_abs.sum(axis=0).max() * np.abs(x).max() + np.abs(b).max()
     if not backward <= 1e-9 * scale:
         raise SingularMatrixError(f"{solver}, n={a.n}: backward error {backward:.3e} "
                                   f"exceeds 1e-9 * {scale:.3e}")
 
 
-def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by banded LU with partial pivoting: one LAPACK dgbsv
-    call.  A non-finite ``a`` or ``b`` is a ValueError; a zero pivot, or an
-    x failing ``_check_backward_error``, is a SingularMatrixError naming n."""
+def solve_banded(a: BandedMatrix, b: np.ndarray,
+                 diagonal: np.ndarray | None = None) -> np.ndarray:
+    """Solve (a + diag(diagonal)) x = b by banded LU with partial pivoting: one
+    dgbsv call, never storing the sum.  A non-finite input is a ValueError; a zero
+    pivot, or an x failing ``_check_backward_error``, is a SingularMatrixError naming n."""
     b = np.asarray_chkfinite(b, dtype=float)
     if b.shape != (a.n,):
         raise ValueError(f"vector length {b.shape} does not match n={a.n}")
@@ -171,11 +177,13 @@ def solve_banded(a: BandedMatrix, b: np.ndarray) -> np.ndarray:
     # p extra rows above the band hold U's fill-in; Fortran order avoids a copy
     ab = np.zeros((3 * p + 1, a.n), order="F")
     ab[p:] = np.asarray_chkfinite(a.data)
+    if diagonal is not None:
+        ab[2 * p] += np.asarray_chkfinite(diagonal)
     x, info = flapack.dgbsv(p, p, ab, b, overwrite_ab=True)[2:]
     del ab   # the factors, freed before the check allocates, for a lower peak memory
     if info > 0:
         raise SingularMatrixError(f"singular matrix, n={a.n}: zero pivot in column {info - 1}")
-    _check_backward_error(a, x, b, "banded solve")
+    _check_backward_error(a, x, b, "banded solve", diagonal)
     return x
 
 

@@ -1,8 +1,8 @@
 """Damped Newton iteration with banded direct linear solves.
 
-Each linear solve is one LAPACK dgbsv call in ``grid.solve_banded`` (for a
-single solve it beats the time stepper's unpivoted Python factor loop),
-which checks every answer's backward error, so a silently near-singular
+Each linear solve is one LAPACK dgbsv call in ``grid.solve_banded`` on the cached
+equation band plus the Jacobian's diagonal (for one solve it beats the stepper's
+unpivoted factor loop); it checks every answer's backward error, so a near-singular
 Jacobian surfaces as a SingularJacobianError naming the run and iteration.
 """
 
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import FrontProfile, stationary_jacobian, stationary_residual
+from .bvp import FrontProfile, equation_band, jacobian_diagonal, stationary_residual
+from .bvp import stationary_jacobian  # noqa: F401  not called; perfbench/spans.py traces it
 from .grid import BandedMatrix, Grid, SingularMatrixError, solve_banded
 
 
@@ -47,10 +48,11 @@ class SolveReport:
     residual_norms: list[float] = field(default_factory=list)
 
 
-def banded_lu_solve(A: BandedMatrix, b: np.ndarray) -> np.ndarray:
+def banded_lu_solve(A: BandedMatrix, b: np.ndarray,
+                    diagonal: np.ndarray | None = None) -> np.ndarray:
     """``grid.solve_banded``, its SingularMatrixError a SingularJacobianError."""
     try:
-        return solve_banded(A, b)
+        return solve_banded(A, b, diagonal)
     except SingularMatrixError as exc:
         raise SingularJacobianError(str(exc)) from exc
 
@@ -81,7 +83,8 @@ def solve(initial: FrontProfile,
         if res <= tol:
             break
         try:
-            step = banded_lu_solve(stationary_jacobian(initial, u), -f)
+            step = banded_lu_solve(equation_band(g, c, initial.eps), -f,
+                                   jacobian_diagonal(initial, u))
         except SingularJacobianError as exc:
             raise SingularJacobianError(f"Newton step {where}, iteration {it}: {exc}") from exc
         step_norm = float(np.abs(step).max())

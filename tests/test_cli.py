@@ -182,19 +182,31 @@ class TestSolveCommand:
         assert math.isfinite(float(header["log_k"]))
         assert float(header["log_k_spread"]) < 1e-3
 
-    def test_widest_default_solve_peaks_below_4_mib(self, tmp_path, capsys):
-        # c = 13 has the largest default grid that solves at h = 0.01 (9,087
-        # nodes, a 0.65 MB band; c = -200 has 8,215): 2.7 MiB traced peak,
-        # where a second cached band copy and a CSV built in memory gave 5.1
+    @staticmethod
+    def traced_peak(argv):
+        """Traced heap peak of one command, in MiB, from an empty band cache."""
         bvp.equation_band.cache_clear()
         tracemalloc.start()
         try:
-            assert run(["solve", "--c", "13", "--h", "0.01",
-                        "--out", str(tmp_path / "p.csv")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+
+    def test_widest_default_solve_peaks_below_2_6_mib(self, tmp_path, capsys):
+        # c = 13 has the largest default grid that solves at h = 0.01 (9,087
+        # nodes, a 0.65 MB band; c = -200 has 8,215): 2.1-2.3 MiB traced peak.
+        # A Jacobian copy beside the cached band gave 2.7-2.8, and a second
+        # cached band copy and a CSV built in memory 5.1
+        assert self.traced_peak(["solve", "--c", "13", "--h", "0.01",
+                                 "--out", str(tmp_path / "p.csv")]) < 2.6
+
+    def test_compare_tanh_peaks_below_3_5_mib(self, tmp_path, capsys):
+        # the tanh front's 12,001 nodes set the peak: its cached band and
+        # dgbsv's work array, 3.0 MiB traced; a Jacobian copy and the inner
+        # front's band kept cached beside them gave 4.06
+        assert self.traced_peak(["compare-tanh", "--eps", "0.001", "--c", "0.1",
+                                 "--out", str(tmp_path / "ct.csv")]) < 3.5
 
     def test_failed_newton_linear_solve_names_its_run(self, tmp_path, capsys, monkeypatch):
         # LAPACK reporting a zero pivot in column 2 of every Jacobian
@@ -559,6 +571,39 @@ class TestOtherCommands:
         assert run(["--config", str(cfg), "compare-tanh", "--eps", "0.01",
                     "--c", "0", "--out", str(tmp_path / "ct.csv")]) == 2
         assert "not use the given h, tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, argv, command, unread", [
+        ("ramp=tanh\neps=0.01\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "eps, ramp"),
+        ("ramp=tanh\neps=0.01\n", ["spectrum", "--c", "0", "--k", "2", "--h", "0.04"],
+         "spectrum", "eps, ramp"),
+        ("ramp=tanh\neps=0.01\n", ["branch", "--cmin", "0", "--cmax", "0.5", "--h", "0.04"],
+         "branch", "eps, ramp"),
+        ("ramp=banana\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "ramp"),
+        ("ramp=linear\neps=0.01\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "eps"),
+        ("", ["evolve", "--c", "0", "--h", "0.04", "--t-end", "0.1", "--eps", "0.01"],
+         "evolve --ramp linear", "eps"),
+        ("ramp=linear\n", ["compare-tanh", "--eps", "0.01", "--c", "0"], "compare-tanh", "ramp"),
+        ("ramp=tanh\n", ["compare-tanh", "--eps", "0.01", "--c", "0"], "compare-tanh", "ramp"),
+    ], ids=["solve", "spectrum", "branch", "solve-bad-ramp", "solve-eps", "evolve-linear-eps",
+            "compare-tanh-linear", "compare-tanh-tanh"])
+    def test_unread_ramp_keys_refused(self, config, argv, command, unread, tmp_path, capsys):
+        # the header would echo a ramp or eps the command never read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        assert run(["--config", str(cfg), *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error kind=ValueError detail={command} " in err
+        assert err.rstrip().endswith(f"it does not use the given {unread}")
+        assert not out.exists()
+
+    def test_linear_ramp_given_to_a_linear_command_is_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ramp=linear\n")
+        out = tmp_path / "p.csv"
+        assert run(["--config", str(cfg), "solve", "--c", "0", "--h", "0.04",
+                    "--out", str(out)]) == 0
+        assert " ramp=linear" in out.read_text()
 
     def test_compare_tanh_eps_validation(self, capsys):
         assert run(["compare-tanh", "--eps", "0.5", "--c", "0"]) == 2

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.interpolate import CubicSpline
 
-from quenchfront import bvp, continuation, grid
+from quenchfront import bvp, continuation, evolve, grid
 from quenchfront.grid import (MAX_NODES, BandedMatrix, Grid,
                               SingularMatrixError, UniformSpline,
                               UnpivotedBandedLU, _stencil,
@@ -272,7 +272,7 @@ class TestBoundedBandCaches:
         branch = continuation.continue_branch(hm_profile, -60.0)
         assert len({p.grid for _, p in branch.points}) >= 4   # the sweep regrids
         info = bvp.equation_band.cache_info()
-        assert info.currsize <= 2
+        assert info.currsize <= 1
         assert info.misses == len(set(solved)) == len(solved)
         # and the ramp is evaluated once per band, not per residual or Jacobian
         assert len(ramps) == info.misses
@@ -352,6 +352,31 @@ class TestSolveBanded:
         with pytest.raises(ValueError):
             solve_banded(a, np.array([1.0, bad, 0.0, 0.0]))
 
+    def test_non_finite_diagonal_rejected(self):
+        a = BandedMatrix(4, 1)
+        a.data[a.bandwidth] += np.ones(4)
+        with pytest.raises(ValueError):
+            solve_banded(a, np.ones(4), np.array([0.0, np.nan, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("c, eps", [(-200.0, None), (0.0, None), (12.0, None), (0.0, 0.01)],
+                             ids=["c-200", "c0", "c12", "tanh-eps0.01"])
+    def test_band_and_diagonal_solve_as_the_formed_jacobian_bytewise(self, c, eps):
+        # band + (-3u^2) is band - 3u^2 exactly, so dgbsv reads the same
+        # entries; on the seed and the front, for Newton's and the tangent's
+        # right-hand sides
+        if eps is None:
+            g = bvp.default_grid(c)
+            front = continuation.solve_front(c, g)
+        else:
+            front = evolve.solve_tanh_front(eps, c)
+            g = front.grid
+        seed = bvp.FrontProfile(c=c, grid=g, u=bvp.initial_guess(g, c, eps), eps=eps)
+        for p in (seed, front):
+            jac = bvp.stationary_jacobian(p, p.u)
+            for b in (-bvp.stationary_residual(p, p.u), -bvp.stationary_residual_dc(p, p.u)):
+                x = solve_banded(bvp.equation_band(g, c, eps), b, bvp.jacobian_diagonal(p, p.u))
+                assert x.tobytes() == solve_banded(jac, b).tobytes()
+
     @pytest.mark.parametrize("spoil, named", [
         (lambda x: x * (1.0 + 1e-6), r"backward error \d\.\d{3}e-\d\d exceeds 1e-9 \* "),
         (lambda x: np.full_like(x, np.nan), r"backward error nan exceeds 1e-9 \* nan"),
@@ -370,6 +395,24 @@ class TestSolveBanded:
         a.set_identity_row(a.n - 1)
         with pytest.raises(SingularMatrixError, match=rf"banded solve, n={a.n}: {named}"):
             solve_banded(a, np.ones(a.n))
+
+    def test_backward_error_check_reads_the_shifted_diagonal(self, monkeypatch):
+        # a = 4 I shifted by -3 is I: x = b solves it exactly, and a spoiled x
+        # fails against ||I||_1 ||x|| + ||b|| = 12 (a alone would give 30)
+        a = BandedMatrix(6, 1)
+        a.data[a.bandwidth] = 4.0
+        shift, b = np.full(6, -3.0), np.arange(1.0, 7.0)
+        assert solve_banded(a, b, shift).tobytes() == b.tobytes()
+        real = grid.flapack.dgbsv
+
+        def spoiled(*args, **kwargs):
+            lub, piv, x, info = real(*args, **kwargs)
+            return lub, piv, x * (1.0 + 1e-6), info
+
+        monkeypatch.setattr(grid.flapack, "dgbsv", spoiled)
+        with pytest.raises(SingularMatrixError,
+                           match=r"backward error 6\.000e-06 exceeds 1e-9 \* 1\.200e\+01$"):
+            solve_banded(a, b, shift)
 
 
 class TestUnpivotedBandedLU:

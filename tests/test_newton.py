@@ -59,6 +59,12 @@ class TestBandedSolve:
         with pytest.raises(SingularJacobianError):
             banded_lu_solve(a, np.ones(n))
 
+    def test_diagonal_cancelling_the_band_is_a_singular_jacobian(self):
+        a = BandedMatrix(8, 1)
+        a.data[a.bandwidth] = 2.0
+        with pytest.raises(SingularJacobianError, match="zero pivot in column 0"):
+            banded_lu_solve(a, np.ones(8), np.full(8, -2.0))
+
     def test_non_finite_rhs_rejected(self):
         a = BandedMatrix(4, 1)
         a.data[a.bandwidth] += np.ones(4)
@@ -189,7 +195,7 @@ class TestSolve:
         # a correction that no damping makes a descent step: each MIN_STEP
         # fallback adds ~95 to u, and the u^3 residual outgrows 10x in 5 steps
         monkeypatch.setattr(newton, "banded_lu_solve",
-                            lambda A, b: np.full_like(b, 1e8))
+                            lambda *args: np.full_like(args[1], 1e8))
         g = hm_profile.grid
         seed = FrontProfile(c=0.0, grid=g, u=bvp.initial_guess(g, 0.0))
         with pytest.raises(DivergenceError,
@@ -209,7 +215,7 @@ class TestSolve:
 
         monkeypatch.setattr(newton, "stationary_residual", counting_residual)
         monkeypatch.setattr(newton, "banded_lu_solve",
-                            lambda A, b: np.full_like(b, 1e8))
+                            lambda *args: np.full_like(args[1], 1e8))
         monkeypatch.setattr(newton, "MAX_ITERATIONS", 1)
         g = hm_profile.grid
         with pytest.raises(MaxIterationsError, match="no convergence in 1 iterations"):
