@@ -86,7 +86,7 @@ def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     cs = -np.arange(50.0, 201.0)
     xs = (-cs) ** 0.25
     ys = np.array([diagnostics.u_at_zero(ctx.profile(float(c))) for c in cs])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = diagnostics.line_slope(xs, ys)
     err = abs(slope - PI_QUARTER_INV)
     return CriterionResult(
         1, "large-negative-c amplitude law", err <= 0.01,
@@ -105,7 +105,7 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
                          - asymptotics.front_loc_largec(c)) for c in cs])
     measured = {f"gap_c{c:g}": float(gap) for c, gap in zip(cs, gaps)}
     shape = np.log(cs) / cs
-    k = float(shape @ gaps / (shape @ shape))
+    k = float(np.sum(shape * gaps) / np.sum(shape * shape))
     measured["decay_k"] = k
     return CriterionResult(
         2, "front-delay law", bool(gaps.max() <= 0.5), "|x_delta - formula| <= 0.5",
@@ -256,7 +256,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
         p = ctx.profile(c)
         x = p.grid.nodes()
         window = (x >= 6.0) & (x <= 9.0)
-        slope = float(np.polyfit(x[window], np.log(p.u[window]), 1)[0])
+        slope = diagnostics.line_slope(x[window], np.log(p.u[window]))
         predicted = float(np.mean(asymptotics.right_tail_log_derivative(x[window], c)))
         rel = abs(slope - predicted) / abs(predicted)
         measured[f"logslope_c{c:g}"] = slope

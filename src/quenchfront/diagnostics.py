@@ -97,6 +97,15 @@ def u_at_zero(p: FrontProfile) -> float:
     return float(UniformSpline(p.grid.x_min, p.grid.h, p.u)(0.0))
 
 
+def line_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope b of y ~ a + b x in closed form on centred data,
+    b = sum((x - mean x)(y - mean y)) / sum((x - mean x)^2) (Björck,
+    Numerical Methods for Least Squares Problems, 1996): numpy reductions
+    only, so no LAPACK or BLAS routine runs."""
+    xc = x - x.mean()
+    return float(np.sum(xc * (y - y.mean())) / np.sum(xc * xc))
+
+
 def admissibility(p: FrontProfile) -> list[str]:
     """The ways ``p`` fails to be an admissible front, one message each;
     empty when it is admissible.  Never raises.  A non-finite u is the only

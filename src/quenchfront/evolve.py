@@ -188,9 +188,10 @@ def deviation_plateau(front: FrontProfile) -> float:
 
 def measured_rate(history: list[tuple[float, float]], plateau: float) -> tuple[float, int]:
     """Log-slope of the deviation tail and the number of samples fitted:
-    least-squares fit of ln(dev) vs t over samples past the initial
-    transient and PLATEAU_MARGIN times above the deviation ``plateau``;
-    (nan, 0) when fewer than 3 samples qualify."""
+    the closed-form least-squares slope of ln(dev) vs t
+    (``diagnostics.line_slope``, numpy sums only) over samples past the
+    initial transient and PLATEAU_MARGIN times above the deviation
+    ``plateau``; (nan, 0) when fewer than 3 samples qualify."""
     t = np.array([h[0] for h in history])
     d = np.array([h[1] for h in history])
     if len(d) < 4 or d[0] == 0:
@@ -198,7 +199,7 @@ def measured_rate(history: list[tuple[float, float]], plateau: float) -> tuple[f
     mask = (d > PLATEAU_MARGIN * plateau) & (d < 0.5 * d[0]) & (t > 0)
     if mask.sum() < 3:
         return math.nan, 0
-    return float(np.polyfit(t[mask], np.log(d[mask]), 1)[0]), int(mask.sum())
+    return diagnostics.line_slope(t[mask], np.log(d[mask])), int(mask.sum())
 
 
 def solve_tanh_front(eps: float, c: float, g: Grid | None = None,

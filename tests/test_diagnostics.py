@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quenchfront.bvp import FrontProfile
 from quenchfront.continuation import solve_front
 from quenchfront.diagnostics import (admissibility, crossings, front_position,
-                                     u_at_zero)
-from quenchfront.evolve import solve_tanh_front
+                                     line_slope, u_at_zero)
+from quenchfront.evolve import PLATEAU_MARGIN, measured_rate, solve_tanh_front
 from quenchfront.grid import UniformSpline, make_grid
 
 
@@ -140,6 +142,35 @@ class TestUAtZero:
         p = FrontProfile(c=0.0, grid=g, u=np.exp(-g.nodes()), converged=True)
         # extrapolated via cubic spline; crude but finite
         assert np.isfinite(u_at_zero(p))
+
+
+class TestLineSlope:
+    """The closed-form slope is the least-squares slope ``np.polyfit`` finds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(3, 300), slope=st.floats(1e-3, 1e3), sign=st.sampled_from([-1, 1]),
+           span=st.floats(1e-2, 1e2), offset=st.floats(-5.0, 5.0),
+           intercept=st.floats(-10.0, 10.0), noise=st.floats(0.0, 0.1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_polyfit_on_noisy_lines(self, n, slope, sign, span, offset,
+                                            intercept, noise, seed):
+        # nodes jittered by up to 0.4 of their spacing over [offset, offset + 1]
+        # spans; intercept and noise in units of |slope| span, so the fitted
+        # slope keeps the sign and at least 0.8 of the size of ``slope``
+        rng = np.random.default_rng(seed)
+        x = span * (offset + (np.arange(n) + rng.uniform(-0.4, 0.4, n)) / (n - 1))
+        y = slope * span * (intercept + noise * rng.uniform(-1.0, 1.0, n)) + sign * slope * x
+        assert line_slope(x, y) == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12, abs=0.0)
+
+    def test_matches_polyfit_on_the_plateau_history(self):
+        # the synthetic deviation history of measured_rate's plateau test
+        t = np.arange(0.0, 30.0, 0.25)
+        d = 1e-3 * np.exp(-t) + 1e-11
+        mask = (d > PLATEAU_MARGIN * 1e-11) & (d < 0.5 * d[0]) & (t > 0)
+        slope = line_slope(t[mask], np.log(d[mask]))
+        assert slope == pytest.approx(np.polyfit(t[mask], np.log(d[mask]), 1)[0],
+                                      rel=1e-12, abs=0.0)
+        assert measured_rate(list(zip(t, d)), 1e-11) == (slope, 34)
 
 
 class TestBundle:
