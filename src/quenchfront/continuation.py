@@ -40,9 +40,6 @@ class Branch:
     points: list[tuple[float, FrontProfile]] = field(default_factory=list)
     failures: list[tuple[float, str]] = field(default_factory=list)
 
-    def sort(self) -> None:
-        self.points.sort(key=lambda item: item[0])
-
 
 def reinterpolate(p: FrontProfile, g_new: Grid) -> FrontProfile:
     """Move a profile to a new grid: cubic interpolation on the overlap,
@@ -136,7 +133,7 @@ def continue_branch(seed: FrontProfile, c_target: float, dc_init: float = 0.25,
         current, tangent = solved, None
         c = c_next
         dc *= min(2.0, max(0.5, TARGET_ITERATIONS / max(report.iterations, 1)))
-    branch.sort()
+    branch.points.sort(key=lambda item: item[0])
     return branch
 
 

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import PERFBENCH, load_perfbench
 
 import quenchfront
 from quenchfront import acceptance, bvp, cli, grid
@@ -458,20 +460,27 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_evolve_runs_only_imex_cn(self, source, tmp_path, capsys):
+        # argparse's choices refuse another --scheme; a config file has no
+        # scheme key at all
         out = tmp_path / "e.csv"
         argv = ["evolve", "--c", "0", "--h", "0.04", "--t-end", "0.1", "--out", str(out)]
         if source == "flag":
-            argv += ["--scheme", "imex_euler"]
+            with pytest.raises(SystemExit) as exit_:
+                run([*argv, "--scheme", "imex_euler"])
+            assert exit_.value.code == 2
+            assert "invalid choice: 'imex_euler'" in capsys.readouterr().err
         else:
             cfg = tmp_path / "run.cfg"
             cfg.write_text("scheme=imex_euler\n")
-            argv = ["--config", str(cfg), *argv]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert "error kind=ValueError" in err and "'imex_euler'" in err and "imex_cn" in err
+            assert run(["--config", str(cfg), *argv]) == 2
+            err = capsys.readouterr().err
+            assert "error kind=ValueError" in err and "unknown config key 'scheme'" in err
         assert not out.exists()
-        assert run([*argv[:-2], "--scheme", "imex_cn", "--out", str(out)]) == 0
-        assert "# scheme=imex_cn" in out.read_text()
+        assert run([*argv, "--scheme", "imex_cn"]) == 0
+        written = out.read_text()
+        assert "# scheme=imex_cn" in written
+        assert "scheme" not in next(line for line in written.splitlines()
+                                    if line.startswith("# config:"))
 
     @pytest.mark.parametrize("flags, named", [
         (["--t-end", "inf"], "t_end=inf"), (["--dt", "nan"], "dt=nan"),
@@ -724,3 +733,18 @@ def test_sources_fit_and_solve_without_numpy_linalg():
                                                and node.value.attr == "linalg")):
                 found.append(f"{path.name}:{node.lineno} {node.attr}")
     assert found == []
+
+
+def test_parser_accepts_every_benchmark_command(monkeypatch):
+    # perfbench/run.py builds each workload's command lines (evolve's pass
+    # --scheme imex_cn); a flag or choice the parser dropped would fail the
+    # benchmark's operations, and fails here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = load_perfbench("run")
+    rng = random.Random(1)
+    ops = [*bench.branch_ops(rng), *bench.evolve_ops(rng, {}), *bench.solve_ops(rng)]
+    assert {op.argv[0] for op in ops} == {"branch", "evolve", "solve", "spectrum",
+                                          "compare-tanh"}
+    parser = cli.build_parser()
+    for op in ops:
+        assert parser.parse_args(op.argv).command == op.argv[0], op.label

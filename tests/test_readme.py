@@ -1,13 +1,27 @@
 """README.md's library sketch runs as written, so a public name that it
-uses cannot be removed or renamed without this test failing."""
+uses cannot be removed or renamed without this test failing; and the
+package exports only what the sketch calls, so an export that only tests
+use cannot come back unnoticed."""
 
 import re
 from pathlib import Path
 
+import quenchfront
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_sketch_runs():
+def _sketch():
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
     assert len(blocks) == 1
-    exec(compile(blocks[0], str(README), "exec"), {})
+    return blocks[0]
+
+
+def test_library_sketch_runs():
+    exec(compile(_sketch(), str(README), "exec"), {})
+
+
+def test_package_exports_what_the_sketch_calls():
+    # qf.<name>( only: qf.bvp.<f>( and qf.evolve.<f>( reach into modules
+    called = set(re.findall(r"\bqf\.(\w+)\(", _sketch()))
+    assert set(quenchfront.__all__) - {"__version__"} == called

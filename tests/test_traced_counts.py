@@ -8,23 +8,12 @@ tracer's wrappers directly; the second wraps ``newton``'s own bindings, as
 the benchmark does, so that Newton's linear solves stay one traced layer.
 """
 
-import importlib.util
-from pathlib import Path
+from conftest import load_perfbench
 
 from quenchfront import bvp, continuation, newton
 from quenchfront.bvp import FrontProfile
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load_spans()
+spans = load_perfbench("spans")
 
 
 def test_traced_solve_and_branch_give_their_counts(hm_profile):

@@ -7,22 +7,11 @@ unit tests instead.  Nothing is wrapped.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
+from conftest import load_perfbench
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-spans = _load_spans()
+spans = load_perfbench("spans")
 
 
 @pytest.mark.parametrize("module_name, attr",
