@@ -1,9 +1,10 @@
 """Command-line surface: solve, branch, spectrum, evolve, compare-tanh,
 validate.
 
-Configuration comes from an optional key=value text file plus command-line
-flags (flags win); the effective configuration is echoed into the header of
-every output file so that any result can be reproduced from the file alone.
+A command reads the settings its flags name; an optional key=value text
+file may set only those (flags win), and the settings the command read are
+echoed into the header of every output file, so that any result can be
+reproduced from the file alone.
 CSV files are comma-separated with '#'-prefixed header lines and 17
 significant digits; rows are formatted and written CSV_BLOCK_ROWS at a
 time, so no file is ever held whole in memory.
@@ -39,7 +40,8 @@ def _fmt(v) -> str:
 
 @dataclass
 class RunConfig:
-    """Effective run parameters; file values overridden by CLI flags."""
+    """A run's settings: the defaults, then the config file's values, then
+    the flags' (flags win). A command reads exactly its flags' settings."""
 
     c: float = 0.0
     cmin: float = -1.0
@@ -61,12 +63,16 @@ class RunConfig:
     criteria: str | None = None
 
     def __post_init__(self):
-        # keys set by the config file or a flag rather than by default
+        # keys set by the config file or a flag rather than by default, and
+        # the settings the run reads
         self.given: set[str] = set()
+        self.read: set[str] = set()
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        cfg = cls()
+    def load(self, path: str | Path, flags: dict[str, argparse.Action]) -> None:
+        """Set the settings of a key=value file as ``flags`` convert them; a
+        setting that none of them names is only marked given, for ``main``
+        to refuse."""
+        fields = {f.name for f in dataclasses.fields(self)}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -75,36 +81,32 @@ class RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = (part.strip() for part in line.partition("="))
             try:
-                cfg.apply(key, value)
+                if key not in fields:
+                    raise ValueError(f"unknown config key {key!r}")
+                if key in flags:
+                    setattr(self, key, _convert(flags[key], value))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
-        return cfg
-
-    def apply(self, key: str, value: str) -> None:
-        if key not in {f.name for f in dataclasses.fields(self)}:
-            raise ValueError(f"unknown config key {key!r}")
-        if key in ("out", "seed_file", "ramp", "criteria"):
-            setattr(self, key, value)
-        elif key == "spectrum":
-            if value.lower() not in _BOOLEANS:
-                raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
-            setattr(self, key, _BOOLEANS[value.lower()])
-        elif key == "k":
-            setattr(self, key, int(value))
-        else:
-            setattr(self, key, float(value))
-        self.given.add(key)
+            self.given.add(key)
 
     def echo(self) -> list[str]:
-        # everything that shapes the computed values; the output path does
-        # not, and including it would break byte-level reproducibility
-        items = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is None or f.name == "out":
-                continue
-            items.append(f"{f.name}={_fmt(v)}")
-        return items
+        # the settings read, which shape the values written; the output path
+        # does not, and including it would break byte-level reproducibility
+        return [f"{f.name}={_fmt(getattr(self, f.name))}" for f in dataclasses.fields(self)
+                if f.name in self.read - {"out"} and getattr(self, f.name) is not None]
+
+
+def _convert(flag: argparse.Action, value: str):
+    """A config file's value as ``flag`` reads it; a flag that takes no
+    value (``--spectrum``) reads a boolean word."""
+    if flag.nargs == 0:
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    value = (flag.type or str)(value)
+    if flag.choices and value not in flag.choices:
+        raise ValueError(f"expected one of {', '.join(flag.choices)}, got {value!r}")
+    return value
 
 
 def write_csv(path: str | Path, kind: str, header: dict, columns: dict,
@@ -207,17 +209,7 @@ def _grid_for(cfg: RunConfig, c: float) -> Grid:
     return make_grid(lo, hi, cfg.h)
 
 
-def _refuse_unread(cfg: RunConfig, command: str, keys: tuple[str, ...], does: str) -> None:
-    """Refuse any of ``keys`` given by a flag or the config file: ``command``
-    ``does`` without reading them, yet its header would echo them."""
-    unread = [k for k in keys if k in cfg.given]
-    if unread:
-        raise ValueError(f"{command} {does}; it does not use the given {', '.join(unread)}")
-
-
-def _solve(cfg: RunConfig, command: str) -> FrontProfile:
-    _refuse_unread(cfg, command, ("eps",) + ("ramp",) * (cfg.ramp != "linear"),
-                   "solves the linear ramp")
+def _solve(cfg: RunConfig) -> FrontProfile:
     g = _grid_for(cfg, cfg.c)
     if cfg.seed_file:
         # into the frame of c's delayed interface, as continuation predicts
@@ -253,7 +245,7 @@ def _profile_header(cfg: RunConfig, p: FrontProfile) -> dict:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    p = _solve(cfg, "solve")
+    p = _solve(cfg)
     header = _profile_header(cfg, p)
     out = cfg.out or f"profile_c{cfg.c:g}.csv"
     write_csv(out, "profile", header,
@@ -265,8 +257,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_branch(cfg: RunConfig) -> int:
-    _refuse_unread(cfg, "branch", ("eps",) + ("ramp",) * (cfg.ramp != "linear"),
-                   "solves the linear ramp")
     if not cfg.cmin < cfg.cmax:
         raise ValueError(f"need cmin < cmax, got [{cfg.cmin}, {cfg.cmax}]")
     anchor = continuation.solve_front(0.0, tol=cfg.tol, h=cfg.h)
@@ -298,7 +288,7 @@ def cmd_branch(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    p = _solve(cfg, "spectrum")
+    p = _solve(cfg)
     rep = spectrum.leading_eigenvalues(p, k=cfg.k)
     out = cfg.out or f"spectrum_c{cfg.c:g}.csv"
     header = {"c": cfg.c, "k": cfg.k, "potential_min": rep.potential_min,
@@ -312,23 +302,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def _refuse_grid_keys(cfg: RunConfig, command: str) -> None:
-    """The tanh front is solved on a fixed grid with the default tolerance."""
-    half = evolve_mod.TANH_DOMAIN_HALF
-    _refuse_unread(cfg, command, ("h", "xmin", "xmax", "tol"),
-                   f"solves its tanh front at h={evolve_mod.TANH_H:g} on "
-                   f"[{-half:g}, {half:g}] with the default tolerance")
-
-
 def cmd_evolve(cfg: RunConfig) -> int:
     ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end)
-    if cfg.ramp == "linear":
-        p = _solve(cfg, "evolve --ramp linear")
-    elif cfg.ramp == "tanh":
-        _refuse_grid_keys(cfg, "evolve --ramp tanh")
-        p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c)
-    else:
-        raise ValueError(f"unknown ramp {cfg.ramp!r}")
+    p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c) if cfg.ramp == "tanh" else _solve(cfg)
     x = p.grid.nodes()
     bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p, cfg.delta)) ** 2)
     result = evolve_mod.evolve(p, p.u + bump, ecfg)
@@ -352,8 +328,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_compare_tanh(cfg: RunConfig) -> int:
     if not 0.0 < cfg.eps <= 0.1:
         raise ValueError(f"eps must lie in (0, 0.1], got {cfg.eps}")
-    _refuse_grid_keys(cfg, "compare-tanh")
-    _refuse_unread(cfg, "compare-tanh", ("ramp",), "compares the tanh ramp with the linear one")
     rep = evolve_mod.compare_inner_scaling(cfg.eps, cfg.c, delta=cfg.delta)
     out = cfg.out or f"compare_tanh_eps{cfg.eps:g}_c{cfg.c:g}.csv"
     header = {"eps": cfg.eps, "c": cfg.c, **_grid_header(rep.grid),
@@ -390,6 +364,8 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The commands and their flags: a command reads exactly the settings its
+    flags name, and a config file may set only those."""
     parser = argparse.ArgumentParser(
         prog="quenchfront",
         description="Monotone fronts of u'' + c u' - x u - u^3 = 0: "
@@ -397,74 +373,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, flags, **kwargs):
+    def add(name, run, help_, flags, **kwargs):
         p = sub.add_parser(name, help=help_, **kwargs)
+        actions = {}
         for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        return p
+            action = p.add_argument(flag, **kw)
+            default = getattr(RunConfig, action.dest, None)
+            if default is not None:
+                action.help += f" (default {default})"
+            actions[action.dest] = action
+        p.set_defaults(run=run, flags=actions)
 
-    common = {
-        "--h": dict(type=float, help="grid spacing (default 0.01)"),
-        "--tol": dict(type=float, help="Newton residual tolerance"),
-        "--out": dict(type=str, help="output CSV path"),
-        "--delta": dict(type=float, help="front-interface level (default 0.1)"),
-    }
-    solve_flags = {
-        "--c": dict(type=float, help="drift speed"),
-        "--xmin": dict(type=float), "--xmax": dict(type=float),
+    out = dict(help="output path")
+    delta = dict(type=float, help="front-interface level")
+    eps = dict(type=float, help="the tanh ramp's eps")
+    front = {"--c": dict(type=float, help="drift speed"),
+             "--xmin": dict(type=float, help="left end of the domain (default set by c)"),
+             "--xmax": dict(type=float, help="right end of the domain (default set by c)"),
+             "--seed-file": dict(help="profile CSV to seed the solve"),
+             "--h": dict(type=float, help="grid spacing"),
+             "--tol": dict(type=float, help="Newton residual tolerance"), "--out": out}
+    add("solve", cmd_solve, "solve one front, write profile CSV", {
+        **front, "--delta": delta,
         "--spectrum": dict(action="store_true", default=None,
-                           help="also report lambda0 in the header"),
-        "--seed-file": dict(type=str, dest="seed_file",
-                            help="profile CSV to seed the solve"),
-        **common,
-    }
-    add("solve", "solve one front, write profile CSV", solve_flags)
-    add("branch", "continuation sweep, write branch CSV", {
-        "--cmin": dict(type=float), "--cmax": dict(type=float),
+                           help="also report lambda0 in the header")})
+    add("branch", cmd_branch, "continuation sweep, write branch CSV", {
+        "--cmin": dict(type=float, help="lower end of the c range"),
+        "--cmax": dict(type=float, help="upper end of the c range"),
         "--dc": dict(type=float, help="initial continuation step"),
-        **common})
-    add("spectrum", "leading eigenvalues of the linearization", {
-        "--c": dict(type=float), "--k": dict(type=int, help="how many eigenvalues"),
-        **common})
-    add("evolve", "time-integrate a perturbed front, write deviation history", {
-        "--c": dict(type=float), "--dt": dict(type=float),
-        "--t-end": dict(type=float, dest="t_end"),
+        "--h": front["--h"], "--tol": front["--tol"], "--out": out, "--delta": delta})
+    add("spectrum", cmd_spectrum, "leading eigenvalues of the linearization", {
+        **front, "--k": dict(type=int, help="how many eigenvalues")})
+    # which of these evolve reads depends on its ramp (see _RAMP_UNREAD)
+    add("evolve", cmd_evolve, "time-integrate a perturbed front, write deviation history", {
+        **front, "--delta": delta, "--dt": dict(type=float, help="time step"),
+        "--t-end": dict(type=float, help="end time"),
         "--scheme": dict(choices=[evolve_mod.SCHEME], help="time-stepping scheme"),
-        "--ramp": dict(choices=["linear", "tanh"]),
-        "--eps": dict(type=float), **common})
+        "--ramp": dict(choices=["linear", "tanh"], help="r(x) = x or tanh(eps x)"),
+        "--eps": eps})
     # the fronts compared have fixed grids and tolerances: no --h, no --tol
     # (and no abbreviations, or --h would be read as --help)
-    add("compare-tanh", "overlay tanh-ramp front with rescaled inner front", {
-        "--eps": dict(type=float), "--c": dict(type=float),
-        "--out": common["--out"], "--delta": common["--delta"]},
+    add("compare-tanh", cmd_compare_tanh, "overlay tanh-ramp front with rescaled inner front",
+        {"--eps": eps, "--c": front["--c"], "--out": out, "--delta": delta},
         allow_abbrev=False)
-    add("validate", "run the acceptance suite", {
-        "--criteria": dict(type=str, help="comma-separated subset, e.g. 1,5,11"),
-        "--out": dict(type=str)})
+    add("validate", cmd_validate, "run the acceptance suite", {
+        "--criteria": dict(help="comma-separated subset, e.g. 1,5,11"), "--out": out})
     return parser
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "branch": cmd_branch,
-    "spectrum": cmd_spectrum,
-    "evolve": cmd_evolve,
-    "compare-tanh": cmd_compare_tanh,
-    "validate": cmd_validate,
-}
+# what evolve does not read on each ramp: the tanh front is solved at
+# h = evolve.TANH_H on [-TANH_DOMAIN_HALF, TANH_DOMAIN_HALF] with the default tolerance
+_RAMP_UNREAD = {"linear": {"eps"}, "tanh": {"h", "tol", "xmin", "xmax", "seed_file"}}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        for key, value in vars(args).items():
-            # argparse's choices check --scheme: the one scheme runs always
-            if key in ("command", "config", "scheme") or value is None:
-                continue
-            setattr(cfg, key, value)
-            cfg.given.add(key)
-        return _COMMANDS[args.command](cfg)
+        cfg = RunConfig()
+        if args.config:
+            cfg.load(args.config, args.flags)
+        fields = [f.name for f in dataclasses.fields(cfg)]
+        # --scheme names no setting: argparse's choices check it, and the
+        # one scheme runs always
+        cfg.read = args.flags.keys() & fields
+        for key in cfg.read:
+            if getattr(args, key) is not None:
+                setattr(cfg, key, getattr(args, key))
+                cfg.given.add(key)
+        command = args.command
+        if command == "evolve":
+            command += f" --ramp {cfg.ramp}"
+            cfg.read -= _RAMP_UNREAD[cfg.ramp]
+        unread = [key for key in fields if key in cfg.given - cfg.read]
+        if unread:
+            read = ", ".join(key for key in fields if key in cfg.read)
+            raise ValueError(f"{command} reads only {read}; "
+                             f"it does not use the given {', '.join(unread)}")
+        return args.run(cfg)
     except (ValueError, newton.SolverError, evolve_mod.BlowUpError,
             bvp.TailFitError, spectrum.EigenIterationError, OSError) as exc:
         print(f"error kind={type(exc).__name__} detail={exc}", file=sys.stderr)

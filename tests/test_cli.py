@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import random
@@ -21,26 +22,41 @@ def run(argv):
     return main(argv)
 
 
+def loaded(cfg_file, command):
+    """The settings a config file gives ``command``, as ``main`` loads them."""
+    cfg = RunConfig()
+    cfg.load(cfg_file, cli.build_parser().parse_args([command]).flags)
+    return cfg
+
+
+def config_line(path):
+    return next(line for line in Path(path).read_text().splitlines()
+                if line.startswith("# config:"))
+
+
 class TestConfig:
     def test_file_then_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("delta=0.2\nc=1.5\n# a comment\n\n")
-        cfg = RunConfig.from_file(cfg_file)
-        assert cfg.delta == 0.2 and cfg.c == 1.5
-        cfg.apply("delta", "0.3")
-        assert cfg.delta == 0.3
+        cfg = loaded(cfg_file, "solve")
+        assert cfg.delta == 0.2 and cfg.c == 1.5 and cfg.given == {"delta", "c"}
+        out = tmp_path / "p.csv"
+        assert run(["--config", str(cfg_file), "solve", "--delta", "0.3", "--h", "0.04",
+                    "--out", str(out)]) == 0
+        header, _ = read_csv(out)
+        assert float(header["delta"]) == 0.3 and float(header["c"]) == 1.5
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("not_a_key=1\n")
         with pytest.raises(ValueError):
-            RunConfig.from_file(cfg_file)
+            loaded(cfg_file, "solve")
 
     def test_bad_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("delta 0.2\n")
         with pytest.raises(ValueError):
-            RunConfig.from_file(cfg_file)
+            loaded(cfg_file, "solve")
 
     @pytest.mark.parametrize("line, says", [
         ("h=abc", "could not convert string to float: 'abc'"),
@@ -51,20 +67,23 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"# a comment\nc=1.5\n{line}\n")
         key = line.partition("=")[0]
+        command = "spectrum" if key == "k" else "solve"   # a command with that flag
         with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg_file}:3: {key}: {says}')}"):
-            RunConfig.from_file(cfg_file)
-        assert run(["--config", str(cfg_file), "solve"]) == 2
+            loaded(cfg_file, command)
+        assert run(["--config", str(cfg_file), command]) == 2
         assert f"{cfg_file}:3: {key}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["1", "TRUE", "Yes", "on", "0", "False", "NO", "off"])
-    def test_boolean_spellings_in_any_case(self, value):
-        cfg = RunConfig()
-        cfg.apply("spectrum", value)
-        assert cfg.spectrum is (value.lower() in ("1", "true", "yes", "on"))
+    def test_boolean_spellings_in_any_case(self, value, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"spectrum={value}\n")
+        assert loaded(cfg_file, "solve").spectrum is (value.lower() in ("1", "true", "yes", "on"))
 
     def test_echo_contains_effective_values(self):
-        cfg = RunConfig(delta=0.25)
-        assert "delta=0.25" in cfg.echo()
+        # only the settings read, and of those not the output path
+        cfg = RunConfig(delta=0.25, out="p.csv")
+        cfg.read = {"delta", "out", "xmin"}
+        assert cfg.echo() == ["delta=0.25"]
 
 
 class TestCsvRoundTrip:
@@ -533,7 +552,7 @@ class TestOtherCommands:
         header, _ = read_csv(out)
         assert float(header["h"]) == pytest.approx(0.05)
         assert (header["xmin"], header["xmax"], header["n"]) == ("-300", "300", "12001")
-        assert " h=0.01 " in out.read_text()   # the echoed config is unchanged
+        assert " h=" not in config_line(out)   # it reads no h, so echoes none
 
     @pytest.mark.parametrize("flag", ["--h", "--tol"])
     def test_evolve_tanh_rejects_unread_flags(self, flag, tmp_path, capsys):
@@ -546,10 +565,10 @@ class TestOtherCommands:
 
     def test_evolve_tanh_rejects_unread_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("ramp=tanh\nh=0.02\nxmin=-50\nxmax=50\n")
+        cfg.write_text("ramp=tanh\nh=0.02\nxmin=-50\nxmax=50\nseed_file=p.csv\n")
         assert run(["--config", str(cfg), "evolve", "--eps", "0.01",
                     "--out", str(tmp_path / "et.csv")]) == 2
-        assert "not use the given h, xmin, xmax" in capsys.readouterr().err
+        assert "not use the given xmin, xmax, h, seed_file" in capsys.readouterr().err
 
     def test_evolve_config_file_bad_ramp_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -589,13 +608,15 @@ class TestOtherCommands:
         ("ramp=tanh\neps=0.01\n", ["branch", "--cmin", "0", "--cmax", "0.5", "--h", "0.04"],
          "branch", "eps, ramp"),
         ("ramp=banana\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "ramp"),
-        ("ramp=linear\neps=0.01\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "eps"),
+        ("ramp=linear\neps=0.01\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "eps, ramp"),
+        # solve has no --ramp: it reads no ramp, even the one it solves
+        ("ramp=linear\n", ["solve", "--c", "0", "--h", "0.04"], "solve", "ramp"),
         ("", ["evolve", "--c", "0", "--h", "0.04", "--t-end", "0.1", "--eps", "0.01"],
          "evolve --ramp linear", "eps"),
         ("ramp=linear\n", ["compare-tanh", "--eps", "0.01", "--c", "0"], "compare-tanh", "ramp"),
         ("ramp=tanh\n", ["compare-tanh", "--eps", "0.01", "--c", "0"], "compare-tanh", "ramp"),
-    ], ids=["solve", "spectrum", "branch", "solve-bad-ramp", "solve-eps", "evolve-linear-eps",
-            "compare-tanh-linear", "compare-tanh-tanh"])
+    ], ids=["solve", "spectrum", "branch", "solve-bad-ramp", "solve-eps", "solve-linear-ramp",
+            "evolve-linear-eps", "compare-tanh-linear", "compare-tanh-tanh"])
     def test_unread_ramp_keys_refused(self, config, argv, command, unread, tmp_path, capsys):
         # the header would echo a ramp or eps the command never read
         cfg = tmp_path / "run.cfg"
@@ -607,13 +628,79 @@ class TestOtherCommands:
         assert err.rstrip().endswith(f"it does not use the given {unread}")
         assert not out.exists()
 
-    def test_linear_ramp_given_to_a_linear_command_is_read(self, tmp_path):
+    @pytest.mark.parametrize("config, argv, unread", [
+        ("xmin=-40\nxmax=30\n", ["branch", "--cmin", "0", "--cmax", "0.5", "--h", "0.04"],
+         "xmin, xmax"),
+        ("k=3\ndt=0.5\ncmin=-9\n", ["solve", "--h", "0.04"], "cmin, k, dt"),
+        ("h=0.02\ntol=1e-6\n", ["validate", "--criteria", "9"], "h, tol")],
+        ids=["branch-domain", "solve-k-dt-cmin", "validate-h-tol"])
+    def test_config_keys_a_command_does_not_read_refused(self, config, argv, unread,
+                                                          tmp_path, capsys):
+        # the header would echo values that shaped nothing in the file
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("ramp=linear\n")
-        out = tmp_path / "p.csv"
-        assert run(["--config", str(cfg), "solve", "--c", "0", "--h", "0.04",
-                    "--out", str(out)]) == 0
-        assert " ramp=linear" in out.read_text()
+        cfg.write_text(config)
+        out = tmp_path / "o.csv"
+        assert run(["--config", str(cfg), *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error kind=ValueError detail={argv[0]} reads only ")
+        assert captured.err.rstrip().endswith(f"it does not use the given {unread}")
+        assert "PASS" not in captured.out and not out.exists()
+
+    def test_spectrum_has_no_delta_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["spectrum", "--delta", "0.5"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --delta 0.5" in capsys.readouterr().err
+
+    def test_spectrum_and_evolve_take_the_front_flags(self, tmp_path):
+        # the domain and seed flags of solve, which both commands read
+        seed = tmp_path / "seed.csv"
+        front = ["--c", "0", "--h", "0.04", "--xmin", "-20", "--xmax", "14"]
+        assert run(["solve", *front, "--out", str(seed)]) == 0
+        spec, evol = tmp_path / "s.csv", tmp_path / "e.csv"
+        for argv, out in ((["spectrum", "--k", "1"], spec), (["evolve", "--t-end", "0.1"], evol)):
+            assert run([*argv, *front, "--seed-file", str(seed), "--out", str(out)]) == 0
+            assert (f" xmin=-20 xmax=14 h=0.040000000000000001 tol=1e-10 seed_file={seed} "
+                    in config_line(out))
+        x = read_csv(spec)[1]["x"]
+        header = read_csv(evol)[0]
+        assert (x[0], x[-1]) == (-20.0, 14.0) and (header["xmin"], header["xmax"]) == ("-20", "14")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--h", "0.04"], ["branch", "--cmin", "-0.5", "--cmax", "0.5", "--h", "0.04"],
+        ["spectrum", "--k", "1", "--h", "0.04"], ["evolve", "--h", "0.04", "--t-end", "0.1"],
+        ["evolve", "--ramp", "tanh", "--eps", "0.01", "--t-end", "0.1"],
+        ["compare-tanh", "--eps", "0.01"], ["validate", "--criteria", "4"]],
+        ids=["solve", "branch", "spectrum", "evolve-linear", "evolve-tanh", "compare-tanh",
+             "validate"])
+    def test_each_command_reads_exactly_its_settings(self, argv, tmp_path, monkeypatch):
+        # a flag the command does not read, or a setting it reads without a
+        # flag, shows as a difference; the echo's own reads do not count
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        made = []
+
+        class Recording(RunConfig):
+            def __post_init__(self):
+                super().__post_init__()
+                self.seen = set()
+                made.append(self)
+
+            def __getattribute__(self, name):
+                if name in fields:
+                    object.__getattribute__(self, "seen").add(name)
+                return object.__getattribute__(self, name)
+
+            def echo(self):
+                seen = set(self.seen)
+                try:
+                    return super().echo()
+                finally:
+                    self.seen = seen
+
+        monkeypatch.setattr(cli, "RunConfig", Recording)
+        assert run([*argv, "--out", str(tmp_path / "o.csv")]) == 0
+        [cfg] = made
+        assert cfg.seen == cfg.read
 
     def test_compare_tanh_eps_validation(self, capsys):
         assert run(["compare-tanh", "--eps", "0.5", "--c", "0"]) == 2

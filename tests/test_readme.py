@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import quenchfront
+from quenchfront import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +26,14 @@ def test_package_exports_what_the_sketch_calls():
     # qf.<name>( only: qf.bvp.<f>( and qf.evolve.<f>( reach into modules
     called = set(re.findall(r"\bqf\.(\w+)\(", _sketch()))
     assert set(quenchfront.__all__) - {"__version__"} == called
+
+
+def test_command_lines_parse():
+    # every command line of the CLI block names flags and choices the parser has
+    lines = [line.split("#")[0].split()[1:] for line in README.read_text().splitlines()
+             if line.startswith("quenchfront ")]
+    assert {words[0] for words in lines} == {"solve", "branch", "spectrum", "evolve",
+                                             "compare-tanh", "validate"}
+    parser = cli.build_parser()
+    for words in lines:
+        assert parser.parse_args(words).command == words[0]
