@@ -184,10 +184,9 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     for c in (0.0, 1.0):
         p = ctx.profile(c)
         lam0 = float(ctx.spectrum_at(c).eigenvalues[0])
-        cfg = evolve.EvolveConfig(dt=0.01, t_end=25.0, record_every=25)
         x = p.grid.nodes()
         bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p)) ** 2)
-        result = evolve.evolve(p, p.u + bump, cfg)
+        result = evolve.evolve(p, p.u + bump, dt=0.01, t_end=25.0, record_every=25)
         rel = abs(result.measured_rate - lam0) / abs(lam0)
         measured[f"rate_c{c:g}"] = result.measured_rate
         measured[f"lambda0_c{c:g}"] = lam0

@@ -121,24 +121,15 @@ def left_tail(x: float, c: float) -> float:
 
 
 def erf_front_position(c: float, delta: float = 0.1) -> float:
-    """Level-delta crossing of the closed-form profile (c < 0), by bisection.
-
-    The initial bracket comes from the Gaussian shape of the spill-over
-    tail, x ~ sqrt(2|c| ln(u(0)/delta)), then widens if needed.
-    """
+    """Level-delta crossing of the closed-form profile (c < 0), by bisection
+    on [0, hi], hi from the Gaussian shape of the spill-over tail."""
     if c >= 0:
         raise ValueError("erf front position requires c < 0")
     amp = erf_profile(0.0, c)
     if not 0.0 < delta < amp:
         raise ValueError(f"delta={delta} outside the profile's decaying range")
-    lo = 0.0
-    hi = math.sqrt(2.0 * (-c) * (math.log(amp / delta) + 2.0)) + 5.0
-    for _ in range(60):
-        if erf_profile(hi, c) < delta:
-            break
-        hi *= 1.5
-    else:
-        raise ArithmeticError("could not bracket the level crossing")
+    # erfc(-x/sqrt|c|) >= 1 for x > 0, so u(x) <= amp e^{-x^2/(2|c|)} and u(hi) < delta/e^2
+    lo, hi = 0.0, math.sqrt(2.0 * (-c) * (math.log(amp / delta) + 2.0)) + 5.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if erf_profile(mid, c) > delta:

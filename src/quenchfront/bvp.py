@@ -251,19 +251,19 @@ def initial_guess(g: Grid, c: float, eps: float | None = None) -> np.ndarray:
     interface whose tail decays like the leading edge e^{-cx/2} Ai(x + c^2/4).
     Tanh ramp: the local equilibrium sqrt(tanh(-eps x)) cut off at
     x_f / eps^{1/3}, where x_f is the interface of the linear-ramp front at
-    the inner-scaled speed eps^{-1/3} c (0 where that speed is in [-2, 2])."""
+    the inner-scaled speed c_s = eps^{-1/3} c (0 where c_s is in [-2, 2]),
+    with the linear seed's slope in inner units: c_s/4 for c_s > 2, else 1."""
     x = g.nodes()
     if eps is not None:
         e13 = eps ** (1.0 / 3.0)
         c_scaled = c / e13
+        interface, slope = 0.0, e13
         if c_scaled > 2.0:
-            interface = asymptotics.front_loc_largec(c_scaled) / e13
+            interface, slope = asymptotics.front_loc_largec(c_scaled) / e13, e13 * c_scaled / 4.0
         elif c_scaled < -2.0:
             interface = asymptotics.erf_front_position(c_scaled) / e13
-        else:
-            interface = 0.0
         return (np.sqrt(np.maximum(np.tanh(-eps * x), 0.0))
-                * 0.5 * (1.0 - np.tanh(e13 * (x - interface))))
+                * 0.5 * (1.0 - np.tanh(slope * (x - interface))))
     if c <= -3.0:
         return asymptotics.erf_profile_vec(x, c)
     if c > 2.0:

@@ -169,7 +169,8 @@ def read_csv(path: str | Path) -> tuple[dict, dict]:
 
 def load_profile(path: str | Path) -> FrontProfile:
     """A profile CSV as a front on the uniform grid from its first to its
-    last x; what is missing or off that grid is a ValueError naming the file."""
+    last x; what is missing, off that grid or not finite is a ValueError
+    naming the file."""
     header, cols = read_csv(path)
     if header.get("kind") != "profile":
         raise ValueError(f"{path}: not a profile file")
@@ -182,12 +183,18 @@ def load_profile(path: str | Path) -> FrontProfile:
         g = Grid(x_min=float(x[0]), x_max=float(x[-1]), n=len(x))
     except (IndexError, ValueError) as exc:
         raise ValueError(f"{path}: x column gives no grid: {exc}") from None
-    # the written nodes and the rebuilt ones differ by roundoff at most
-    off = np.flatnonzero(np.abs(x - g.nodes()) > 1e-9 * g.h)
+    # the written nodes and the rebuilt ones differ by roundoff at most; a nan is off
+    off = np.flatnonzero(~(np.abs(x - g.nodes()) <= 1e-9 * g.h))
     if off.size:
         raise ValueError(f"{path}: x leaves the uniform increasing grid at data "
                          f"row {off[0] + 1}: x={x[off[0]]:.17g}")
-    return FrontProfile(c=float(header["c"]), grid=g, u=cols["u"].copy(), converged=True,
+    c, u = float(header["c"]), cols["u"]
+    if not np.isfinite(c):
+        raise ValueError(f"{path}: '# c=' header line gives c={c}")
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise ValueError(f"{path}: u is not finite at data row {bad[0] + 1}: u={u[bad[0]]}")
+    return FrontProfile(c=c, grid=g, u=u.copy(), converged=True,
                         residual_norm=float(header.get("residual_norm", "inf")))
 
 
@@ -196,17 +203,16 @@ class MarginError(ValueError):
 
 
 def _grid_for(cfg: RunConfig, c: float) -> Grid:
-    if cfg.xmin is None and cfg.xmax is None:
-        return bvp.default_grid(c, cfg.h)
+    """c's default domain with the given edges, on the grid that is solved."""
     lo, hi = bvp.default_domain(c)
-    lo = cfg.xmin if cfg.xmin is not None else lo
-    hi = cfg.xmax if cfg.xmax is not None else hi
-    need_lo, need_hi = bvp.required_bounds(c)
-    if lo > need_lo or hi < need_hi:
+    g = make_grid(lo if cfg.xmin is None else cfg.xmin, hi if cfg.xmax is None else cfg.xmax,
+                  cfg.h)
+    if not bvp.domain_ok(g, c):
+        need_lo, need_hi = bvp.required_bounds(c)
         raise MarginError(
-            f"domain [{lo}, {hi}] too small for c={c}: front interface needs "
+            f"domain [{g.x_min:g}, {g.x_max:g}] too small for c={c}: front interface needs "
             f"[{need_lo:.2f}, {need_hi:.2f}] with {bvp.FRONT_MARGIN:g}-unit margins")
-    return make_grid(lo, hi, cfg.h)
+    return g
 
 
 def _solve(cfg: RunConfig) -> FrontProfile:
@@ -303,11 +309,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    ecfg = evolve_mod.EvolveConfig(dt=cfg.dt, t_end=cfg.t_end)
     p = evolve_mod.solve_tanh_front(cfg.eps, cfg.c) if cfg.ramp == "tanh" else _solve(cfg)
     x = p.grid.nodes()
     bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p, cfg.delta)) ** 2)
-    result = evolve_mod.evolve(p, p.u + bump, ecfg)
+    result = evolve_mod.evolve(p, p.u + bump, cfg.dt, cfg.t_end)
     lambda0 = float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0])
     out = cfg.out or f"evolve_c{cfg.c:g}.csv"
     header = {"c": cfg.c, **_grid_header(p.grid), "dt": cfg.dt,
@@ -336,14 +341,10 @@ def cmd_compare_tanh(cfg: RunConfig) -> int:
               "x_delta_tanh": rep.x_delta_tanh,
               "x_delta_inner_scaled": rep.x_delta_inner_scaled,
               "interface_gap": rep.interface_gap}
-    summary = (f"# interface: x_delta_tanh={_fmt(rep.x_delta_tanh)} "
-               f"x_delta_inner_scaled={_fmt(rep.x_delta_inner_scaled)} "
-               f"gap={_fmt(rep.interface_gap)}")
     write_csv(out, "compare_tanh", header,
               {"x": rep.xs, "u_tanh": rep.u_tanh,
                "u_inner_scaled": rep.u_inner_scaled,
-               "gap": rep.u_tanh - rep.u_inner_scaled},
-              cfg, trailing_comments=[summary])
+               "gap": rep.u_tanh - rep.u_inner_scaled}, cfg)
     print(f"wrote {out}: sup_gap={rep.sup_gap:.4g} interface_gap={rep.interface_gap:.4g}")
     return 0
 

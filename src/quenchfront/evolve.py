@@ -40,20 +40,9 @@ PLATEAU_MARGIN = 1e4
 ROUNDOFF_PLATEAU = 1e-12
 # the one time-stepping scheme, as named by ``evolve --scheme`` and headers
 SCHEME = "imex_cn"
-
-
-@dataclass
-class EvolveConfig:
-    dt: float
-    t_end: float
-    record_every: int = 10
-
-    def __post_init__(self):
-        if not (self.dt > 0 and 0.5 < self.t_end / self.dt < math.inf):
-            raise ValueError(f"dt={self.dt:g} and t_end={self.t_end:g} must be positive, "
-                             f"with t_end/dt finite and rounding to at least one step")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+# over 300x the longest run in use (3,000 steps, evolve's default t_end/dt);
+# like grid.MAX_NODES, it keeps a mistyped dt from running without end
+MAX_STEPS = 10 ** 6
 
 
 @dataclass
@@ -143,27 +132,34 @@ class ImexStepper:
         return out
 
 
-def evolve(front: FrontProfile, u0: np.ndarray, cfg: EvolveConfig) -> EvolveResult:
+def evolve(front: FrontProfile, u0: np.ndarray, dt: float, t_end: float,
+           record_every: int = 10) -> EvolveResult:
     """Integrate u0 to t_end under the equation of ``front`` (its c, ramp,
-    grid and closures), recording sup-norm deviations from
-    ``front.u`` every ``record_every`` steps."""
+    grid and closures) in round(t_end / dt) steps of dt, at least 1 and at
+    most MAX_STEPS, recording sup-norm deviations from ``front.u`` every
+    ``record_every`` steps."""
+    if not (dt > 0 and 0.5 < t_end / dt < MAX_STEPS + 0.5):
+        raise ValueError(f"dt={dt:g} and t_end={t_end:g} must be positive, with t_end/dt "
+                         f"rounding to between 1 and {MAX_STEPS} steps")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     plateau = deviation_plateau(front)
     start = time.perf_counter()
-    stepper = ImexStepper(front, cfg.dt)
+    stepper = ImexStepper(front, dt)
     factor_s = time.perf_counter() - start
     u = np.asarray(u0, dtype=float).copy()
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = int(round(t_end / dt))
     history = [(0.0, float(np.abs(u - front.u).max()))]
     start = time.perf_counter()
     for k in range(1, n_steps + 1):
         try:
             u = stepper.step(u)
         except BlowUpError as exc:
-            raise BlowUpError(f"blow-up at step {k} (t={k * cfg.dt:.4g}) at c={front.c:g}, "
-                              f"dt={cfg.dt:g}, scheme={SCHEME}, h={front.grid.h:g}, "
+            raise BlowUpError(f"blow-up at step {k} (t={k * dt:.4g}) at c={front.c:g}, "
+                              f"dt={dt:g}, scheme={SCHEME}, h={front.grid.h:g}, "
                               f"n={front.grid.n}: {exc}") from exc
-        if k % cfg.record_every == 0 or k == n_steps:
-            history.append((k * cfg.dt, float(np.abs(u - front.u).max())))
+        if k % record_every == 0 or k == n_steps:
+            history.append((k * dt, float(np.abs(u - front.u).max())))
     step_s = (time.perf_counter() - start) / n_steps
 
     final = FrontProfile(c=front.c, grid=front.grid, u=u, eps=front.eps)

@@ -77,6 +77,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 9:
             raise ValueError(f"need n >= 9 for biased 4th-order stencils, got {self.n}")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.n > MAX_NODES:
@@ -92,16 +94,17 @@ class Grid:
         return self.x_min + self.h * np.arange(self.n)
 
 
-def make_grid(x_min: float, x_max: float, h_target: float = 0.01) -> Grid:
+def make_grid(x_min: float, x_max: float, h_target: float) -> Grid:
     """Grid with spacing <= h_target, endpoints snapped outward to multiples
     of h_target so that x = 0 is a node whenever it lies inside the domain."""
-    if not (math.isfinite(x_min) and math.isfinite(x_max)):
-        raise ValueError(f"grid bounds must be finite, got [{x_min}, {x_max}]")
     if not 0.0 < h_target < math.inf:
         raise ValueError(f"grid spacing must be positive and finite, got h={h_target}")
-    # the 1e-9 nudges absorb roundoff when x/h is already an integer
-    k_lo = int(np.floor(x_min / h_target + 1e-9))
-    k_hi = int(np.ceil(x_max / h_target - 1e-9))
+    try:   # the 1e-9 nudges absorb roundoff when x/h is already an integer
+        k_lo = math.floor(x_min / h_target + 1e-9)
+        k_hi = math.ceil(x_max / h_target - 1e-9)
+    except (OverflowError, ValueError):   # x/h is inf or nan
+        raise ValueError(f"grid bounds [{x_min}, {x_max}] at h={h_target} must be finite, "
+                         f"with finite x/h") from None
     return Grid(x_min=k_lo * h_target, x_max=k_hi * h_target, n=k_hi - k_lo + 1)
 
 

@@ -150,8 +150,15 @@ class TestCsvRoundTrip:
         (lambda t: t.replace("x,u\n", "x,v\n"), "no 'u' column"),
         (lambda t: t.replace("\n5,", "\n5.5,"), "leaves the uniform increasing grid "
                                                 "at data row 6: x=5.5"),
-        (lambda t: t.split("\n5,")[0] + "\n", "x column gives no grid: need n >= 9")],
-        ids=["no_c", "no_u", "x_off_grid", "too_few_rows"])
+        (lambda t: t.split("\n5,")[0] + "\n", "x column gives no grid: need n >= 9"),
+        (lambda t: t.replace("\n11,", "\ninf,"), "x column gives no grid: grid bounds "
+                                                 "must be finite, got"),
+        (lambda t: t.replace("\n5,", "\nnan,"), "leaves the uniform increasing grid "
+                                                "at data row 6: x=nan"),
+        (lambda t: t.replace("# c=0\n", "# c=nan\n"), "'# c=' header line gives c=nan"),
+        (lambda t: t.replace(",0.25\n", ",nan\n"), "u is not finite at data row 4: u=nan")],
+        ids=["no_c", "no_u", "x_off_grid", "too_few_rows", "x_inf_last", "x_nan", "c_nan",
+             "u_nan"])
     def test_unusable_profile_named(self, edit, named, tmp_path, capsys):
         path = tmp_path / "seed.csv"
         rows = "".join(f"{i},{1.0 / (i + 1)}\n" for i in range(12))
@@ -252,7 +259,8 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("flags, named", [
         (["--c", "0", "--h", "0"], "h=0.0"), (["--c", "0", "--h", "nan"], "h=nan"),
-        (["--c", "nan"], "c=nan"), (["--c", "inf"], "c=inf")])
+        (["--c", "nan"], "c=nan"), (["--c", "inf"], "c=inf"),
+        (["--c", "0", "--h", "1e-310"], "at h=1e-310 must be finite")])
     def test_non_finite_input_rejected(self, flags, named, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run(["solve", *flags, "--out", str(out)]) == 2
@@ -503,7 +511,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("flags, named", [
         (["--t-end", "inf"], "t_end=inf"), (["--dt", "nan"], "dt=nan"),
-        (["--dt", "inf"], "dt=inf"), (["--dt", "0.5", "--t-end", "0.2"], "dt=0.5 and t_end=0.2")])
+        (["--dt", "inf"], "dt=inf"), (["--dt", "0.5", "--t-end", "0.2"], "dt=0.5 and t_end=0.2"),
+        (["--dt", "1e-300", "--t-end", "1"], "dt=1e-300 and t_end=1 ")])
     def test_evolve_unrunnable_time_settings_rejected(self, flags, named, tmp_path, capsys):
         out = tmp_path / "e.csv"
         assert run(["evolve", "--c", "0", "--h", "0.04", *flags, "--out", str(out)]) == 2

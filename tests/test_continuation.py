@@ -108,6 +108,18 @@ class TestContinueBranch:
         assert c == 13.0 and p.grid == bvp.default_grid(13.0, 0.04)
         assert [c for c, _ in br.failures] == [13.0]
 
+    def test_failed_steps_halve_down_to_an_underflow(self):
+        # past c = 13.138 every step fails at h = 0.04 (measured: 39 failures,
+        # the last point at c = 13.1379): each failure halves the step until
+        # it falls below DC_MIN, which ends the sweep
+        br = continue_branch(solve_front(12.75, h=0.04), 14.0, h=0.04)
+        assert br.failures[-1][1] == "step size underflow"
+        assert all(msg != "step size underflow" for _, msg in br.failures[:-1])
+        cs = [c for c, _ in br.points]
+        assert cs == sorted(set(cs)) and 13.0 < cs[-1] < 14.0
+        assert br.failures[-1][0] - cs[-1] < 2 * continuation.DC_MIN
+        assert not any(diagnostics.admissibility(p) for _, p in br.points)
+
     def test_tangent_is_computed_once_per_accepted_point(self, monkeypatch):
         # the sweep above: one failed attempt on the carried grid, then its
         # retry on the default grid, both from the same accepted point

@@ -7,9 +7,8 @@ from scipy.integrate import trapezoid
 
 from quenchfront import bvp, continuation, diagnostics, evolve, grid, spectrum
 from quenchfront.bvp import FrontProfile
-from quenchfront.evolve import (BlowUpError, EvolveConfig, ImexStepper,
-                                compare_inner_scaling, measured_rate,
-                                solve_tanh_front)
+from quenchfront.evolve import (BlowUpError, ImexStepper, compare_inner_scaling,
+                                measured_rate, solve_tanh_front)
 from quenchfront.grid import (BandedMatrix, UnpivotedBandedLU, d1_band, d2_band,
                              fd_weights, make_grid)
 from quenchfront.newton import SolverError
@@ -114,11 +113,11 @@ class MatvecImexStepper:
 
 
 class TestConfig:
-    def test_validation(self):
+    def test_validation(self, hm_profile):
         with pytest.raises(ValueError):
-            EvolveConfig(dt=-0.1, t_end=1.0)
+            evolve.evolve(hm_profile, hm_profile.u, dt=-0.1, t_end=1.0)
         with pytest.raises(ValueError):
-            EvolveConfig(dt=0.01, t_end=1.0, record_every=0)
+            evolve.evolve(hm_profile, hm_profile.u, dt=0.01, t_end=1.0, record_every=0)
 
 
 class TestStepper:
@@ -217,7 +216,7 @@ class TestStepper:
                 super().__init__(a)
 
         monkeypatch.setattr(evolve, "UnpivotedBandedLU", Counted)
-        evolve.evolve(hm_profile, hm_profile.u + 1e-3, EvolveConfig(dt=0.01, t_end=0.5))
+        evolve.evolve(hm_profile, hm_profile.u + 1e-3, dt=0.01, t_end=0.5)
         assert len(factors) == 1
 
     @settings(max_examples=20, deadline=None)
@@ -315,37 +314,47 @@ class TestStepper:
         with pytest.raises(BlowUpError, match="non-finite"):
             st.step(u)
 
+    @pytest.mark.parametrize("dt", [1e-300, 1.0 / (evolve.MAX_STEPS + 1)])
+    def test_too_many_steps_refused_before_a_step(self, hm_profile, monkeypatch, dt):
+        def refuse(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(evolve, "ImexStepper", refuse)
+        monkeypatch.setattr(evolve, "deviation_plateau", refuse)
+        with pytest.raises(ValueError, match=f"between 1 and {evolve.MAX_STEPS} steps"):
+            evolve.evolve(hm_profile, hm_profile.u, dt=dt, t_end=1.0)
+
     def test_blow_up_reported_with_step_index(self, hm_profile):
-        cfg = EvolveConfig(dt=1.0, t_end=50.0)
         with pytest.raises(BlowUpError, match="step"):
-            evolve.evolve(hm_profile, 50.0 * np.ones(hm_profile.grid.n), cfg)
+            evolve.evolve(hm_profile, 50.0 * np.ones(hm_profile.grid.n), dt=1.0, t_end=50.0)
 
 
 class TestEvolveRuns:
     def test_perturbation_decay_matches_lambda0(self, hm_profile):
         lam0 = spectrum.leading_eigenvalues(hm_profile, 1).eigenvalues[0]
-        cfg = EvolveConfig(dt=0.01, t_end=20.0, record_every=20)
         x = hm_profile.grid.nodes()
         bump = 1e-3 * np.exp(-(x - diagnostics.front_position(hm_profile)) ** 2)
-        res = evolve.evolve(hm_profile, hm_profile.u + bump, cfg)
+        res = evolve.evolve(hm_profile, hm_profile.u + bump, dt=0.01, t_end=20.0,
+                            record_every=20)
         assert abs(res.measured_rate - lam0) / abs(lam0) <= 0.2
 
     def test_deviation_history_decreases_after_transient(self, hm_profile):
-        cfg = EvolveConfig(dt=0.01, t_end=5.0, record_every=50)
         x = hm_profile.grid.nodes()
         bump = 1e-3 * np.exp(-x ** 2)
-        res = evolve.evolve(hm_profile, hm_profile.u + bump, cfg)
+        res = evolve.evolve(hm_profile, hm_profile.u + bump, dt=0.01, t_end=5.0,
+                            record_every=50)
         devs = [d for _, d in res.deviation_history]
         tail = devs[max(1, len(devs) // 5):]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
     def test_steady_state_limit_equals_newton_solution(self, hm_profile):
         g = hm_profile.grid
-        cfg = EvolveConfig(dt=0.01, t_end=30.0, record_every=50)
-        res = evolve.evolve(hm_profile, bvp.initial_guess(g, 0.0), cfg)
+        t_end = 30.0
+        res = evolve.evolve(hm_profile, bvp.initial_guess(g, 0.0), dt=0.01, t_end=t_end,
+                            record_every=50)
         assert np.abs(res.final.u - hm_profile.u).max() <= 1e-6
         assert res.final.residual_norm <= 1e-6
-        assert res.measured_rate * cfg.t_end <= -14.0
+        assert res.measured_rate * t_end <= -14.0
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_second_order_in_dt(self, c):
@@ -380,21 +389,21 @@ class TestEvolveRuns:
         direct = continuation.solve_front(1.0)
         continued = continuation.continue_branch(hm_profile, 1.0).points[-1][1]
         assert direct.grid != continued.grid
-        cfg = EvolveConfig(dt=0.01, t_end=25.0, record_every=25)
         rates = []
         for front in (direct, continued):
             x = front.grid.nodes()
             bump = 1e-3 * np.exp(-(x - diagnostics.front_position(front)) ** 2)
-            rates.append(evolve.evolve(front, front.u + bump, cfg).measured_rate)
+            rates.append(evolve.evolve(front, front.u + bump, dt=0.01, t_end=25.0,
+                                       record_every=25).measured_rate)
         assert rates[0] == pytest.approx(rates[1], rel=1e-6)
 
     def test_peak_growth_is_over_the_initial_deviation(self, hm_profile):
-        cfg = EvolveConfig(dt=0.01, t_end=0.5, record_every=5)
-        bumped = evolve.evolve(hm_profile, hm_profile.u + 1e-3, cfg)
+        times = dict(dt=0.01, t_end=0.5, record_every=5)
+        bumped = evolve.evolve(hm_profile, hm_profile.u + 1e-3, **times)
         devs = [d for _, d in bumped.deviation_history]
         assert bumped.peak_growth == max(devs) / devs[0]
         assert bumped.steps == 50 and bumped.step_s > 0.0
-        assert np.isnan(evolve.evolve(hm_profile, hm_profile.u, cfg).peak_growth)
+        assert np.isnan(evolve.evolve(hm_profile, hm_profile.u, **times).peak_growth)
 
     @pytest.mark.parametrize("amp", [1e-6, 1e-12])
     @pytest.mark.parametrize("c", [0.0, 1.0, 3.0, 5.0])
@@ -405,8 +414,7 @@ class TestEvolveRuns:
         front = continuation.solve_front(c, h=0.04)
         u0 = np.full(front.grid.n, amp)
         u0[[0, -1]] = front.u[[0, -1]]
-        final = evolve.evolve(front, u0, EvolveConfig(dt=0.05, t_end=90.0,
-                                                      record_every=100)).final
+        final = evolve.evolve(front, u0, dt=0.05, t_end=90.0, record_every=100).final
         assert np.abs(final.u - front.u).max() <= 1e-8
         assert abs(diagnostics.front_position(final)
                    - diagnostics.front_position(front)) <= 1e-9
@@ -425,10 +433,9 @@ class TestTanhFront:
         assert np.all(np.diff(front.u) <= 1e-12)
         assert front.u[0] == pytest.approx(np.sqrt(np.tanh(eps * 150.0)), abs=1e-12)
 
-        cfg = EvolveConfig(dt=0.05, t_end=100.0, record_every=100)
         x = g.nodes()
         bump = 1e-3 * np.exp(-(x / 4.0) ** 2)
-        res = evolve.evolve(front, front.u + bump, cfg)
+        res = evolve.evolve(front, front.u + bump, dt=0.05, t_end=100.0, record_every=100)
         assert res.deviation_history[-1][1] <= 1e-5
         assert res.final.eps == eps
 
@@ -446,6 +453,16 @@ class TestTanhFront:
         xd1 = diagnostics.front_position(f1, 0.1 * e13)
         xd2 = diagnostics.front_position(f2, 0.1 * e13)
         assert abs(xd1 - xd2) <= 1e-6
+
+    @pytest.mark.parametrize("eps", [0.01, 0.001])
+    @pytest.mark.parametrize("c_scaled", [2.5, 3.0])
+    def test_seed_just_past_the_delay_law_threshold_solves(self, eps, c_scaled):
+        # at inner-scaled speeds c_s in (2, 4) a cut-off of slope eps^{1/3}
+        # (rather than the linear seed's eps^{1/3} c_s / 4) led Newton to a
+        # profile with negative values
+        e13 = eps ** (1.0 / 3.0)
+        front = solve_tanh_front(eps, c_scaled * e13)
+        assert front.converged and not diagnostics.admissibility(front)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

@@ -36,11 +36,18 @@ def test_grid_validation():
         Grid(1.0, 0.0, 20)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                          (0.0, np.nan)])
+def test_grid_rejects_non_finite_bounds(x_min, x_max):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        Grid(x_min, x_max, 20)
+
+
 @pytest.mark.parametrize("args, named", [
     ((np.nan, 1.0, 0.1), "[nan, 1.0]"), ((-np.inf, 1.0, 0.1), "[-inf, 1.0]"),
     ((0.0, np.inf, 0.1), "[0.0, inf]"), ((0.0, 1.0, 0.0), "h=0.0"),
     ((0.0, 1.0, -0.1), "h=-0.1"), ((0.0, 1.0, np.nan), "h=nan"),
-    ((0.0, 1.0, np.inf), "h=inf")])
+    ((0.0, 1.0, np.inf), "h=inf"), ((-25.0, 15.0, 1e-310), "[-25.0, 15.0] at h=1e-310")])
 def test_make_grid_rejects_non_finite_bounds_and_bad_spacing(args, named):
     with pytest.raises(ValueError) as exc:
         make_grid(*args)
