@@ -48,7 +48,6 @@ class AcceptanceContext:
     def __init__(self):
         self._branches: dict[float, continuation.Branch] = {}
         self._profiles: dict[float, FrontProfile] = {}
-        self._spectra: dict[float, spectrum.SpectrumReport] = {}
 
     def branch(self, c_target: float) -> continuation.Branch:
         """The branch continued from the c = 0 front to c_target."""
@@ -61,12 +60,6 @@ class AcceptanceContext:
         if c not in self._profiles:
             self._profiles[c] = continuation.solve_front(c)
         return self._profiles[c]
-
-    def spectrum_at(self, c: float) -> spectrum.SpectrumReport:
-        """lambda0 and the ground state (the criteria read nothing else)."""
-        if c not in self._spectra:
-            self._spectra[c] = spectrum.leading_eigenvalues(self.profile(c), 1)
-        return self._spectra[c]
 
 
 def _timed(fn):
@@ -166,7 +159,7 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     measured = {"oscillator_error": osc_err}
     ok = osc_err <= 1e-3 and osc.ground_state.min() >= -1e-8
     for c in (-10.0, -1.0, 0.0, 1.0, 10.0):
-        rep = ctx.spectrum_at(c)
+        rep = spectrum.leading_eigenvalues(ctx.profile(c), 1)
         measured[f"lambda0_c{c:g}"] = float(rep.eigenvalues[0])
         ok &= rep.eigenvalues[0] < -1e-3
         ok &= rep.ground_state.min() >= -1e-8
@@ -183,7 +176,7 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     ok = True
     for c in (0.0, 1.0):
         p = ctx.profile(c)
-        lam0 = float(ctx.spectrum_at(c).eigenvalues[0])
+        lam0 = float(spectrum.leading_eigenvalues(p, 1).eigenvalues[0])
         x = p.grid.nodes()
         bump = 1e-3 * np.exp(-(x - diagnostics.front_position(p)) ** 2)
         result = evolve.evolve(p, p.u + bump, dt=0.01, t_end=25.0, record_every=25)

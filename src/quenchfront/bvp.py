@@ -81,21 +81,21 @@ def right_log_derivative(c: float, x_max: float, eps: float | None = None) -> fl
 def default_domain(c: float) -> tuple[float, float]:
     """Solve domain keeping the front interface interior by >= FRONT_MARGIN.
 
-    For c >= 0 this is [-max(25, c^2/4 + 30), max(15, sqrt|c| + 15)].  For
-    c < -2 the nominal right edge sqrt(-c) + 15 is pushed 2 past where the
-    closed-form profile has decayed to RIGHT_EDGE_LEVEL: the spill-over tail
-    is a slow Gaussian whose level-0.1 crossing overtakes sqrt(-c) once
+    For c >= 0 this is [-(c^2/4 + 30), sqrt(c) + 15], for c < 0
+    [-25, sqrt(-c) + 15].  For c < -2 that right edge is pushed 2 past where
+    the closed-form profile has decayed to RIGHT_EDGE_LEVEL: the spill-over
+    tail is a slow Gaussian whose level-0.1 crossing overtakes sqrt(-c) once
     c < -25 or so.  The Robin row follows that tail, so the edge may sit
     where u is still ~1e-3.
     """
     if not math.isfinite(c):
         raise ValueError(f"drift speed must be finite, got c={c}")
     if c >= 0:
-        x_min = -max(25.0, c * c / 4.0 + 30.0)
-        x_max = max(15.0, math.sqrt(abs(c)) + 15.0)
+        x_min = -(c * c / 4.0 + 30.0)
+        x_max = math.sqrt(c) + 15.0
     else:
         x_min = -25.0
-        x_max = max(15.0, math.sqrt(-c) + 15.0)
+        x_max = math.sqrt(-c) + 15.0
         if c < -2.0:
             x_max = max(x_max, asymptotics.erf_front_position(c, RIGHT_EDGE_LEVEL) + 2.0)
     return x_min, x_max

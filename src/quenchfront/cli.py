@@ -168,9 +168,9 @@ def read_csv(path: str | Path) -> tuple[dict, dict]:
 
 
 def load_profile(path: str | Path) -> FrontProfile:
-    """A profile CSV as a front on the uniform grid from its first to its
-    last x; what is missing, off that grid or not finite is a ValueError
-    naming the file."""
+    """A profile CSV's c and u as a front on the uniform grid from its first
+    to its last x; what is missing, off that grid, not a number or not finite
+    is a ValueError naming the file."""
     header, cols = read_csv(path)
     if header.get("kind") != "profile":
         raise ValueError(f"{path}: not a profile file")
@@ -188,14 +188,17 @@ def load_profile(path: str | Path) -> FrontProfile:
     if off.size:
         raise ValueError(f"{path}: x leaves the uniform increasing grid at data "
                          f"row {off[0] + 1}: x={x[off[0]]:.17g}")
-    c, u = float(header["c"]), cols["u"]
+    try:
+        c = float(header["c"])
+    except ValueError:
+        c = np.nan
     if not np.isfinite(c):
-        raise ValueError(f"{path}: '# c=' header line gives c={c}")
+        raise ValueError(f"{path}: '# c=' header line gives c={header['c']}")
+    u = cols["u"]
     bad = np.flatnonzero(~np.isfinite(u))
     if bad.size:
         raise ValueError(f"{path}: u is not finite at data row {bad[0] + 1}: u={u[bad[0]]}")
-    return FrontProfile(c=c, grid=g, u=u.copy(), converged=True,
-                        residual_norm=float(header.get("residual_norm", "inf")))
+    return FrontProfile(c=c, grid=g, u=u.copy(), converged=True)
 
 
 class MarginError(ValueError):
@@ -296,14 +299,14 @@ def cmd_branch(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     p = _solve(cfg)
     rep = spectrum.leading_eigenvalues(p, k=cfg.k)
+    V = spectrum.build_potential(p)
     out = cfg.out or f"spectrum_c{cfg.c:g}.csv"
-    header = {"c": cfg.c, "k": cfg.k, "potential_min": rep.potential_min,
+    header = {"c": cfg.c, "k": cfg.k, "potential_min": float(V.min()),
               "eigenvalues": ";".join(_fmt(float(v)) for v in rep.eigenvalues),
               "lambda0": float(rep.eigenvalues[0]),
               "lambda0_residual": rep.residual}
     write_csv(out, "spectrum", header,
-              {"x": p.grid.nodes(), "ground_state": rep.ground_state,
-               "potential": spectrum.build_potential(p)}, cfg)
+              {"x": p.grid.nodes(), "ground_state": rep.ground_state, "potential": V}, cfg)
     print(f"wrote {out}: lambda0={rep.eigenvalues[0]:.6g}")
     return 0
 
@@ -353,7 +356,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     from . import acceptance   # here, so that no other command pays to load the suite
     only = None
     if cfg.criteria:
-        only = {int(t) for t in cfg.criteria.split(",")}
+        try:
+            only = {int(t) for t in cfg.criteria.split(",")}
+        except ValueError as exc:   # int's message quotes the bad entry
+            raise ValueError(f"criteria takes comma-separated criterion numbers, got "
+                             f"{cfg.criteria!r}: {exc}") from None
     results = acceptance.run_all(only=only)
     lines = [acceptance.format_result(r) for r in results]
     print("\n".join(lines))

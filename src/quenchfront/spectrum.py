@@ -7,13 +7,13 @@ materialized -- it would overflow).  For r = x, V grows without bound on
 both sides, so a Dirichlet truncation on the solve domain and a symmetric
 tridiagonal eigensolve recover the leading eigenvalues robustly.
 
-The top eigenpair alone (k = 1) comes from shifted inverse iteration with
-every shift certified to lie above the spectrum: sigma I - T is positive
-definite exactly when sigma exceeds the largest eigenvalue of T, which one
-O(n) LDL^T factorization (LAPACK dpttrf) decides.  Several eigenvalues
-(k >= 2) need their indices, hence Sturm counts: bisection + inverse
-iteration (LAPACK dstebz/dstein, the calls scipy's eigh_tridiagonal makes
-for an index range).
+One path gives lambda0 and the ground state for every k: shifted inverse
+iteration with every shift certified to lie above the spectrum (sigma I - T
+is positive definite exactly when sigma exceeds the largest eigenvalue of T,
+which one O(n) LDL^T factorization, LAPACK dpttrf, decides).  The
+eigenvalues below it (k >= 2) need their indices, hence Sturm counts:
+bisection over an index range (LAPACK dstebz, the call scipy's
+eigh_tridiagonal makes for one).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .grid import Grid, flapack
 
 MAX_LEADING = 10
 MAX_INVERSE_STEPS = 30
-_RAYLEIGH_TOL = 1e-10
 # eigen-residual ||T v - rho v||_2 / ||T||_inf at which inverse iteration
-# stops: the roundoff level that bisection + inverse iteration reaches
+# stops: the roundoff level
 _ROUNDOFF_RESIDUAL = 1e-15
 
 
@@ -37,8 +36,7 @@ _ROUNDOFF_RESIDUAL = 1e-15
 class SpectrumReport:
     eigenvalues: np.ndarray     # k largest, descending
     ground_state: np.ndarray    # on the full grid, zero boundary, max entry +1
-    potential_min: float
-    iterations: int             # shifted inverse-iteration steps; 0 for k >= 2
+    iterations: int             # shifted inverse-iteration steps for lambda0
     residual: float             # ||T v - lambda0 v||_2, ||v||_2 = 1: bounds the
                                 # distance from lambda0 to the discrete spectrum
 
@@ -59,8 +57,8 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> SpectrumReport:
 
     Also returns the eigenvector of the largest eigenvalue embedded on the
     full grid (zeros at the boundary nodes), scaled to max entry +1, with
-    the iteration count and eigen-residual of that pair, and min V.  A
-    non-finite V is rejected, naming its first such node.
+    the iteration count and eigen-residual of that pair.  A non-finite V is
+    rejected, naming its first such node.
     """
     if V.shape != (g.n,):
         raise ValueError("potential length does not match grid")
@@ -75,46 +73,26 @@ def eigenvalues_of_potential(g: Grid, V: np.ndarray, k: int) -> SpectrumReport:
         raise ValueError(f"k must be in [1, {min(MAX_LEADING, m)}], got {k}")
     diag = -2.0 / h ** 2 - V[1:-1]
     off = np.full(m - 1, 1.0 / h ** 2)
-    if k == 1:
-        lam, v, iterations = _top_eigenpair(diag, off)
-        vals = np.array([lam])
-    else:
-        vals, v = _leading_eigenpairs(diag, off, k)
-        iterations = 0
-
-    r = _apply(diag, off, v) - vals[0] * v
-    bound = _RAYLEIGH_TOL * (np.abs(diag).max() + 2 * np.abs(off).max()) * np.abs(v).max()
-    if np.abs(r).max() > bound:
-        raise EigenIterationError(
-            f"eigenpair residual {np.abs(r).max():.3e} exceeds tolerance {bound:.3e}")
+    lam, v, iterations = _top_eigenpair(diag, off)
+    below = _eigenvalues_below_top(diag, off, k) if k >= 2 else ()
+    vals = np.array([lam, *below])
+    r = _apply(diag, off, v) - lam * v
     residual = float(np.sqrt(np.sum(r * r) / np.sum(v * v)))
     vec_full = np.zeros(g.n)
     vec_full[1:-1] = v / v[np.argmax(np.abs(v))]
-    return SpectrumReport(vals, vec_full, float(V.min()), iterations, residual)
+    return SpectrumReport(vals, vec_full, iterations, residual)
 
 
-def _leading_eigenpairs(diag: np.ndarray, off: np.ndarray,
-                        k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k largest eigenvalues (descending) of T = tridiag(off, diag, off) by
-    bisection over the index range m-k+1..m (dstebz, block order, as
-    inverse iteration wants it), and the eigenvector of the largest by
-    inverse iteration (dstein).  dstein runs for all k values, as in
-    eigh_tridiagonal: its start vectors depend on how many it computed
-    before, so asking for one would change the vector's last bits."""
+def _eigenvalues_below_top(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The k-1 eigenvalues below the largest (descending) of T = tridiag(off,
+    diag, off), by bisection over the index range m-k+1..m (dstebz); the
+    largest, which it also finds, is dropped for the certified one."""
     m = diag.size
-    found, w, iblock, isplit, info = flapack.dstebz(
-        diag, off, 2, 0.0, 1.0, m - k + 1, m, 0.0, "B")
+    found, w, _, _, info = flapack.dstebz(diag, off, 2, 0.0, 1.0, m - k + 1, m, 0.0, "B")
     if info != 0:
         raise EigenIterationError(
             f"bisection (LAPACK dstebz) failed: info={info} (n={m + 2}, k={k})")
-    w = w[:found]
-    vecs, info = flapack.dstein(diag, off, w, iblock, isplit)
-    if info != 0:
-        raise EigenIterationError(
-            f"inverse iteration (LAPACK dstein) failed: info={info} "
-            f"(n={m + 2}, k={k})")
-    order = np.argsort(w)[::-1]
-    return w[order], vecs[:, order[0]]
+    return np.sort(w[:found])[::-1][1:]
 
 
 def _top_eigenpair(diag: np.ndarray,

@@ -156,9 +156,10 @@ class TestCsvRoundTrip:
         (lambda t: t.replace("\n5,", "\nnan,"), "leaves the uniform increasing grid "
                                                 "at data row 6: x=nan"),
         (lambda t: t.replace("# c=0\n", "# c=nan\n"), "'# c=' header line gives c=nan"),
+        (lambda t: t.replace("# c=0\n", "# c=abc\n"), "'# c=' header line gives c=abc"),
         (lambda t: t.replace(",0.25\n", ",nan\n"), "u is not finite at data row 4: u=nan")],
         ids=["no_c", "no_u", "x_off_grid", "too_few_rows", "x_inf_last", "x_nan", "c_nan",
-             "u_nan"])
+             "c_text", "u_nan"])
     def test_unusable_profile_named(self, edit, named, tmp_path, capsys):
         path = tmp_path / "seed.csv"
         rows = "".join(f"{i},{1.0 / (i + 1)}\n" for i in range(12))
@@ -171,6 +172,17 @@ class TestCsvRoundTrip:
         err = capsys.readouterr().err
         assert "error kind=ValueError" in err and "seed.csv: " in err and named in err
         assert not out.exists()
+
+    def test_seed_residual_norm_is_not_read(self, tmp_path):
+        # a seed lends its c, grid and u; its residual_norm line is not read
+        seed = tmp_path / "seed.csv"
+        assert run(["solve", "--c", "0", "--h", "0.04", "--out", str(seed)]) == 0
+        text = re.sub(r"# residual_norm=.*\n", "# residual_norm=abc\n", seed.read_text())
+        assert "# residual_norm=abc\n" in text
+        seed.write_text(text)
+        out = tmp_path / "p.csv"
+        assert run(["solve", "--c", "0", "--h", "0.04", "--seed-file", str(seed),
+                    "--out", str(out)]) == 0
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -437,6 +449,12 @@ class TestOtherCommands:
         eigs = [float(t) for t in header["eigenvalues"].split(";")]
         assert len(eigs) == 3 and eigs[0] == pytest.approx(-1.5185, abs=2e-3)
         assert cols["ground_state"].max() == pytest.approx(1.0)
+
+    def test_spectrum_potential_min_is_the_potential_minimum(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--c", "0", "--k", "1", "--h", "0.04", "--out", str(out)]) == 0
+        header, cols = read_csv(out)
+        assert float(header["potential_min"]) == cols["potential"].min()
 
     def test_evolve_command(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -728,6 +746,17 @@ def test_validate_rejects_unknown_criterion(criteria, capsys):
     assert run(["validate", "--criteria", criteria]) == 2
     captured = capsys.readouterr()
     assert "error kind=ValueError" in captured.err and "numbered 1-11" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("criteria", ["x", "1,,2", "1.5"])
+def test_validate_names_a_criteria_entry_that_is_no_number(criteria, capsys):
+    assert run(["validate", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    bad = next(t for t in criteria.split(",") if not t.isdigit())
+    assert "error kind=ValueError" in captured.err
+    assert (f"criteria takes comma-separated criterion numbers, got {criteria!r}: "
+            in captured.err and repr(bad) in captured.err)
     assert "PASS" not in captured.out
 
 

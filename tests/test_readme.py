@@ -1,15 +1,17 @@
 """README.md's library sketch runs as written, so a public name that it
 uses cannot be removed or renamed without this test failing; and the
 package exports only what the sketch calls, so an export that only tests
-use cannot come back unnoticed."""
+use cannot come back unnoticed.  Its install paragraph names the LAPACK
+routines that the package calls, no more and no fewer."""
 
 import re
 from pathlib import Path
 
 import quenchfront
-from quenchfront import cli
+from quenchfront import cli, grid
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _sketch():
@@ -37,3 +39,11 @@ def test_command_lines_parse():
     parser = cli.build_parser()
     for words in lines:
         assert parser.parse_args(words).command == words[0]
+
+
+def test_lapack_routines_named_are_those_called():
+    [paragraph] = [p for p in README.read_text().split("\n\n") if p.startswith("Dependencies:")]
+    named = {w for w in re.findall(r"`(\w+)`", paragraph) if hasattr(grid.flapack, w)}
+    called = {name for path in (ROOT / "src").rglob("*.py")
+              for name in re.findall(r"\bflapack\.(\w+)\(", path.read_text())}
+    assert named == called

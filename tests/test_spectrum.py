@@ -81,11 +81,6 @@ class TestLeadingEigenvalues:
         assert rep.ground_state.min() >= -1e-8
         assert rep.ground_state[0] == 0.0 and rep.ground_state[-1] == 0.0
 
-    def test_potential_min_field(self, hm_profile):
-        rep = leading_eigenvalues(hm_profile, 1)
-        assert rep.potential_min == pytest.approx(
-            build_potential(hm_profile).min())
-
     def test_k_validation(self, hm_profile):
         with pytest.raises(ValueError):
             leading_eigenvalues(hm_profile, 11)
@@ -134,14 +129,20 @@ def _assert_matches_bisection(g, V):
     assert top.ground_state[1:-1].min() > 0.0
     assert 1 <= top.iterations <= spectrum.MAX_INVERSE_STEPS
     assert top.residual <= 1e-15 * norm_t
-    two = eigenvalues_of_potential(g, V, 2)
-    assert two.iterations == 0
-    assert abs(two.eigenvalues[0] - top.eigenvalues[0]) <= 1e-15 * norm_t
-    assert np.abs(two.ground_state - top.ground_state).max() <= 1e-9
+    _assert_same_top_pair(eigenvalues_of_potential(g, V, 2), top)
+
+
+def _assert_same_top_pair(rep, top):
+    """rep carries top's lambda0, ground state, residual and iteration count,
+    bit for bit."""
+    assert rep.eigenvalues[0].tobytes() == top.eigenvalues[0].tobytes()
+    assert rep.ground_state.tobytes() == top.ground_state.tobytes()
+    assert rep.residual == top.residual and rep.iterations == top.iterations
 
 
 class TestCertifiedInverseIteration:
-    """k = 1 takes shifted inverse iteration; k >= 2 bisection (stebz/stein)."""
+    """lambda0 and the ground state come from shifted inverse iteration for
+    every k; k >= 2 adds the eigenvalues below it by bisection (dstebz)."""
 
     @settings(max_examples=12, deadline=None, derandomize=True, database=None)
     @given(c=st.floats(-200.0, 12.0), h=st.sampled_from([0.04, 0.02, 0.01]))
@@ -173,11 +174,26 @@ class TestCertifiedInverseIteration:
         rep = leading_eigenvalues(hm_profile, 1)
         assert 1 <= rep.iterations <= spectrum.MAX_INVERSE_STEPS
         assert 0.0 < rep.residual <= 1e-10
-        assert leading_eigenvalues(hm_profile, 3).iterations == 0
+        assert leading_eigenvalues(hm_profile, 3).iterations == rep.iterations
+
+    @pytest.mark.parametrize("c", [-20.0, 0.0, 5.0, None], ids=["c-20", "c0", "c5", "oscillator"])
+    def test_one_top_pair_for_every_k(self, c):
+        if c is None:
+            g = make_grid(-20.0, 20.0, 0.01)
+            V = g.nodes() ** 2
+        else:
+            front = _solved_front(c, 0.02)
+            g, V = front.grid, build_potential(front)
+        top = eigenvalues_of_potential(g, V, 1)
+        for k in (2, 5, 10):
+            rep = eigenvalues_of_potential(g, V, k)
+            assert rep.eigenvalues.size == k
+            _assert_same_top_pair(rep, top)
 
 
 class TestLeadingPairs:
-    """k >= 2 makes the two LAPACK calls of eigh_tridiagonal(select="i")."""
+    """Below lambda0, k >= 2 makes the bisection call of
+    eigh_tridiagonal(select="i")."""
 
     @pytest.mark.parametrize("c", [-20.0, 0.0, 5.0])
     def test_k5_bitwise_equal_to_eigh_tridiagonal(self, c):
@@ -185,13 +201,12 @@ class TestLeadingPairs:
         g, V = front.grid, build_potential(front)
         diag, off, _ = _operator(g, V)
         m = g.n - 2
-        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(m - 5, m - 1))
-        order = np.argsort(vals)[::-1]
-        ground = vecs[:, order[0]]
+        vals, _ = eigh_tridiagonal(diag, off, select="i", select_range=(m - 5, m - 1))
         pairs = eigenvalues_of_potential(g, V, 5)
-        assert pairs.eigenvalues.tobytes() == vals[order].tobytes()
-        assert (pairs.ground_state[1:-1].tobytes()
-                == (ground / ground[np.argmax(np.abs(ground))]).tobytes())
+        assert pairs.eigenvalues[1:].tobytes() == np.sort(vals)[::-1][1:].tobytes()
+        # lambda0 and the ground state are k = 1's, held to eigh_tridiagonal
+        # by _assert_matches_bisection
+        _assert_same_top_pair(pairs, eigenvalues_of_potential(g, V, 1))
 
     def test_grid_loads_scipys_own_lapack_module(self):
         # resolved by scipy's package in an interpreter that never loads grid
@@ -200,7 +215,7 @@ class TestLeadingPairs:
                              capture_output=True, text=True)
         assert grid.flapack.__file__ == out.stdout.strip()
 
-    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    @pytest.mark.parametrize("routine", ["dstebz"])
     def test_lapack_failure_names_grid_k_and_info(self, hm_profile, monkeypatch, routine):
         real = getattr(grid.flapack, routine)
 
